@@ -59,9 +59,9 @@ SweepResult sweep(std::size_t world, double tol, double max_virtual) {
         op::picard_solve(jacobi, la::zeros(world), 50000, 1e-14);
   o.mp.solve.max_seconds = max_virtual;
   o.mp.solve.max_updates = 100000000;
-  // Sim updates are cheap; check the oracle often so ranks stop near
-  // tol instead of overshooting by a dense-broadcast round (the stop
-  // check in node mode fires every 4x this cadence).
+  // Every rank checks the oracle at the end of each own sweep (one
+  // block per rank here, so after every update) and stops at its first
+  // sweep under tol; check_every only paces the wall-budget check.
   o.mp.solve.check_every = 4;
   // latency/phase = 0.1 bounds in-flight frames near 0.1 * world^2 —
   // the knob that keeps the 1000-rank pending heaps in tens of MB.

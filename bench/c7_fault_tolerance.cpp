@@ -150,12 +150,10 @@ int main() {
                 static_cast<unsigned long long>(
                     r.membership.deaths_observed));
     report.scenario("membership_live")
-        // The monitor stops AT the tolerance boundary, and with this
-        // leg's injected latency the finally-assembled iterate (stale
-        // in-flight contributions) can land marginally either side of
-        // tol — so the deterministic gate is the 10x final_error band
-        // (same rationale as baselines/tcp_loopback.json), not the
-        // boolean coin flip.
+        // Every rank stops AT the tolerance boundary, so the
+        // deterministic gate is the 10x final_error band (same
+        // rationale as baselines/tcp_loopback.json), not the boolean
+        // coin flip at the boundary.
         .det("final_error", r.final_error)
         // Everybody was alive the whole run: any death is a detector
         // false positive — the deterministic gate of this bench.

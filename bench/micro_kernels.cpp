@@ -188,7 +188,7 @@ int main() {
   }
 
   // ---------------- fused block-residual sweep ------------------------
-  // Full-dimension sweep at the size the stopping-rule monitors poll.
+  // Full-dimension sweep at the size the stopping rules scan.
   {
     const std::size_t n = 4096, blocks = 64;
     Rng rng(41);

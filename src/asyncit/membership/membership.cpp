@@ -166,12 +166,17 @@ void MembershipTable::suspect(std::uint32_t rank, double now) {
              /*urgent=*/true);
 }
 
-void MembershipTable::leave(std::uint32_t rank, double now) {
+void MembershipTable::leave(std::uint32_t rank, double /*now*/) {
   ASYNCIT_CHECK(rank < members_.size() && rank != self_);
   Record& rec = members_[rank];
   if (rec.state == MemberState::kDead) return;
-  transition(rank, MemberState::kDead, rec.incarnation, now,
-             /*urgent=*/true);
+  const bool was_live = in_live_view(rec.state);
+  rec.state = MemberState::kDead;
+  ++stats_.leaves_observed;
+  if (!was_live) return;
+  rebuild_live();
+  ++epoch_;
+  events_.push_back({EventKind::kDied, rank, rec.incarnation});
 }
 
 void MembershipTable::tick(double now) {

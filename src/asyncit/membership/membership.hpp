@@ -32,7 +32,9 @@
 //             suspicion about THIS rank is refuted by bumping the own
 //             incarnation past it and gossiping the new alive.
 //   kDead     suspicion expired (or a kStop announced a deliberate
-//             leave). dead@i overrides alive/suspect@j iff i >= j.
+//             leave — counted as a leave, not a death, and not
+//             gossiped: the leaver's kStop reaches every live member
+//             itself). dead@i overrides alive/suspect@j iff i >= j.
 //
 // Every local state change is queued for piggyback dissemination with a
 // bounded retransmission budget (O(log world) sends per update), SWIM's
@@ -117,7 +119,8 @@ struct Stats {
   std::uint64_t ping_reqs_sent = 0;
   std::uint64_t gossip_frames_sent = 0;  ///< dedicated kMembershipUpdate
   std::uint64_t suspicions = 0;          ///< local + gossip-learned
-  std::uint64_t deaths_observed = 0;
+  std::uint64_t deaths_observed = 0;     ///< suspicion expiries + gossip
+  std::uint64_t leaves_observed = 0;     ///< kStop leaves seen directly
   std::uint64_t joins_observed = 0;
   std::uint64_t refutations = 0;         ///< own incarnation bumps
   std::uint64_t control_rejected = 0;    ///< malformed control frames
@@ -130,6 +133,7 @@ struct Stats {
     gossip_frames_sent += o.gossip_frames_sent;
     suspicions += o.suspicions;
     deaths_observed += o.deaths_observed;
+    leaves_observed += o.leaves_observed;
     joins_observed += o.joins_observed;
     refutations += o.refutations;
     control_rejected += o.control_rejected;
@@ -163,7 +167,8 @@ class MembershipTable {
   void suspect(std::uint32_t rank, double now);
 
   /// Deliberate leave (a kStop control frame): straight to dead at the
-  /// member's current incarnation, gossiped like any death.
+  /// member's current incarnation, counted in leaves_observed. Not
+  /// gossiped — a gossiped leave would reach the others as a death.
   void leave(std::uint32_t rank, double now);
 
   /// Expires overdue suspicions to dead. Call often (cheap when idle).

@@ -1,15 +1,15 @@
 #include "asyncit/net/mp_runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
+#include <exception>
+#include <limits>
+#include <numeric>
+#include <span>
 #include <thread>
 
+#include "asyncit/net/node_runtime.hpp"
 #include "asyncit/net/peer.hpp"
-#include "asyncit/obs/metrics.hpp"
-#include "asyncit/runtime/pacing.hpp"
-#include "asyncit/runtime/shared_iterate.hpp"
+#include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/transport/inproc.hpp"
@@ -18,10 +18,40 @@ namespace asyncit::net {
 
 namespace {
 
-/// Orchestrator poll period. Coarse enough not to steal meaningful CPU
-/// from the peers on an oversubscribed machine, fine enough that stopping
-/// decisions lag by well under a millisecond.
-constexpr double kMonitorPeriod = 2e-4;
+/// Adds one rank's counters into the thread-mode result.
+void accumulate(MpResult& into, const MpResult& rank) {
+  into.total_updates += rank.total_updates;
+  into.rounds = std::min(into.rounds, rank.rounds);
+  into.messages_sent += rank.messages_sent;
+  into.messages_delivered += rank.messages_delivered;
+  into.messages_dropped += rank.messages_dropped;
+  into.partials_sent += rank.partials_sent;
+  into.inversions_observed += rank.inversions_observed;
+  into.stale_filtered += rank.stale_filtered;
+  into.final_filtered += rank.final_filtered;
+  into.peers_stopped += rank.peers_stopped;
+  into.frames_rejected += rank.frames_rejected;
+  into.bytes_sent_raw += rank.bytes_sent_raw;
+  into.bytes_sent_wire += rank.bytes_sent_wire;
+  into.wire_frames_full += rank.wire_frames_full;
+  into.wire_frames_delta += rank.wire_frames_delta;
+  into.wire_frames_heartbeat += rank.wire_frames_heartbeat;
+  into.wire_frames_codec += rank.wire_frames_codec;
+  into.membership += rank.membership;
+  into.reassignments += rank.reassignments;
+  into.snapshot_blocks_sent += rank.snapshot_blocks_sent;
+  into.snapshot_blocks_suppressed += rank.snapshot_blocks_suppressed;
+  into.delays.merge(rank.delays);
+  into.link_delays.insert(into.link_delays.end(), rank.link_delays.begin(),
+                          rank.link_delays.end());
+  into.admissibility.insert(into.admissibility.end(),
+                            rank.admissibility.begin(),
+                            rank.admissibility.end());
+  into.gate_stalls += rank.gate_stalls;
+  into.steering_decisions += rank.steering_decisions;
+  into.staleness_at_exit = std::max(into.staleness_at_exit,
+                                    rank.staleness_at_exit);
+}
 
 }  // namespace
 
@@ -50,200 +80,98 @@ MpResult run_message_passing(const op::BlockOperator& op,
   ASYNCIT_CHECK(x0.size() == partition.dim());
   ASYNCIT_CHECK(options.solve.inner_steps >= 1);
   ASYNCIT_CHECK(options.solve.check_every >= 1);
+  ASYNCIT_CHECK(!options.membership.enabled ||
+                options.solve.mode == Mode::kAsync);
   ASYNCIT_CHECK(transport.world() == peers_n);
   ASYNCIT_CHECK(transport.local_ranks().size() == peers_n);
 
-  // Observability: arm the global recorder/registry for this run. The
-  // kOff default leaves both untouched (so callers that manage the
-  // recorder themselves — benches, the node runtime — are unaffected).
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceConfig tc;
-    tc.level = options.obs.trace_level;
-    tc.ring_capacity = options.obs.trace_ring_capacity;
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
+  // The run owns tracing: armed once here, while every rank is handed
+  // kOff so none re-anchors the process-global recorder.
+  obs::ScopedTrace trace(options.obs.trace_level,
+                         options.obs.trace_ring_capacity);
+  MpOptions per_rank = options;
+  per_rank.obs.trace_level = obs::TraceLevel::kOff;
 
-  const auto owned = la::assign_blocks_contiguous(m, peers_n);
-  rt::SharedIterate monitor(x0);
-  std::vector<double> last_displacement(m, 1e300);
-  std::vector<std::atomic<std::uint64_t>> updates(peers_n);
-  std::atomic<bool> stop{false};
-  la::WeightedMaxNorm norm{partition};
-  const bool oracle = options.solve.x_star.has_value();
-  const bool displacement_stop = options.solve.displacement_tol > 0.0;
-
+  // One run_node per rank, each on its own thread over its endpoint —
+  // exactly what simnet::run_world does on fibers and what
+  // tools/asyncit_node does per process. Every rank stops by its own
+  // rule; nothing here watches the solve.
   WallTimer timer;
-  PeerContext ctx;
-  ctx.op = &op;
-  ctx.options = &options;
-  ctx.clock = &timer;
-  ctx.owned = &owned;
-  ctx.monitor = &monitor;
-  ctx.last_displacement = &last_displacement;
-  ctx.updates = &updates;
-  ctx.stop = &stop;
-
-  // Elastic membership in threaded mode: every rank runs its own agent
-  // (driven by its peer thread alone — the Endpoint threading contract).
-  // Nobody actually dies in-process, so this is the failure detector
-  // under load: the false-positive testbed (tests/membership_test.cpp).
-  std::vector<std::unique_ptr<membership::SwimAgent>> agents;
-  if (options.membership.enabled) {
-    ASYNCIT_CHECK(options.solve.mode == Mode::kAsync);
-    agents.reserve(peers_n);
-    for (std::size_t p = 0; p < peers_n; ++p)
-      agents.push_back(std::make_unique<membership::SwimAgent>(
-          static_cast<std::uint32_t>(p), peers_n, options.membership,
-          options.seed));
-  }
-
-  std::vector<std::unique_ptr<Peer>> peers;
-  peers.reserve(peers_n);
-  for (std::size_t p = 0; p < peers_n; ++p) {
-    PeerContext pctx = ctx;
-    if (!agents.empty()) pctx.membership = agents[p].get();
-    peers.push_back(std::make_unique<Peer>(
-        pctx, static_cast<std::uint32_t>(p), x0,
-        transport.endpoint(static_cast<std::uint32_t>(p))));
-  }
-
+  std::vector<MpResult> ranks(peers_n);
+  std::vector<std::exception_ptr> errors(peers_n);
   std::vector<std::thread> threads;
   threads.reserve(peers_n);
   for (std::size_t p = 0; p < peers_n; ++p)
-    threads.emplace_back([&peers, p] { peers[p]->run(); });
-
-  // ---- monitor loop (this thread): stopping rules over the published
-  // plane; peers handle the time/update budgets themselves as well. All
-  // snapshot/residual scratch comes from the monitor's workspace — the
-  // poll loop allocates nothing once warm.
-  op::Workspace monitor_ws;
-  la::Vector snap(partition.dim());
-  rt::DisplacementStop stop_rule;
-  while (!stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(kMonitorPeriod));
-    const double t = timer.seconds();
-    std::uint64_t total = 0;
-    for (const auto& u : updates) total += u.load(std::memory_order_relaxed);
-    if (t > options.solve.max_seconds || total >= options.solve.max_updates) {
-      obs::record(obs::EventType::kStopDecision, 0,
-                  static_cast<std::uint32_t>(
-                      t > options.solve.max_seconds
-                          ? obs::StopReason::kWallBudget
-                          : obs::StopReason::kUpdateBudget),
-                  total, t);
-      stop.store(true, std::memory_order_relaxed);
-      break;
-    }
-    if (oracle) {
-      monitor.snapshot_into(snap);
-      if (norm.distance(snap, *options.solve.x_star) < options.solve.tol) {
-        obs::record(obs::EventType::kStopDecision, 0,
-                    static_cast<std::uint32_t>(obs::StopReason::kOracle),
-                    total, t);
-        stop.store(true, std::memory_order_relaxed);
-        break;
+    threads.emplace_back([&, p] {
+      try {
+        ranks[p] = run_node(op, x0, per_rank,
+                            transport.endpoint(static_cast<std::uint32_t>(p)),
+                            timer);
+      } catch (...) {
+        errors[p] = std::current_exception();
       }
-    }
-    if (displacement_stop &&
-        stop_rule.should_stop(
-            last_displacement, op, options.solve.displacement_tol,
-            [&](std::span<double> s) { monitor.snapshot_into(s); },
-            monitor_ws)) {
-      obs::record(obs::EventType::kStopDecision, 0,
-                  static_cast<std::uint32_t>(obs::StopReason::kDisplacement),
-                  total, t);
-      stop.store(true, std::memory_order_relaxed);
-      break;
-    }
-  }
-  stop.store(true, std::memory_order_relaxed);
+    });
   for (std::thread& th : threads) th.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 
-  // ---- assemble the result ----
   MpResult result;
   result.wall_seconds = timer.seconds();
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceRecorder::instance().disable();
-    const obs::RecorderStats os = obs::TraceRecorder::instance().stats();
-    result.obs_events_recorded = os.recorded;
-    result.obs_events_dropped = os.dropped;
-  }
-  result.x = monitor.snapshot();
+  trace.stop(result.obs_events_recorded, result.obs_events_dropped);
+  result.rounds = std::numeric_limits<std::uint64_t>::max();
   result.updates_per_worker.reserve(peers_n);
-  for (const auto& u : updates) {
-    result.updates_per_worker.push_back(u.load());
-    result.total_updates += result.updates_per_worker.back();
-  }
-  result.rounds = peers.front()->rounds();
-  for (const auto& p : peers)
-    result.rounds = std::min(result.rounds, p->rounds());
-  for (const auto& p : peers) {
-    result.partials_sent += p->partials_sent();
-    result.inversions_observed += p->view().inversions;
-    result.stale_filtered += p->view().stale_filtered;
-    result.peers_stopped += p->peers_stopped();
-    result.frames_rejected += p->frames_rejected();
-    result.reassignments += p->reassignments();
-    result.snapshot_blocks_sent += p->snapshot_blocks_sent();
-    result.snapshot_blocks_suppressed += p->snapshot_blocks_suppressed();
-    result.bytes_sent_raw += p->bytes_sent_raw();
-    result.bytes_sent_wire += p->bytes_sent_wire();
-    result.wire_frames_full += p->wire_frames_full();
-    result.wire_frames_delta += p->wire_frames_delta();
-    result.wire_frames_heartbeat += p->wire_frames_heartbeat();
-    result.wire_frames_codec += p->wire_frames_codec();
-    result.gate_stalls += p->gate_stalls();
-    result.steering_decisions += p->steering_decisions();
-    result.staleness_at_exit =
-        std::max(result.staleness_at_exit, p->staleness_bound());
+  for (const MpResult& r : ranks) {
+    result.updates_per_worker.push_back(r.total_updates);
+    accumulate(result, r);
   }
   result.bad_frames = transport.bad_frames();
-  for (std::size_t pi = 0; pi < peers.size(); ++pi) {
-    const auto& links = peers[pi]->link_delays();
-    for (std::uint32_t src = 0; src < links.size(); ++src) {
-      if (links[src].count() == 0) continue;
-      MpResult::LinkDelay link;
-      link.src = src;
-      link.dst = static_cast<std::uint32_t>(pi);
-      link.delays = links[src];
-      result.link_delays.push_back(std::move(link));
+
+  // The iterate: every block from the private view of the rank that
+  // owned it at exit. Ranks are taken in stop order on top of the first
+  // leaver's view, so a block an elastic rank adopted from an earlier
+  // leaver comes from its adopter.
+  const auto owned = la::assign_blocks_contiguous(m, peers_n);
+  std::vector<std::size_t> order(peers_n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ranks[a].wall_seconds < ranks[b].wall_seconds;
+                   });
+  result.x = std::move(ranks[order.front()].x);
+  for (const std::size_t p : std::span(order).subspan(1)) {
+    const auto rank = static_cast<std::uint32_t>(p);
+    const std::vector<la::BlockId> exit_owned =
+        options.membership.enabled
+            ? snapshot_plan(m, ranks[p].live_at_exit, rank,
+                            static_cast<std::uint32_t>(peers_n))
+            : owned[p];
+    for (const la::BlockId b : exit_owned) {
+      const auto src =
+          partition.block_span(std::span<const double>(ranks[p].x), b);
+      std::copy(src.begin(), src.end(),
+                partition.block_span(std::span<double>(result.x), b).begin());
     }
-    if (peers[pi]->auditor() != nullptr)
-      result.admissibility.push_back(peers[pi]->auditor()->report());
   }
-  for (const auto& a : agents) result.membership += a->stats();
-  for (std::size_t p = 0; p < peers_n; ++p) {
-    const transport::Endpoint& ep =
-        transport.endpoint(static_cast<std::uint32_t>(p));
-    result.messages_sent += ep.sent();
-    result.messages_dropped += ep.dropped();
-    result.messages_delivered += ep.delivered();
-    result.delays.merge(ep.delays());
+
+  // The Gantt log (obs.record_trace): every rank's events, one timeline.
+  std::vector<trace::PhaseEvent> phases;
+  std::vector<trace::MessageEvent> messages;
+  for (const MpResult& r : ranks) {
+    phases.insert(phases.end(), r.log.phases().begin(), r.log.phases().end());
+    messages.insert(messages.end(), r.log.messages().begin(),
+                    r.log.messages().end());
   }
-  if (options.obs.record_trace) {
-    std::vector<trace::PhaseEvent> phases;
-    std::vector<trace::MessageEvent> messages;
-    for (const auto& p : peers) {
-      const trace::EventLog& log = p->log();
-      phases.insert(phases.end(), log.phases().begin(), log.phases().end());
-      messages.insert(messages.end(), log.messages().begin(),
-                      log.messages().end());
-    }
-    std::sort(phases.begin(), phases.end(),
-              [](const trace::PhaseEvent& a, const trace::PhaseEvent& b) {
-                return a.t_start < b.t_start;
-              });
-    std::sort(messages.begin(), messages.end(),
-              [](const trace::MessageEvent& a, const trace::MessageEvent& b) {
-                return a.t_send < b.t_send;
-              });
-    for (auto& e : phases) result.log.add_phase(e);
-    for (auto& e : messages) result.log.add_message(e);
-  }
-  if (oracle) {
-    result.final_error = norm.distance(result.x, *options.solve.x_star);
+  std::sort(phases.begin(), phases.end(), [](const auto& a, const auto& b) {
+    return a.t_start < b.t_start;
+  });
+  std::sort(messages.begin(), messages.end(),
+            [](const auto& a, const auto& b) { return a.t_send < b.t_send; });
+  for (const auto& e : phases) result.log.add_phase(e);
+  for (const auto& e : messages) result.log.add_message(e);
+  if (options.solve.x_star.has_value()) {
+    result.final_error =
+        la::WeightedMaxNorm(partition).distance(result.x,
+                                                *options.solve.x_star);
     result.converged = result.final_error < options.solve.tol;
   }
   return result;

@@ -1,27 +1,33 @@
-// Orchestration of the message-passing runtime.
+// Thread mode of the message-passing runtime, and the options and result
+// types every mode shares.
 //
 // run_message_passing executes asynchronous iterations the way the paper's
-// testbeds did: P worker threads own disjoint block ranges and exchange
-// step-tagged block values through a pluggable wire transport with
-// injectable latency, reordering (non-FIFO delivery), and loss — values
-// actually TRAVEL between workers instead of living in shared memory
-// (rt::) or in a virtual-time simulation (sim::). Out-of-order messages,
-// label inversions, and unbounded heterogeneity delays therefore occur on
-// real hardware, and every per-message delay is measured into a histogram
+// testbeds did: P ranks own disjoint block ranges and exchange step-tagged
+// block values through a pluggable wire transport with injectable
+// latency, reordering (non-FIFO delivery), and loss — values actually
+// TRAVEL between ranks instead of living in shared memory (rt::) or in a
+// virtual-time simulation (sim::). Out-of-order messages, label
+// inversions, and unbounded heterogeneity delays therefore occur on real
+// hardware, and every per-message delay is measured into a histogram
 // rather than assumed from a model.
 //
+// There is one node runtime: run_message_passing runs one net::run_node
+// per rank, each on its own thread over its endpoint of the transport,
+// and merges the P results — as simnet::run_world does on fibers and
+// tools/asyncit_node does with one process per rank. It holds no
+// stopping logic: every rank stops by its own rule (net/node_runtime.hpp)
+// and the merged iterate takes each block from the rank that owned it.
+//
 // The default overload runs over the in-process mailbox backend
-// (transport/inproc.hpp), byte-for-byte the pre-transport behaviour; the
-// Transport overload accepts any backend hosting every rank in this
-// process — e.g. transport::TcpTransport over loopback sockets, or
-// transport::ChaosTransport stacking the delay models on top of TCP. For
-// one-rank-per-PROCESS deployments see net/node_runtime.hpp.
+// (transport/inproc.hpp); the Transport overload accepts any backend
+// hosting every rank in this process — e.g. transport::TcpTransport over
+// loopback sockets, or transport::ChaosTransport stacking the delay
+// models on top of TCP.
 //
 // Three coordination modes are selectable per run (see net/peer.hpp):
 // totally asynchronous (kAsync), staleness-bounded (kSsp), and the
-// barrier-synchronized BSP baseline (kBsp). Flexible communication
-// (Definition 3 partial publishing) and the displacement-based stopping
-// rule of rt::RuntimeOptions carry over unchanged.
+// barrier-synchronized BSP baseline (kBsp), together with flexible
+// communication (Definition 3 partial publishing).
 #pragma once
 
 #include <cstdint>
@@ -75,13 +81,19 @@ struct SolveOptions {
   std::optional<la::Vector> x_star;  ///< oracle stopping + error metric
 
   /// Displacement stopping rule without a known solution, identical in
-  /// meaning to rt::RuntimeOptions::displacement_tol (0 disables); the
-  /// orchestrator confirms a candidate stop with a true residual check.
+  /// meaning to rt::RuntimeOptions::displacement_tol (0 disables). Each
+  /// rank checks it at the end of every own sweep: when every block it
+  /// updated in the sweep moved by less than this, it confirms with the
+  /// true residual of its whole private view before stopping.
   double displacement_tol = 0.0;
 
-  std::uint64_t max_updates = 1000000;  ///< total block-update budget
-  double max_seconds = 30.0;
-  std::uint64_t check_every = 16;  ///< per-peer budget check cadence
+  /// Block-update budget of EACH rank, exact to the update (thread mode,
+  /// processes and simnet alike — no rank sees a global count).
+  std::uint64_t max_updates = 1000000;
+  double max_seconds = 30.0;  ///< wall (simnet: virtual) budget per rank
+  /// Cadence, in own updates, of the wall-budget check and the CPU yield.
+  /// Stopping criteria do not use it: they run at every sweep end.
+  std::uint64_t check_every = 16;
 };
 
 /// Fault/latency injection for the in-process backend.
@@ -190,8 +202,12 @@ struct MpResult {
   std::uint64_t inversions_observed = 0;
   /// Inversions that kNewestTagWins refused to incorporate.
   std::uint64_t stale_filtered = 0;
-  /// kStop control frames received (node mode only: how many other ranks
-  /// announced their stopping criterion before this rank finished).
+  /// Value frames discarded under either policy because a departed
+  /// owner's final value for the block (carried on its kStop) was
+  /// already applied with a tag at least as new.
+  std::uint64_t final_filtered = 0;
+  /// Ranks whose kStop this rank received before it finished (summed
+  /// over ranks in thread mode).
   std::uint64_t peers_stopped = 0;
   /// Received frames discarded because their semantic fields (source
   /// rank, block id, offset/payload extent) do not fit this run's
@@ -262,10 +278,12 @@ struct MpResult {
   trace::EventLog log;
 };
 
-/// Runs P = options.workers peer threads until convergence or budget
-/// exhaustion over the in-process mailbox backend (options.chaos.delivery
-/// and options.seed configure its channels). Requires workers <= num_blocks
-/// and x0.size() == dim.
+/// Runs P = options.workers ranks, one thread each, until every rank has
+/// stopped (its criterion, its budget, or a peer's stop in the gated
+/// modes) over the in-process mailbox backend (options.chaos.delivery and
+/// options.seed configure its channels). Requires workers <= num_blocks
+/// and x0.size() == dim. MpResult.x holds each block from the rank that
+/// owned it at exit; counters are summed over ranks.
 MpResult run_message_passing(const op::BlockOperator& op,
                              const la::Vector& x0, const MpOptions& options);
 

@@ -135,8 +135,8 @@ const KeyEntry kKeys[] = {
        return read_value(ls, c.max_seconds, e);
      }},
     {{"check_every", "int", "16",
-      "budget/stop check cadence in own updates (solve; node mode "
-      "evaluates the oracle every 4x this)"},
+      "wall-budget/yield check cadence in own updates (solve; the stop "
+      "criterion runs at every sweep end)"},
      [](NodeConfig& c, std::istringstream& ls, std::string& e) {
        return read_value(ls, c.check_every, e);
      }},

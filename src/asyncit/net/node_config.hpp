@@ -60,9 +60,8 @@ struct NodeConfig {
   double tol = 1e-8;
   double max_seconds = 30.0;
   std::uint64_t max_updates = 100000000;
-  /// Budget/stop-check cadence in own updates (node mode evaluates the
-  /// oracle every 4x this, see peer.cpp). Lower it when updates are
-  /// cheap relative to overshooting the tolerance — e.g. sim sweeps.
+  /// Wall-budget/yield check cadence in own updates. The stopping
+  /// criterion does not use it: every rank checks at each sweep end.
   std::uint64_t check_every = 16;
 
   // -- train workload: seeded logistic dataset + SGD discipline --

@@ -1,12 +1,10 @@
 #include "asyncit/net/node_runtime.hpp"
 
-#include <atomic>
 #include <memory>
 
 #include "asyncit/membership/swim.hpp"
 #include "asyncit/net/peer.hpp"
-#include "asyncit/obs/metrics.hpp"
-#include "asyncit/runtime/shared_iterate.hpp"
+#include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
 
@@ -32,37 +30,19 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   ASYNCIT_CHECK(options.solve.inner_steps >= 1);
   ASYNCIT_CHECK(options.solve.check_every >= 1);
 
-  const auto owned = la::assign_blocks_contiguous(m, world);
-  rt::SharedIterate monitor(x0);  // publish plane (unused without an
-                                  // orchestrator, kept for uniformity)
-  std::vector<double> last_displacement(m, 1e300);
-  std::vector<std::atomic<std::uint64_t>> updates(world);
-  std::atomic<bool> stop{false};
-  la::WeightedMaxNorm norm{partition};
-
   // Observability: arm the global recorder for this rank's run. The
   // caller (tools/asyncit_node) snapshots/exports after return; the
   // recorder's realtime anchor is what trace_merge.py aligns on.
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceConfig tc;
-    tc.level = options.obs.trace_level;
-    tc.ring_capacity = options.obs.trace_ring_capacity;
-    tc.rank = static_cast<std::uint16_t>(rank);
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
+  obs::ScopedTrace trace(options.obs.trace_level,
+                         options.obs.trace_ring_capacity,
+                         static_cast<std::uint16_t>(rank));
 
+  const auto owned = la::assign_blocks_contiguous(m, world);
   PeerContext ctx;
   ctx.op = &op;
   ctx.options = &options;
   ctx.clock = &clock;
   ctx.owned = &owned;
-  ctx.monitor = &monitor;
-  ctx.last_displacement = &last_displacement;
-  ctx.updates = &updates;
-  ctx.stop = &stop;
-  ctx.node_mode = true;
-  ctx.norm = &norm;
 
   // Elastic membership: one SWIM agent, driven by this (the peer's)
   // thread. The launch assignment in `owned` becomes a fallback; the
@@ -80,20 +60,15 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
 
   MpResult result;
   result.wall_seconds = clock.seconds();
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceRecorder::instance().disable();
-    const obs::RecorderStats os = obs::TraceRecorder::instance().stats();
-    result.obs_events_recorded = os.recorded;
-    result.obs_events_dropped = os.dropped;
-  }
-  result.x = peer.view().x;  // the rank's full private iterate
+  trace.stop(result.obs_events_recorded, result.obs_events_dropped);
   result.updates_per_worker.assign(world, 0);
-  result.updates_per_worker[rank] = updates[rank].load();
-  result.total_updates = result.updates_per_worker[rank];
+  result.updates_per_worker[rank] = peer.updates();
+  result.total_updates = peer.updates();
   result.rounds = peer.rounds();
   result.partials_sent = peer.partials_sent();
   result.inversions_observed = peer.view().inversions;
   result.stale_filtered = peer.view().stale_filtered;
+  result.final_filtered = peer.view().final_filtered;
   result.peers_stopped = peer.peers_stopped();
   result.frames_rejected = peer.frames_rejected();
   result.reassignments = peer.reassignments();
@@ -127,12 +102,12 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   }
   if (peer.auditor() != nullptr)
     result.admissibility.push_back(peer.auditor()->report());
-  if (options.obs.record_trace) {
-    for (const auto& e : peer.log().phases()) result.log.add_phase(e);
-    for (const auto& e : peer.log().messages()) result.log.add_message(e);
-  }
+  result.log = peer.log();  // empty unless obs.record_trace
+  result.x = peer.release_iterate();  // the rank's full private iterate
   if (options.solve.x_star.has_value()) {
-    result.final_error = norm.distance(result.x, *options.solve.x_star);
+    result.final_error =
+        la::WeightedMaxNorm(partition).distance(result.x,
+                                                *options.solve.x_star);
     result.converged = result.final_error < options.solve.tol;
   }
   return result;

@@ -1,30 +1,38 @@
-// One-rank-per-process driver for genuinely distributed runs.
+// The node runtime: one rank of the message-passing runtime.
 //
-// run_message_passing hosts every peer as a thread of one process;
-// run_node hosts exactly ONE peer — the calling process's rank — on the
-// calling thread, talking to the other ranks through a transport endpoint
-// (in practice transport::TcpTransport with local_ranks = {rank}; see
+// run_node runs exactly ONE peer — the endpoint's rank — on the calling
+// thread, talking to the other ranks only through its transport
+// endpoint. Every deployment is built from it: a process per rank
+// (transport::TcpTransport with local_ranks = {rank}; see
 // tools/asyncit_node.cpp and scripts/launch_cluster.py for the
-// config/rendezvous glue).
+// config/rendezvous glue), a thread per rank (run_message_passing), or a
+// fiber per rank in virtual time (simnet::run_world).
 //
-// What changes without a global orchestrator:
-//   stopping   no process can snapshot the global iterate, but each
-//              peer's PRIVATE view converges to the same fixed point, so
-//              the peer checks its own criterion (oracle distance under
-//              the weighted max norm, or the residual certificate when
-//              displacement_tol is set) and broadcasts a kStop control
-//              frame on a hit. Async ranks keep refining until their own
-//              criterion fires (a departed rank's final values are within
-//              tolerance, so the survivors still converge); SSP/BSP ranks
-//              stop on the first kStop — the departed rank would deadlock
-//              their round gate.
-//   budgets    options.solve.max_updates counts THIS rank's updates (no global
-//              counter exists); max_seconds is per-process wall time.
+// There is no global observer, and none is needed:
+//   stopping   each peer's PRIVATE view converges to the same fixed
+//              point, so at the end of every own sweep the peer checks
+//              its criterion on that view (oracle distance under the
+//              weighted max norm; or, with displacement_tol, the sweep's
+//              own displacements confirmed by the residual of the whole
+//              view) and on a hit leaves with kStop control frames that
+//              carry the final value and tag of every block it owns.
+//              Receivers apply those finals under any overwrite policy
+//              and drop the leaver's older value frames for the block, so
+//              a lost or overtaken last frame cannot strand them. Async
+//              ranks keep refining until their own criterion fires (a
+//              departed rank's finals are within tolerance, so the
+//              survivors still converge); SSP/BSP ranks stop on the first
+//              kStop — the departed rank would deadlock their round gate.
+//   budgets    options.solve.max_updates counts THIS rank's updates,
+//              exactly; max_seconds is this rank's wall time (read from
+//              the clock it is given). A budget stop is announced with
+//              kStop in the gated modes only.
 //   elasticity with options.membership.enabled the world is a set of
 //              SLOTS, not a frozen roster: a SWIM failure detector
-//              (membership/) runs on the control-frame path, dead ranks'
-//              blocks are adopted via re-assignment over the live view,
-//              and late-started ranks join mid-run (snapshot-welcomed).
+//              (membership/) runs on the control-frame path, dead and
+//              departed ranks' blocks are adopted via re-assignment over
+//              the live view, and late-started ranks join mid-run
+//              (snapshot-welcomed).
 //              See DESIGN.md §7; requires Mode::kAsync and an elastic
 //              transport (TcpOptions::elastic).
 //
@@ -39,17 +47,17 @@
 
 namespace asyncit::net {
 
-/// Runs this process's rank (endpoint.rank()) of a world of
-/// options.workers ranks until the local stopping criterion, a received
-/// stop, or budget exhaustion. MpResult.x is the rank's full private
+/// Runs the endpoint's rank of a world of options.workers ranks until
+/// its own stopping criterion, a received stop, or budget exhaustion. MpResult.x is the rank's full private
 /// iterate; message statistics cover this rank's endpoint only.
 MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
                   const MpOptions& options, transport::Endpoint& endpoint);
 
 /// Same, but the run reads time from `clock` instead of starting its own
 /// wall timer — the hook simnet::run_world uses to put every budget and
-/// timestamp on virtual time (clock is a simnet::SimClock there). The
-/// clock must read 0 at (or before) the call and only move forward.
+/// timestamp on virtual time (clock is a simnet::SimClock there), and
+/// run_message_passing uses to give its threads one shared wall clock.
+/// The clock must read 0 at (or before) the call and only move forward.
 MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
                   const MpOptions& options, transport::Endpoint& endpoint,
                   const WallTimer& clock);

@@ -15,30 +15,54 @@ namespace asyncit::net {
 
 namespace {
 
-/// Poll granularity while blocked in a coordination gate; bounds how long
-/// a waiting peer can miss the stop flag.
+/// Poll granularity while blocked in a coordination gate or idle; bounds
+/// how long a waiting peer can miss a stop or its wall budget.
 constexpr double kMaxGateWait = 1e-3;
 
-/// Node-mode stopping checks run at this multiple of the budget-check
-/// cadence (an oracle distance / residual scan is O(n), so it should not
-/// run on every budget check).
-constexpr std::uint64_t kNodeStopCheckFactor = 4;
+/// Whether a value-carrying frame fits this run's geometry: a known block
+/// and a carried range inside it. A non-partial frame must carry EXACTLY
+/// its block (a shorter payload would silently prefix-overwrite the block
+/// yet count as a complete update in the round accounting); only
+/// mid-phase partials and delta ranges may carry sub-ranges.
+bool fits_block(const la::Partition& partition, const Message& m) {
+  if (m.block >= partition.num_blocks()) return false;
+  const std::size_t size = partition.range(m.block).size();
+  if (m.offset + m.value.size() > size) return false;
+  return m.partial || (m.offset == 0 && m.value.size() == size);
+}
 
 }  // namespace
 
-void incorporate(const la::Partition& partition, OverwritePolicy policy,
+bool incorporate(const la::Partition& partition, OverwritePolicy policy,
                  const Message& m, LocalView& view) {
   auto dst = partition.block_span(std::span<double>(view.x), m.block);
   ASYNCIT_CHECK(m.offset + m.value.size() <= dst.size());
   if (m.tag < view.max_tag[m.block]) ++view.inversions;
   view.max_tag[m.block] = std::max(view.max_tag[m.block], m.tag);
+  if (m.tag <= view.final_tag[m.block]) {
+    ++view.final_filtered;
+    return false;
+  }
   if (policy == OverwritePolicy::kNewestTagWins &&
       m.tag <= view.tags[m.block]) {
     ++view.stale_filtered;
-    return;
+    return false;
   }
   std::copy(m.value.begin(), m.value.end(), dst.begin() + m.offset);
   view.tags[m.block] = m.tag;
+  return true;
+}
+
+bool apply_final(const la::Partition& partition, const Message& m,
+                 LocalView& view) {
+  auto dst = partition.block_span(std::span<double>(view.x), m.block);
+  ASYNCIT_CHECK(m.offset == 0 && m.value.size() == dst.size());
+  view.final_tag[m.block] = std::max(view.final_tag[m.block], m.tag);
+  view.max_tag[m.block] = std::max(view.max_tag[m.block], m.tag);
+  if (m.tag < view.tags[m.block]) return false;
+  std::copy(m.value.begin(), m.value.end(), dst.begin());
+  view.tags[m.block] = m.tag;
+  return true;
 }
 
 Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
@@ -63,6 +87,9 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
       link_delays_(ctx.options->obs.link_delays ? ctx.options->workers
                                                 : 0) {
   ASYNCIT_CHECK(endpoint_->rank() == id_);
+  stopped_ranks_.assign(ctx_.options->workers, false);
+  if (ctx_.options->solve.x_star.has_value())
+    norm_.emplace(ctx_.op->partition());
   // Adaptive staleness steers on the auditor's measured delay bound, so
   // enabling it implies the auditor even when audit reporting is off.
   const bool steer = ctx_.options->solve.adaptive.enabled &&
@@ -81,7 +108,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
     // Elastic ranks only make sense in the totally asynchronous regime:
     // SSP/BSP round gates would wait forever for a rank that left.
     ASYNCIT_CHECK(ctx_.options->solve.mode == Mode::kAsync);
-    stopped_ranks_.assign(ctx_.options->workers, false);
     owned_epoch_ = ctx_.membership->table().epoch();
     recompute_owned();
   }
@@ -125,28 +151,66 @@ std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
 
 void Peer::incorporate_tracked(const la::Partition& partition,
                                OverwritePolicy policy, const Message& m) {
-  const bool inversion = m.tag < view_.max_tag[m.block];
-  const bool filtered = policy == OverwritePolicy::kNewestTagWins &&
-                        m.tag <= view_.tags[m.block];
-  if (inversion)
-    obs::record(obs::EventType::kInversion, filtered ? 1 : 0,
-                static_cast<std::uint32_t>(m.block),
-                view_.max_tag[m.block] - m.tag, 0.0);
-  incorporate(partition, policy, m, view_);
+  const bool is_final = m.kind == MsgKind::kStop;
+  const model::Step newest = view_.max_tag[m.block];
+  const bool applied = is_final ? apply_final(partition, m, view_)
+                                : incorporate(partition, policy, m, view_);
+  if (!is_final && m.tag < newest)
+    obs::record(obs::EventType::kInversion, applied ? 0 : 1,
+                static_cast<std::uint32_t>(m.block), newest - m.tag, 0.0);
+  if (!applied) return;
   // Audit bridge: an accepted remote value changes the component as of
   // the CURRENT local step — it joins the next own step's S_j.
-  if (!filtered && auditor_ != nullptr) audit_pending_[m.block] = 1;
+  if (auditor_ != nullptr) audit_pending_[m.block] = 1;
   // Delta layer: another rank wrote this block (ownership churn / a
   // double-assignment window), so the baselines we hold for it toward
   // EVERY destination no longer describe what we last sent of our own
   // values — force a full-frame resync on the next publish.
-  if (!filtered && !block_rx_epoch_.empty()) ++block_rx_epoch_[m.block];
+  if (!block_rx_epoch_.empty()) ++block_rx_epoch_[m.block];
+}
+
+void Peer::stop_here(obs::StopReason reason) {
+  const bool criterion = reason == obs::StopReason::kOracle ||
+                         reason == obs::StopReason::kDisplacement;
+  if (criterion || ctx_.options->solve.mode != Mode::kAsync)
+    broadcast_stop();
+  trip_stop(reason);
 }
 
 void Peer::trip_stop(obs::StopReason reason) {
   obs::record(obs::EventType::kStopDecision, 0,
               static_cast<std::uint32_t>(reason), local_step_, now());
-  ctx_.stop->store(true, std::memory_order_relaxed);
+  stop_ = true;
+}
+
+void Peer::on_peer_stop(const la::Partition& partition, const Message& m) {
+  if (!m.value.empty())
+    incorporate_tracked(partition, ctx_.options->solve.overwrite, m);
+  if (stopped_ranks_[m.src]) return;  // another block of the same leave
+  stopped_ranks_[m.src] = true;
+  ++peers_stopped_;
+  // A deliberate leave: straight to dead in the elastic table (no point
+  // probing a rank that said goodbye), and its blocks are adopted at the
+  // re-assignment this triggers.
+  if (ctx_.membership != nullptr)
+    ctx_.membership->table().leave(m.src, now());
+  // Gated modes must stop immediately — the departed rank will never
+  // complete another round and the SSP/BSP gate would deadlock. The
+  // totally asynchronous mode keeps refining until its OWN criterion
+  // fires (the departed rank's final values are within tolerance, so
+  // convergence completes); only a rank with no local criterion at all
+  // stops once everyone else has left — over the LIVE view when elastic,
+  // so a spare slot that never joined does not keep it running.
+  const SolveOptions& solve = ctx_.options->solve;
+  if (solve.mode != Mode::kAsync) {
+    trip_stop(obs::StopReason::kPeerStop);
+    return;
+  }
+  if (solve.x_star.has_value() || solve.displacement_tol > 0.0) return;
+  const bool all_left = ctx_.membership != nullptr
+                            ? all_others_inactive()
+                            : peers_stopped_ + 1 >= ctx_.options->workers;
+  if (all_left) trip_stop(obs::StopReason::kLiveViewDone);
 }
 
 void Peer::receive() {
@@ -181,47 +245,26 @@ void Peer::receive() {
     holdback_keep_.clear();
   }
 
+  auto reject = [this](const Message& m) {
+    ++frames_rejected_;
+    obs::record(obs::EventType::kFrameReject,
+                static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
+  };
   for (Message& m : inbox_) {
     // Semantic validation BEFORE any field is used as an index: a frame
     // can be wire-valid yet describe another run's geometry (two nodes
     // launched with disagreeing configs). Such a message must be
     // discarded with a counter, not abort the rank via a failed CHECK.
     if (m.src >= ctx_.options->workers || m.src == id_) {
-      ++frames_rejected_;
-      obs::record(obs::EventType::kFrameReject,
-                  static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
+      reject(m);
       continue;
     }
     if (m.kind == MsgKind::kStop) {
-      // A rank announcing that its local stopping criterion fired (node
-      // mode). Gated modes must stop immediately — the departed rank will
-      // never complete another round and the SSP/BSP gate would deadlock.
-      // The totally asynchronous mode keeps refining until its OWN
-      // criterion fires (the departed rank's final values are within
-      // tolerance, so convergence completes); only a rank with no local
-      // criterion at all stops once everyone else has left.
-      ++peers_stopped_;
-      const bool has_local_criterion =
-          ctx_.options->solve.x_star.has_value() ||
-          ctx_.options->solve.displacement_tol > 0.0;
-      if (ctx_.membership != nullptr) {
-        // A deliberate leave: straight to dead in the table (no point
-        // probing a rank that said goodbye), and its blocks are adopted
-        // at the re-assignment this triggers. "Everyone else is done"
-        // is evaluated over the LIVE view, not the static world — a
-        // spare slot that never joined must not keep us running.
-        stopped_ranks_[m.src] = true;
-        ctx_.membership->table().leave(m.src, now());
-        if (ctx_.options->solve.mode != Mode::kAsync)
-          trip_stop(obs::StopReason::kPeerStop);
-        else if (!has_local_criterion && all_others_inactive())
-          trip_stop(obs::StopReason::kLiveViewDone);
-      } else if (ctx_.options->solve.mode != Mode::kAsync) {
-        trip_stop(obs::StopReason::kPeerStop);
-      } else if (!has_local_criterion &&
-                 peers_stopped_ + 1 >= ctx_.options->workers) {
-        trip_stop(obs::StopReason::kLiveViewDone);
-      }
+      // A rank leaving: bare, or carrying one whole owned block's final.
+      if (!m.value.empty() && (m.partial || !fits_block(partition, m)))
+        reject(m);
+      else
+        on_peer_stop(partition, m);
       continue;
     }
     if (is_control(m.kind)) {
@@ -229,9 +272,7 @@ void Peer::receive() {
       // agent these frames describe a protocol this run does not speak —
       // discard with the same counter as any config mismatch.
       if (ctx_.membership == nullptr) {
-        ++frames_rejected_;
-        obs::record(obs::EventType::kFrameReject,
-                    static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
+        reject(m);
       } else {
         obs::record(obs::EventType::kProbe, static_cast<std::uint8_t>(m.kind),
                     m.src, m.tag, 0.0);
@@ -239,20 +280,8 @@ void Peer::receive() {
       }
       continue;
     }
-    // A non-partial value frame must carry EXACTLY its block (a shorter
-    // payload would silently prefix-overwrite the block yet count as a
-    // complete update in the round accounting); only mid-phase partials
-    // may carry sub-ranges.
-    bool reject = m.block >= partition.num_blocks();
-    if (!reject) {
-      const std::size_t block_size = partition.range(m.block).size();
-      reject = m.offset + m.value.size() > block_size ||
-               (!m.partial && (m.offset != 0 || m.value.size() != block_size));
-    }
-    if (reject) {
-      ++frames_rejected_;
-      obs::record(obs::EventType::kFrameReject,
-                  static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
+    if (!fits_block(partition, m)) {
+      reject(m);
       continue;
     }
     // Per-link measured staleness: the drain-time delay of this frame,
@@ -388,17 +417,10 @@ void Peer::send_block(la::BlockId b, bool partial) {
     }
     const transport::SendReceipt receipt =
         endpoint_->send(dst, header, payload, t, allow_drop);
-    const std::uint64_t raw = transport::frame_bytes(value.size());
     const std::uint64_t sent =
         transport::wire_frame_bytes(payload.size(), header.quant_bits);
-    bytes_sent_raw_ += raw;
+    bytes_sent_raw_ += transport::frame_bytes(value.size());
     bytes_sent_wire_ += sent;
-    if (link_bytes_raw_.size() <= dst) {
-      link_bytes_raw_.resize(ctx_.options->workers, 0);
-      link_bytes_wire_.resize(ctx_.options->workers, 0);
-    }
-    link_bytes_raw_[dst] += raw;
-    link_bytes_wire_[dst] += sent;
     if (!wire.delta || full)
       ++wire_frames_full_;
     else if (heartbeat)
@@ -436,36 +458,49 @@ void Peer::send_block(la::BlockId b, bool partial) {
                         receipt.deliver_at, tag});
     }
   };
-  if (ctx_.membership != nullptr) {
-    // Publish to the LIVE view only (suspects included — they are still
-    // presumed members until the grace period expires).
-    for (const std::uint32_t dst : ctx_.membership->table().live_ranks())
-      if (dst != id_) send_one(dst);
-  } else {
-    const std::uint32_t peers =
-        static_cast<std::uint32_t>(ctx_.options->workers);
-    for (std::uint32_t dst = 0; dst < peers; ++dst)
-      if (dst != id_) send_one(dst);
-  }
+  for_each_destination(send_one);
   if (partial) ++partials_sent_;
 }
 
-void Peer::broadcast_stop() {
-  transport::MessageHeader header;
-  header.kind = MsgKind::kStop;
-  const double t = now();
+template <class SendFn>
+void Peer::for_each_destination(SendFn&& send) {
   if (ctx_.membership != nullptr) {
-    for (const std::uint32_t dst : ctx_.membership->table().live_ranks()) {
-      if (dst == id_) continue;
-      endpoint_->send(dst, header, {}, t, /*allow_drop=*/false);
-    }
+    // The LIVE view only (suspects included — they are still presumed
+    // members until the grace period expires).
+    for (const std::uint32_t dst : ctx_.membership->table().live_ranks())
+      if (dst != id_) send(dst);
     return;
   }
-  const std::uint32_t peers =
-      static_cast<std::uint32_t>(ctx_.options->workers);
-  for (std::uint32_t dst = 0; dst < peers; ++dst) {
-    if (dst == id_) continue;
-    endpoint_->send(dst, header, {}, t, /*allow_drop=*/false);
+  const auto peers = static_cast<std::uint32_t>(ctx_.options->workers);
+  for (std::uint32_t dst = 0; dst < peers; ++dst)
+    if (dst != id_) send(dst);
+}
+
+void Peer::broadcast_stop() {
+  // The finals close the leaver's blocks at every receiver: a lost last
+  // value frame (drops) or an older one arriving late (non-FIFO links
+  // under kLastArrivalWins) would otherwise leave a survivor holding a
+  // stale block of a rank that will never send again.
+  const la::Partition& partition = ctx_.op->partition();
+  const double t = now();
+  auto send_all = [&](const transport::MessageHeader& header,
+                      std::span<const double> value) {
+    for_each_destination([&](std::uint32_t dst) {
+      endpoint_->send(dst, header, value, t, /*allow_drop=*/false);
+    });
+  };
+  transport::MessageHeader header;
+  header.kind = MsgKind::kStop;
+  header.round = round_;
+  if (owned_blocks().empty()) {
+    send_all(header, {});
+    return;
+  }
+  for (const la::BlockId b : owned_blocks()) {
+    header.block = b;
+    header.tag = view_.tags[b];
+    send_all(header,
+             partition.block_span(std::span<const double>(view_.x), b));
   }
 }
 
@@ -482,27 +517,14 @@ bool Peer::all_others_inactive() const {
 }
 
 void Peer::recompute_owned() {
-  const la::Partition& partition = ctx_.op->partition();
-  const std::vector<std::uint32_t>& live =
-      ctx_.membership->table().live_ranks();
-  // Self is always in its own live view; blocks are re-assigned over the
-  // SORTED live ranks, so every rank with the same view computes the
-  // same assignment. Transient view disagreement (gossip in flight) only
-  // double-assigns or orphans blocks briefly — both are plain staleness
-  // under the totally asynchronous convergence theory.
-  const auto it = std::lower_bound(live.begin(), live.end(), id_);
-  ASYNCIT_CHECK(it != live.end() && *it == id_);
-  const std::size_t index = static_cast<std::size_t>(it - live.begin());
-  const std::size_t workers =
-      std::min(live.size(), partition.num_blocks());
-  if (index >= workers) {
-    // More live ranks than blocks: the surplus ranks idle (receive-only).
-    elastic_owned_.clear();
-    return;
-  }
-  const auto assignment =
-      la::assign_blocks_contiguous(partition.num_blocks(), workers);
-  elastic_owned_ = assignment[index];
+  // Blocks are re-assigned over the SORTED live ranks, so every rank with
+  // the same view computes the same assignment (surplus ranks beyond the
+  // block count idle, receive-only). Transient view disagreement (gossip
+  // in flight) only double-assigns or orphans blocks briefly — both are
+  // plain staleness under the totally asynchronous convergence theory.
+  elastic_owned_ = snapshot_plan(ctx_.op->partition().num_blocks(),
+                                 ctx_.membership->table().live_ranks(), id_,
+                                 /*joiner=*/ctx_.options->workers);
 }
 
 void Peer::send_snapshot_to(std::uint32_t dst) {
@@ -579,7 +601,7 @@ void Peer::service_membership() {
     const bool has_local_criterion =
         ctx_.options->solve.x_star.has_value() ||
         ctx_.options->solve.displacement_tol > 0.0;
-    if (ctx_.node_mode && !has_local_criterion && all_others_inactive())
+    if (!has_local_criterion && all_others_inactive())
       trip_stop(obs::StopReason::kLiveViewDone);
   }
 }
@@ -596,9 +618,13 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
       opt.solve.publish_partials && opt.solve.mode != Mode::kBsp && opt.solve.inner_steps > 1;
   const std::size_t inner = opt.solve.mode == Mode::kBsp ? 1 : opt.solve.inner_steps;
 
-  // Displacement of this phase = movement of the block across the phase.
-  phase_prev_.assign(view_.x.begin() + static_cast<std::ptrdiff_t>(r.begin),
-                     view_.x.begin() + static_cast<std::ptrdiff_t>(r.end));
+  // Displacement of this phase = movement of the block across the phase
+  // (only the displacement rule reads it).
+  const bool displacement = opt.solve.displacement_tol > 0.0;
+  if (displacement)
+    phase_prev_.assign(
+        view_.x.begin() + static_cast<std::ptrdiff_t>(r.begin),
+        view_.x.begin() + static_cast<std::ptrdiff_t>(r.end));
 
   for (std::size_t t = 0; t < inner; ++t) {
     for (std::size_t rep = 0; rep < reps; ++rep)
@@ -611,11 +637,9 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
     }
   }
   send_block(b, /*partial=*/false);
-
-  // Publish to the monitoring plane (never read by compute).
-  ctx_.monitor->store_block(r.begin, phase_out_);
-  std::atomic_ref<double>((*ctx_.last_displacement)[b])
-      .store(la::dist2(phase_out_, phase_prev_), std::memory_order_relaxed);
+  if (displacement)
+    sweep_displacement_ =
+        std::max(sweep_displacement_, la::dist2(phase_out_, phase_prev_));
 
   ++local_step_;
   obs::record(obs::EventType::kBlockUpdate, flexible ? 1 : 0,
@@ -658,14 +682,12 @@ bool Peer::wait_for_rounds(std::uint64_t needed) {
   const std::uint32_t peers =
       static_cast<std::uint32_t>(ctx_.options->workers);
   bool first_pass = true;
-  while (!stopped()) {
+  while (!stop_) {
     // Enforce the wall budget INSIDE the gate: a rank whose awaited
     // peer died without a stop frame would otherwise wait forever —
-    // maybe_check only runs between updates, and in node mode there is
-    // no monitor thread to trip the flag (the threaded orchestrator
-    // does, but checking here keeps both paths honest).
+    // maybe_check only runs between updates.
     if (now() > ctx_.options->solve.max_seconds) {
-      trip_stop(obs::StopReason::kWallBudget);
+      stop_here(obs::StopReason::kWallBudget);
       return false;
     }
     const std::uint64_t seen = endpoint_->activity();
@@ -696,42 +718,16 @@ bool Peer::wait_for_rounds(std::uint64_t needed) {
   return false;
 }
 
-void Peer::maybe_check(std::uint64_t own_updates) {
-  const MpOptions& opt = *ctx_.options;
-  if (own_updates % opt.solve.check_every != 0) return;
-  if (now() > opt.solve.max_seconds) {
-    trip_stop(obs::StopReason::kWallBudget);
+void Peer::maybe_check() {
+  const SolveOptions& solve = ctx_.options->solve;
+  if (own_updates_ >= solve.max_updates) {
+    stop_here(obs::StopReason::kUpdateBudget);
     return;
   }
-  // In node mode only this rank's counter is visible here, so the update
-  // budget is per-rank; the threaded orchestrator sums all peers.
-  std::uint64_t total = 0;
-  for (const auto& u : *ctx_.updates)
-    total += u.load(std::memory_order_relaxed);
-  if (total >= opt.solve.max_updates) {
-    trip_stop(obs::StopReason::kUpdateBudget);
+  if (own_updates_ % solve.check_every != 0) return;
+  if (now() > solve.max_seconds) {
+    stop_here(obs::StopReason::kWallBudget);
     return;
-  }
-  if (ctx_.node_mode && !stopped() &&
-      own_updates % (opt.solve.check_every * kNodeStopCheckFactor) == 0) {
-    // The peer's private view is the only full iterate this process has;
-    // evaluate the stopping criterion on it directly. With an oracle,
-    // stop below tol in the weighted max norm; without one, fall back to
-    // the residual certificate of the displacement rule.
-    bool hit = false;
-    if (opt.solve.x_star.has_value()) {
-      hit = ctx_.norm != nullptr &&
-            ctx_.norm->distance(view_.x, *opt.solve.x_star) < opt.solve.tol;
-    } else if (opt.solve.displacement_tol > 0.0) {
-      hit = op::max_block_residual(*ctx_.op, view_.x, ws_) <
-            opt.solve.displacement_tol;
-    }
-    if (hit) {
-      broadcast_stop();
-      trip_stop(opt.solve.x_star.has_value() ? obs::StopReason::kOracle
-                                       : obs::StopReason::kDisplacement);
-      return;
-    }
   }
   if (cpu_timer_.seconds() > rt::kYieldPeriod) {
     cpu_timer_.reset();
@@ -739,54 +735,77 @@ void Peer::maybe_check(std::uint64_t own_updates) {
   }
 }
 
+void Peer::check_criterion() {
+  const SolveOptions& solve = ctx_.options->solve;
+  if (norm_) {
+    if (norm_->distance(view_.x, *solve.x_star) < solve.tol)
+      stop_here(obs::StopReason::kOracle);
+  } else if (solve.displacement_tol > 0.0) {
+    if (displacement_stop_.should_stop(
+            std::span<double>(&sweep_displacement_, 1), *ctx_.op,
+            solve.displacement_tol,
+            [this](std::span<double> out) {
+              std::copy(view_.x.begin(), view_.x.end(), out.begin());
+            },
+            ws_))
+      stop_here(obs::StopReason::kDisplacement);
+  }
+}
+
 void Peer::run() {
-  // The constructor ran on the orchestrator thread; rebase the per-thread
+  // The constructor may have run on another thread; rebase the per-thread
   // CPU clock here so yield pacing measures THIS thread's consumption.
   cpu_timer_.reset();
   const MpOptions& opt = *ctx_.options;
   const bool elastic = ctx_.membership != nullptr;
+  const bool bsp = opt.solve.mode == Mode::kBsp;
   const std::size_t reps = rt::slowdown_repetitions(opt.worker_slowdown, id_);
-  std::uint64_t own_updates = 0;
 
-  while (!stopped()) {
+  while (!stop_) {
     if (opt.solve.mode != Mode::kAsync && round_ > 0) {
       // Re-read the slack every sweep: with adaptive staleness the
       // controller moves it between sweeps (staleness_bound() is the
       // static option when steering is off; kBsp is always 0).
-      const std::uint64_t slack =
-          opt.solve.mode == Mode::kBsp ? 0 : staleness_bound();
+      const std::uint64_t slack = bsp ? 0 : staleness_bound();
       const std::uint64_t needed = round_ > slack ? round_ - slack : 0;
       if (!wait_for_rounds(needed)) break;
     }
     receive();
+    if (stop_) break;
     // The owned set may change UNDER the sweep (a receive() inside
     // update_block can re-run the assignment), so each sweep iterates a
     // stable copy; adopted blocks join the next sweep.
     if (elastic) sweep_owned_ = owned_blocks();
     const std::vector<la::BlockId>& owned =
         elastic ? sweep_owned_ : (*ctx_.owned)[id_];
+    sweep_displacement_ = 0.0;
     if (owned.empty()) {
       // Receive-only rank (more live ranks than blocks): keep the
       // detector and the stop checks alive without spinning.
       const std::uint64_t seen = endpoint_->activity();
-      maybe_check(own_updates);
-      if (!stopped()) endpoint_->wait_for_activity(seen, kMaxGateWait);
+      if (now() > opt.solve.max_seconds)
+        stop_here(obs::StopReason::kWallBudget);
+      else
+        check_criterion();
+      if (!stop_) endpoint_->wait_for_activity(seen, kMaxGateWait);
       continue;
     }
     std::span<const double> compute_view(view_.x);
-    if (opt.solve.mode == Mode::kBsp) {
+    if (bsp) {
       snapshot_ = view_.x;  // frozen per-round view: exact Jacobi
       compute_view = snapshot_;
     }
-    for (la::BlockId b : owned) {
-      update_block(b, reps, compute_view);
-      ++own_updates;
-      (*ctx_.updates)[id_].fetch_add(1, std::memory_order_relaxed);
-      maybe_check(own_updates);
-      if (stopped()) break;
-      if (opt.solve.mode != Mode::kBsp) receive();
+    for (std::size_t i = 0; i < owned.size() && !stop_; ++i) {
+      update_block(owned[i], reps, compute_view);
+      ++own_updates_;
+      maybe_check();
+      if (!stop_ && !bsp) receive();
     }
     ++round_;
+    // The one stop rule: the criterion on the private view at the end
+    // of every own sweep, the boundary at which the view has just
+    // absorbed a full sweep of this rank's own updates.
+    if (!stop_) check_criterion();
   }
 }
 

@@ -1,14 +1,15 @@
 // A worker peer of the message-passing runtime.
 //
-// Each peer runs on its own thread (or its own PROCESS — see
-// net/node_runtime.hpp), owns a contiguous range of blocks, and holds a
-// PRIVATE copy of the full iterate: the only way another peer's update
-// reaches it is as a Message received through its transport::Endpoint
-// (contrast rt::, where workers share the iterate in memory). The peer
-// never touches the communication medium directly — inproc mailboxes,
-// TCP sockets, and the chaos decorator all hide behind the endpoint
-// (see transport/transport.hpp). The loop is the receive -> incorporate
-// -> update -> send cycle of the paper's distributed model:
+// Each peer is one rank run by net::run_node — on a thread of its own,
+// a simnet fiber, or a whole process — owns a contiguous range of
+// blocks, and holds a PRIVATE copy of the full iterate: the only way
+// another peer's update reaches it is as a Message received through its
+// transport::Endpoint (contrast rt::, where workers share the iterate in
+// memory). The peer shares no memory with the other ranks and never
+// touches the communication medium directly — inproc mailboxes, TCP
+// sockets, and the chaos decorator all hide behind the endpoint (see
+// transport/transport.hpp). The loop is the receive -> incorporate ->
+// update -> send cycle of the paper's distributed model:
 //
 //   receive      drain every delivered message, incorporate it under the
 //                configured OverwritePolicy (kLastArrivalWins reproduces
@@ -29,19 +30,25 @@
 //           clock gap cap);
 //   kBsp    barrier-synchronized baseline: staleness 0 plus a frozen
 //           per-round snapshot (exact distributed Jacobi).
+//
+// Stopping is the peer's own: at the end of every own sweep it checks
+// its criterion on its private view (see net/node_runtime.hpp) and, on
+// a hit, leaves with a kStop frame per owned block carrying the block's
+// final value and tag.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "asyncit/linalg/norms.hpp"
 #include "asyncit/membership/swim.hpp"
 #include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/operators/operator.hpp"
-#include "asyncit/runtime/shared_iterate.hpp"
+#include "asyncit/runtime/pacing.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/trace/event_log.hpp"
 #include "asyncit/transport/transport.hpp"
@@ -55,21 +62,38 @@ struct LocalView {
   la::Vector x;
   std::vector<model::Step> tags;     ///< tag of the value currently held
   std::vector<model::Step> max_tag;  ///< newest tag ever seen per block
+  /// Tag of the departed owner's final value (0 = none): value frames at
+  /// or below it are discarded whatever the policy.
+  std::vector<model::Step> final_tag;
   std::uint64_t inversions = 0;      ///< arrivals with tag < newest seen
   std::uint64_t stale_filtered = 0;  ///< arrivals discarded by policy
+  std::uint64_t final_filtered = 0;  ///< arrivals discarded by a final
 
   LocalView(const la::Vector& x0, std::size_t num_blocks)
-      : x(x0), tags(num_blocks, 0), max_tag(num_blocks, 0) {}
+      : x(x0),
+        tags(num_blocks, 0),
+        max_tag(num_blocks, 0),
+        final_tag(num_blocks, 0) {}
 };
 
-/// Applies one received message to a local view under `policy`. An arrival
-/// whose tag is older than the newest tag ever seen for that block is
-/// counted as a label inversion (the trace-level signature of out-of-order
-/// messages); kNewestTagWins additionally refuses to let it overwrite.
-/// Partial-block frames (m.offset > 0 or m.value shorter than the block)
-/// overwrite only the carried coordinate range.
-void incorporate(const la::Partition& partition, OverwritePolicy policy,
+/// Applies one received value frame to a local view under `policy`. An
+/// arrival whose tag is older than the newest tag ever seen for that
+/// block is counted as a label inversion (the trace-level signature of
+/// out-of-order messages); kNewestTagWins additionally refuses to let it
+/// overwrite. An arrival at or below the block's final tag is discarded
+/// under either policy: its owner has left, and the final value already
+/// applied is newer. Partial-block frames (m.offset > 0 or m.value
+/// shorter than the block) overwrite only the carried coordinate range.
+/// Returns whether the frame was applied.
+bool incorporate(const la::Partition& partition, OverwritePolicy policy,
                  const Message& m, LocalView& view);
+
+/// Applies a departed owner's final block value (a kStop frame carrying
+/// the whole block) under any policy, unless the view already holds a
+/// newer tag for the block (a rank that adopted it has moved on), and
+/// records the final tag. Returns whether the value was applied.
+bool apply_final(const la::Partition& partition, const Message& m,
+                 LocalView& view);
 
 /// The blocks `self` should include in a welcome snapshot for `joiner`:
 /// its share of the contiguous assignment over the ESTABLISHED live set
@@ -78,34 +102,20 @@ void incorporate(const la::Partition& partition, OverwritePolicy policy,
 /// stops a joiner from receiving the same block from several ranks when
 /// a membership epoch races the welcome. Returns empty when `self` is
 /// not established or is a surplus (idle) rank. `live` must be sorted
-/// (the membership table's invariant).
+/// (the membership table's invariant). With a `joiner` outside `live`
+/// this is `self`'s share of the live view itself — its owned set.
 std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
                                        const std::vector<std::uint32_t>& live,
                                        std::uint32_t self,
                                        std::uint32_t joiner);
 
-/// Everything a peer shares with the orchestrator and the other peers.
-/// All pointers outlive the peer threads (owned by run_message_passing /
-/// run_node).
+/// What a peer reads but does not own. All pointers outlive the peer
+/// (owned by run_node's caller or run_node itself).
 struct PeerContext {
   const op::BlockOperator* op = nullptr;
   const MpOptions* options = nullptr;
   const WallTimer* clock = nullptr;
   const std::vector<std::vector<la::BlockId>>* owned = nullptr;
-  /// Monitoring plane: peers publish their own blocks here so the
-  /// orchestrator can evaluate stopping rules; compute never reads it.
-  rt::SharedIterate* monitor = nullptr;
-  /// Per-block Euclidean displacement of the most recent update
-  /// (atomic_ref access), for the displacement stopping rule.
-  std::vector<double>* last_displacement = nullptr;
-  std::vector<std::atomic<std::uint64_t>>* updates = nullptr;  ///< per peer
-  std::atomic<bool>* stop = nullptr;
-  /// Single-rank process mode (net::run_node): there is no orchestrator
-  /// that can see a global snapshot, so the peer evaluates its stopping
-  /// criterion on its OWN private view and announces a hit with a kStop
-  /// control frame. Update budgets then count local updates only.
-  bool node_mode = false;
-  const la::WeightedMaxNorm* norm = nullptr;  ///< node-mode oracle stop
   /// Elastic membership (one agent PER PEER, driven by the peer thread
   /// alone). When set, the peer owns the blocks its index in the LIVE
   /// view assigns (re-running la::assign_blocks_contiguous on every
@@ -122,16 +132,18 @@ class Peer {
   Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
        transport::Endpoint& endpoint);
 
-  /// Thread body: loops until ctx.stop. Safe to call exactly once.
+  /// Rank body: loops until this rank stops (its criterion, a budget,
+  /// or a peer's stop). Safe to call exactly once.
   void run();
 
-  // ---- post-run accessors (valid after the thread has joined) ----
+  // ---- post-run accessors ----
   const LocalView& view() const { return view_; }
+  /// Moves the private iterate out (the view is unusable afterwards).
+  la::Vector release_iterate() { return std::move(view_.x); }
+  std::uint64_t updates() const { return own_updates_; }
   std::uint64_t rounds() const { return round_; }
-  std::uint64_t messages_sent() const { return endpoint_->sent(); }
-  std::uint64_t messages_dropped() const { return endpoint_->dropped(); }
   std::uint64_t partials_sent() const { return partials_sent_; }
-  /// kStop control frames received (node mode: peers that left).
+  /// Ranks whose kStop this rank received (peers that left first).
   std::uint64_t peers_stopped() const { return peers_stopped_; }
   /// Wire-valid messages discarded for out-of-range semantic fields
   /// (source rank / block id / offset extent — config mismatch).
@@ -158,14 +170,6 @@ class Peer {
     return wire_frames_heartbeat_;
   }
   std::uint64_t wire_frames_codec() const { return wire_frames_codec_; }
-  /// TX byte breakdown per destination rank (index = dst; empty vectors
-  /// until the first block publish sizes them).
-  const std::vector<std::uint64_t>& link_bytes_raw() const {
-    return link_bytes_raw_;
-  }
-  const std::vector<std::uint64_t>& link_bytes_wire() const {
-    return link_bytes_wire_;
-  }
   const trace::EventLog& log() const { return log_; }
   /// Measured drain delay per source rank (always on; index = src).
   const std::vector<DelayHistogram>& link_delays() const {
@@ -187,9 +191,6 @@ class Peer {
 
  private:
   double now() const { return ctx_.clock->seconds(); }
-  bool stopped() const {
-    return ctx_.stop->load(std::memory_order_relaxed);
-  }
 
   /// Drains the endpoint and incorporates everything delivered.
   void receive();
@@ -217,19 +218,40 @@ class Peer {
                     std::span<const double> compute_view);
   /// Sends the current value of owned block b to every other peer.
   void send_block(la::BlockId b, bool partial);
-  /// Announces this rank's local stopping-criterion hit (node mode).
+  /// Calls send(dst) for every other rank a publish goes to: the live
+  /// view when elastic, the whole world otherwise.
+  template <class SendFn>
+  void for_each_destination(SendFn&& send);
+  /// Announces this rank's departure: one kStop per owned block carrying
+  /// its final value and tag (a bare kStop when it owns none). Control
+  /// frames, so the loss model spares them.
   void broadcast_stop();
+  /// A received kStop: applies the final value it carries, then the
+  /// leave rules (gated modes stop, elastic ranks drop the leaver).
+  void on_peer_stop(const la::Partition& partition, const Message& m);
   /// Blocks until every other peer's count of complete rounds reaches
   /// `needed` (SSP/BSP gate). Returns false if stopped while waiting.
   bool wait_for_rounds(std::uint64_t needed);
-  /// Budget checks + CPU-sliced voluntary yield (see rt::executors);
-  /// node mode adds the local stopping-criterion check.
-  void maybe_check(std::uint64_t own_updates);
-  /// incorporate() plus the observability taps: inversion events, the
-  /// audit bridge's changed-block mask, per-link delay bookkeeping.
+  /// Update budget (every update), wall budget and CPU-sliced voluntary
+  /// yield (every check_every updates; see rt::executors).
+  void maybe_check();
+  /// The stopping criterion on the private view, run at the end of every
+  /// own sweep (and on every idle poll of a rank that owns no blocks):
+  /// oracle distance under the weighted max norm, or the displacement
+  /// rule — the sweep's own displacements as the gate, the residual of
+  /// the whole view as the confirmation.
+  void check_criterion();
+  /// incorporate() / apply_final() plus the observability taps:
+  /// inversion events, the audit bridge's changed-block mask, the delta
+  /// layer's per-block receive epochs.
   void incorporate_tracked(const la::Partition& partition,
                            OverwritePolicy policy, const Message& m);
-  /// Records the stop decision and trips the shared flag.
+  /// Ends this rank's run for a reason of its own (criterion or budget),
+  /// announcing it where the others need to hear: always on a criterion
+  /// hit, and on a budget stop in the gated modes, whose round gates
+  /// would otherwise wait on this rank until their own wall budget.
+  void stop_here(obs::StopReason reason);
+  /// Records the stop decision and ends the loop.
   void trip_stop(obs::StopReason reason);
 
   PeerContext ctx_;
@@ -248,6 +270,8 @@ class Peer {
   la::Vector snapshot_;               ///< BSP per-round frozen view
   op::Workspace ws_;                  ///< per-peer operator scratch
 
+  bool stop_ = false;
+  std::uint64_t own_updates_ = 0;     ///< block updates (budget counter)
   std::uint64_t round_ = 0;           ///< completed sweeps over owned blocks
   /// Per-BLOCK send counter (all m blocks, not just the launch-owned
   /// ones: elastic re-assignment hands blocks between ranks, and a new
@@ -258,12 +282,17 @@ class Peer {
   std::uint64_t partials_sent_ = 0;
   std::uint64_t peers_stopped_ = 0;
   std::uint64_t frames_rejected_ = 0;
+  std::vector<bool> stopped_ranks_;   ///< kStop seen, by rank
   ThreadCpuTimer cpu_timer_;
+
+  // ---- stopping criterion (SolveOptions::x_star / displacement_tol) --
+  std::optional<la::WeightedMaxNorm> norm_;  ///< set with an oracle
+  rt::DisplacementStop displacement_stop_;
+  double sweep_displacement_ = 0.0;  ///< max own displacement this sweep
 
   // ---- elastic membership (all empty/zero when ctx.membership is null)
   std::vector<la::BlockId> elastic_owned_;   ///< current live assignment
   std::vector<la::BlockId> sweep_owned_;     ///< per-sweep stable copy
-  std::vector<bool> stopped_ranks_;          ///< kStop seen, by rank
   std::vector<membership::Event> events_scratch_;
   std::uint64_t owned_epoch_ = 0;     ///< table epoch of elastic_owned_
   std::uint64_t reassignments_ = 0;
@@ -283,9 +312,6 @@ class Peer {
     std::uint64_t rx_epoch = 0;  ///< block_rx_epoch_ when last refreshed
   };
   std::vector<DeltaSlot> delta_;   ///< [dst * num_blocks + block]
-  /// Raw-equivalent vs on-wire bytes per destination rank (index = dst).
-  std::vector<std::uint64_t> link_bytes_raw_;
-  std::vector<std::uint64_t> link_bytes_wire_;
   /// Bumped whenever a remote value for the block is incorporated: our
   /// delta baseline toward EVERY destination is stale the moment someone
   /// else wrote the block (ownership churn), so the next send refreshes.

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <string>
 
+#include "asyncit/obs/metrics.hpp"
+
 namespace asyncit::obs {
 
 const char* to_string(EventType t) {
@@ -256,6 +258,36 @@ void set_trace_clock(TraceClockFn fn) {
 
 TraceClockFn trace_clock() {
   return detail::g_clock.load(std::memory_order_relaxed);
+}
+
+ScopedTrace::ScopedTrace(TraceLevel level, std::size_t ring_capacity,
+                         std::uint16_t rank, TraceClockFn clock)
+    : armed_(level != TraceLevel::kOff), prev_clock_(trace_clock()) {
+  if (!armed_) return;
+  if (clock != nullptr) set_trace_clock(clock);
+  TraceConfig tc;
+  tc.level = level;
+  tc.ring_capacity = ring_capacity;
+  tc.rank = rank;
+  TraceRecorder::instance().enable(tc);
+  MetricsRegistry::instance().reset();
+}
+
+ScopedTrace::~ScopedTrace() { disarm(); }
+
+void ScopedTrace::disarm() {
+  if (!armed_) return;
+  armed_ = false;
+  TraceRecorder::instance().disable();
+  set_trace_clock(prev_clock_);
+}
+
+void ScopedTrace::stop(std::uint64_t& recorded, std::uint64_t& dropped) {
+  if (!armed_) return;
+  disarm();
+  const RecorderStats stats = TraceRecorder::instance().stats();
+  recorded = stats.recorded;
+  dropped = stats.dropped;
 }
 
 detail::ThreadRing* TraceRecorder::claim_ring() {

@@ -153,6 +153,31 @@ class TraceRecorder {
   std::uint64_t epoch_realtime_ns_ = 0;
 };
 
+/// Arms the process-global recorder for one run and disarms it on scope
+/// exit. At kOff it does nothing, so callers that manage the recorder
+/// themselves (benches, a world hosting many ranks) pass kOff down to
+/// the runs they host. Otherwise it installs `clock` (nullptr keeps the
+/// current source), enables the recorder for `rank`, resets the metrics
+/// registry, and on exit disables the recorder and restores the
+/// previous clock — rings keep their events for the caller's snapshot.
+class ScopedTrace {
+ public:
+  ScopedTrace(TraceLevel level, std::size_t ring_capacity,
+              std::uint16_t rank = 0, TraceClockFn clock = nullptr);
+  ~ScopedTrace();
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
+
+  /// Disarms now (idempotent) and writes the run's recorder accounting
+  /// into `recorded`/`dropped`; leaves both untouched at kOff.
+  void stop(std::uint64_t& recorded, std::uint64_t& dropped);
+
+ private:
+  void disarm();
+  bool armed_ = false;
+  TraceClockFn prev_clock_ = nullptr;
+};
+
 inline bool tracing_full() {
   return detail::g_level.load(std::memory_order_relaxed) ==
          static_cast<int>(TraceLevel::kFull);

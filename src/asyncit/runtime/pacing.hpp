@@ -38,8 +38,9 @@ inline std::size_t slowdown_repetitions(std::span<const double> slowdown,
 }
 
 /// Displacement stopping rule with residual confirmation, shared by the
-/// rt:: async executor (worker 0 doubles as the monitor) and the net::
-/// orchestrator's monitor loop. All-small recent displacements are only a
+/// rt:: async executor (worker 0 doubles as the monitor) and every net::
+/// rank (gating on its own sweep's displacements, confirming on its
+/// private view). All-small recent displacements are only a
 /// CANDIDATE signal: on a timesliced machine each worker converges
 /// conditionally on the others' frozen blocks within its quantum, so small
 /// per-update displacements do not imply a global fixed point. Confirm on
@@ -74,8 +75,8 @@ class DisplacementStop {
   }
 
  private:
-  /// Checks skipped after a failed confirmation (~5 ms of net:: monitor
-  /// polls; 25 · check_every worker-0 updates in rt::).
+  /// Checks skipped after a failed confirmation (25 own sweeps of a net::
+  /// rank; 25 · check_every worker-0 updates in rt::).
   static constexpr int kConfirmBackoff = 25;
   int backoff_ = 0;
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "asyncit/net/node_runtime.hpp"
-#include "asyncit/obs/metrics.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/simnet/transport.hpp"
 #include "asyncit/support/check.hpp"
@@ -18,47 +17,13 @@ namespace {
 /// The injectable obs clock: virtual nanoseconds of the engine running
 /// on this thread. Armed BEFORE engine.run() it reads 0, so the
 /// recorder's t0 anchor is virtual zero and every event timestamp is
-/// virtual time directly.
+/// virtual time directly. The world arms the ONE process-global
+/// recorder with it; the ranks are handed trace_level kOff so they do
+/// not re-anchor it.
 std::uint64_t sim_trace_clock() {
   const SimEngine* engine = SimEngine::active();
   return engine != nullptr ? engine->now_ns() : 0;
 }
-
-/// Scoped recorder arming for a simulated world: installs the virtual
-/// clock, enables the single process-global recorder (the per-rank
-/// runtimes are handed trace_level kOff so they don't re-anchor it), and
-/// restores everything on scope exit.
-class WorldObs {
- public:
-  WorldObs(obs::TraceLevel level, std::size_t ring_capacity)
-      : level_(level), prev_clock_(obs::trace_clock()) {
-    if (level_ == obs::TraceLevel::kOff) return;
-    obs::set_trace_clock(&sim_trace_clock);
-    obs::TraceConfig tc;
-    tc.level = level_;
-    tc.ring_capacity = ring_capacity;
-    tc.rank = 0;  // one process hosts the world; Event::rank stays 0
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
-
-  ~WorldObs() {
-    if (level_ == obs::TraceLevel::kOff) return;
-    obs::TraceRecorder::instance().disable();
-    obs::set_trace_clock(prev_clock_);
-  }
-
-  void collect(std::uint64_t& recorded, std::uint64_t& dropped) const {
-    if (level_ == obs::TraceLevel::kOff) return;
-    const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
-    recorded = stats.recorded;
-    dropped = stats.dropped;
-  }
-
- private:
-  obs::TraceLevel level_;
-  obs::TraceClockFn prev_clock_;
-};
 
 SimEngine::Options engine_options(const SimConfig& sim) {
   SimEngine::Options eo;
@@ -86,15 +51,16 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
       chaos ? static_cast<transport::Transport&>(*chaos) : fabric;
 
   // The ranks share one options block: tracing is owned by the world
-  // (see WorldObs), and per-source link histograms are a world^2 memory
-  // cliff the simulator exists to scale past.
+  // (see sim_trace_clock), and per-source link histograms are a world^2
+  // memory cliff the simulator exists to scale past.
   net::MpOptions per_rank = options.mp;
   per_rank.obs.trace_level = obs::TraceLevel::kOff;
   per_rank.obs.link_delays = false;
 
   SimClock clock(&engine);
-  WorldObs world_obs(options.mp.obs.trace_level,
-                     options.mp.obs.trace_ring_capacity);
+  obs::ScopedTrace trace(options.mp.obs.trace_level,
+                         options.mp.obs.trace_ring_capacity, 0,
+                         &sim_trace_clock);
 
   WorldResult result;
   result.ranks.resize(world);
@@ -115,7 +81,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
   result.event_log = engine.log();
   result.log_truncated = engine.log_truncated();
   result.partition_dropped = fabric.partition_dropped();
-  world_obs.collect(result.obs_events_recorded, result.obs_events_dropped);
+  trace.stop(result.obs_events_recorded, result.obs_events_dropped);
   result.all_converged = options.mp.solve.x_star.has_value();
   for (const net::MpResult& rank : result.ranks) {
     result.all_converged = result.all_converged && rank.converged;
@@ -142,8 +108,9 @@ TrainWorldResult run_train_world(const train::Dataset& data,
   per_rank.obs.trace_level = obs::TraceLevel::kOff;
 
   SimClock clock(&engine);
-  WorldObs world_obs(options.train.obs.trace_level,
-                     options.train.obs.trace_ring_capacity);
+  obs::ScopedTrace trace(options.train.obs.trace_level,
+                         options.train.obs.trace_ring_capacity, 0,
+                         &sim_trace_clock);
 
   TrainWorldResult result;
   result.ranks.resize(world);
@@ -160,12 +127,9 @@ TrainWorldResult run_train_world(const train::Dataset& data,
   result.wall_seconds = wall.seconds();
   result.events = engine.events_dispatched();
   result.log_hash = engine.log_hash();
-  std::uint64_t rec = 0, drop = 0;
-  world_obs.collect(rec, drop);
-  if (!result.ranks.empty()) {
-    result.ranks[0].obs_events_recorded = rec;
-    result.ranks[0].obs_events_dropped = drop;
-  }
+  if (!result.ranks.empty())
+    trace.stop(result.ranks[0].obs_events_recorded,
+               result.ranks[0].obs_events_dropped);
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <memory>
 #include <thread>
 
-#include "asyncit/obs/metrics.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
@@ -25,23 +24,6 @@ void drive(Role& role, transport::Endpoint& ep) {
     const std::uint64_t seen = ep.activity();
     if (!role.pump()) ep.wait_for_activity(seen, kMaxGateWait);
   }
-}
-
-void arm_obs(const TrainOptions& options) {
-  if (options.obs.trace_level == obs::TraceLevel::kOff) return;
-  obs::TraceConfig tc;
-  tc.level = options.obs.trace_level;
-  tc.ring_capacity = options.obs.trace_ring_capacity;
-  obs::TraceRecorder::instance().enable(tc);
-  obs::MetricsRegistry::instance().reset();
-}
-
-void disarm_obs(const TrainOptions& options, TrainResult& result) {
-  if (options.obs.trace_level == obs::TraceLevel::kOff) return;
-  obs::TraceRecorder::instance().disable();
-  const obs::RecorderStats os = obs::TraceRecorder::instance().stats();
-  result.obs_events_recorded = os.recorded;
-  result.obs_events_dropped = os.dropped;
 }
 
 std::uint64_t epochs_of(std::uint64_t steps, std::size_t batch,
@@ -80,7 +62,8 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
   ASYNCIT_CHECK(transport.world() == W + 1);
   ASYNCIT_CHECK(transport.local_ranks().size() == W + 1);
 
-  arm_obs(options);
+  obs::ScopedTrace trace(options.obs.trace_level,
+                        options.obs.trace_ring_capacity);
 
   WallTimer timer;
   PsgdContext ctx;
@@ -102,14 +85,13 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
       drive(*workers[w],
             transport.endpoint(static_cast<std::uint32_t>(w + 1)));
     });
-  // The server is the orchestrator thread's role, mirroring the monitor
-  // loop of run_message_passing.
+  // The server runs on the calling thread.
   drive(server, transport.endpoint(0));
   for (std::thread& th : threads) th.join();
 
   TrainResult result;
   result.wall_seconds = timer.seconds();
-  disarm_obs(options, result);
+  trace.stop(result.obs_events_recorded, result.obs_events_dropped);
 
   result.x = server.model();
   result.converged = server.target_reached();
@@ -161,7 +143,8 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
   ASYNCIT_CHECK(x0.size() == data.features());
   ASYNCIT_CHECK(data.samples() >= W);
 
-  arm_obs(options);
+  obs::ScopedTrace trace(options.obs.trace_level,
+                        options.obs.trace_ring_capacity);
 
   PsgdContext ctx;
   ctx.data = &data;
@@ -212,7 +195,7 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
   result.final_loss = dataset_loss(data, result.x);
   result.final_accuracy = dataset_accuracy(data, result.x);
   fill_endpoint_stats(endpoint, result);
-  disarm_obs(options, result);
+  trace.stop(result.obs_events_recorded, result.obs_events_dropped);
   return result;
 }
 

@@ -82,6 +82,10 @@ SendReceipt ChaosEndpoint::send(std::uint32_t dst,
 
 std::size_t ChaosEndpoint::receive(double now,
                                    std::vector<net::Message>& out) {
+  // Max-heap comparator on "matures later" = min-heap on (release, seq).
+  const auto later = [](const Held& a, const Held& b) {
+    return a.release != b.release ? a.release > b.release : a.seq > b.seq;
+  };
   staging_.clear();
   inner_->receive(now, staging_);
   for (net::Message& m : staging_) {
@@ -92,40 +96,23 @@ std::size_t ChaosEndpoint::receive(double now,
     }
     m.t_send = now;  // first seen at this layer (delay measurement base)
     m.deliver_at = release;
-    // Arrivals are near-sorted already (now advances), so this insert
-    // lands close to the tail and stays cheap even with a big backlog.
-    const auto it = std::upper_bound(
-        held_.begin() + static_cast<std::ptrdiff_t>(held_head_),
-        held_.end(), m,
-        [](const net::Message& a, const net::Message& b) {
-          return a.deliver_at < b.deliver_at;
-        });
-    held_.insert(it, std::move(m));
+    held_.push_back({release, held_seq_++, std::move(m)});
+    std::push_heap(held_.begin(), held_.end(), later);
   }
   staging_.clear();
-  // Consume from a head cursor instead of erasing the vector front: with
-  // a large injected latency against a fast sender the backlog reaches
-  // rate x latency messages, and a front erase per drain made every
-  // receive O(backlog) — the compaction below keeps it amortized O(1).
   std::size_t n = 0;
-  while (held_head_ + n < held_.size() &&
-         held_[held_head_ + n].deliver_at <= now)
-    ++n;
-  for (std::size_t i = 0; i < n; ++i) {
-    net::Message& m = held_[held_head_ + i];
+  while (!held_.empty() && held_.front().release <= now) {
+    std::pop_heap(held_.begin(), held_.end(), later);
+    net::Message& m = held_.back().m;
     delays_.add(now - m.t_send);
     out.push_back(std::move(m));
+    held_.pop_back();
+    ++n;
   }
-  held_head_ += n;
-  if (n > 0 || held_.size() > held_head_)
+  if (n > 0 || !held_.empty())
     obs::record(obs::EventType::kQueueDepth,
                 static_cast<std::uint8_t>(obs::QueueKind::kChaosHeld),
-                rank(), held_.size() - held_head_, double(n));
-  if (held_head_ >= 64 && held_head_ * 2 >= held_.size()) {
-    held_.erase(held_.begin(),
-                held_.begin() + static_cast<std::ptrdiff_t>(held_head_));
-    held_head_ = 0;
-  }
+                rank(), held_.size(), double(n));
   delivered_ += n;
   return n;
 }
@@ -143,8 +130,8 @@ void ChaosEndpoint::wait_for_activity(std::uint64_t seen,
 
 double ChaosEndpoint::next_delivery() const {
   const double inner_next = inner_->next_delivery();
-  if (held_head_ >= held_.size()) return inner_next;
-  return std::min(inner_next, held_[held_head_].deliver_at);
+  if (held_.empty()) return inner_next;
+  return std::min(inner_next, held_.front().release);
 }
 
 std::uint64_t ChaosEndpoint::sent() const {

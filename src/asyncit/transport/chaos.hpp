@@ -62,12 +62,18 @@ class ChaosEndpoint final : public Endpoint {
   Endpoint* inner_ = nullptr;
   bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
   std::vector<net::LinkStamper> links_;  ///< per destination
-  /// Frames awaiting maturity, sorted by deliver_at (mailbox
-  /// discipline). Entries before held_head_ are consumed; the vector is
-  /// compacted once the consumed prefix dominates, so draining stays
-  /// amortized O(1) however large the latency backlog grows.
-  std::vector<net::Message> held_;
-  std::size_t held_head_ = 0;
+  /// Frames awaiting maturity: a min-heap on (release, arrival seq), so
+  /// frames mature in release order and equal releases in arrival order
+  /// (mailbox discipline). Filing a frame costs O(log n) however large
+  /// the drained batch: a rank that falls behind catches up instead of
+  /// sinking into a quadratic sorted insert.
+  struct Held {
+    double release;
+    std::uint64_t seq;
+    net::Message m;
+  };
+  std::vector<Held> held_;
+  std::uint64_t held_seq_ = 0;
   std::vector<net::Message> staging_;    ///< inner drain scratch
   std::vector<double> fifo_floor_;       ///< per SOURCE link release floor
   bool fifo_ = false;

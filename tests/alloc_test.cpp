@@ -194,7 +194,7 @@ TEST(AllocationRegression, BackwardForwardKmStackSteadyStateAllocatesNothing) {
 }
 
 TEST(AllocationRegression, DisplacementStopPollSteadyStateAllocatesNothing) {
-  // The monitor path of rt::run_async_threads and the net:: orchestrator:
+  // The stop path of rt::run_async_threads' monitor and every net:: rank:
   // displacement scan + snapshot + residual confirmation, all through the
   // workspace (the pre-PR version allocated the snapshot and the residual
   // scratch on every confirmation poll).

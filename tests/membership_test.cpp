@@ -534,7 +534,10 @@ TEST(MembershipRuntime, ThreadedSolveConvergesWithDetectorRunning) {
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.membership.deaths_observed, 0u);
   EXPECT_EQ(r.frames_rejected, 0u);
-  EXPECT_EQ(r.reassignments, 0u);
+  // Ranks stop at their own sweep ends and leave with a kStop; the
+  // survivors adopt the leaver's blocks. Every re-assignment must come
+  // from such a deliberate leave, none from a (false) death.
+  EXPECT_LE(r.reassignments, r.membership.leaves_observed);
 }
 
 }  // namespace

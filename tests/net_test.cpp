@@ -160,6 +160,38 @@ TEST_F(IncorporateTest, NewestTagWinsFiltersStaleArrivals) {
   EXPECT_EQ(view_.stale_filtered, 1u);
 }
 
+TEST_F(IncorporateTest, FinalValueClosesTheBlockUnderEitherPolicy) {
+  for (const OverwritePolicy policy : {OverwritePolicy::kLastArrivalWins,
+                                       OverwritePolicy::kNewestTagWins}) {
+    LocalView view(la::Vector{0, 0, 0, 0}, 2);
+    Message closing = block0(3, 3.0);
+    closing.kind = MsgKind::kStop;
+    EXPECT_TRUE(apply_final(partition_, closing, view));
+    EXPECT_DOUBLE_EQ(view.x[0], 3.0);
+    EXPECT_EQ(view.tags[0], 3u);
+    // The owner's older frames, overtaken by its kStop, are dropped
+    // under either policy — counted apart from stale_filtered.
+    EXPECT_FALSE(incorporate(partition_, policy, block0(2, 2.0), view));
+    EXPECT_FALSE(incorporate(partition_, policy, block0(3, 3.5), view));
+    EXPECT_DOUBLE_EQ(view.x[0], 3.0);
+    EXPECT_EQ(view.final_filtered, 2u);
+    EXPECT_EQ(view.stale_filtered, 0u);
+    // A rank that adopted the block continues past the final tag.
+    EXPECT_TRUE(incorporate(partition_, policy, block0(4, 4.0), view));
+    EXPECT_DOUBLE_EQ(view.x[0], 4.0);
+  }
+}
+
+TEST_F(IncorporateTest, FinalNeverRollsBackANewerValue) {
+  incorporate(partition_, OverwritePolicy::kNewestTagWins, block0(5, 5.0),
+              view_);
+  Message closing = block0(4, 4.0);
+  closing.kind = MsgKind::kStop;
+  EXPECT_FALSE(apply_final(partition_, closing, view_));
+  EXPECT_DOUBLE_EQ(view_.x[0], 5.0);
+  EXPECT_EQ(view_.final_tag[0], 4u);
+}
+
 // ------------------------------------------------------------ end-to-end
 
 class MpRuntimeFixture : public ::testing::Test {
@@ -348,6 +380,41 @@ TEST_F(MpRuntimeFixture, RecordsTraceEvents) {
             opt.obs.max_trace_events);
 }
 
+// ------------------------------------------------------- the stop rule
+
+TEST_F(MpRuntimeFixture, AsyncOracleStopsLandOnSweepBoundaries) {
+  // Each rank checks the oracle on its private view at the end of every
+  // own sweep, so a converged rank has run whole sweeps only. Three
+  // ranks over 16 blocks own 6, 5 and 5 of them.
+  MpOptions opt = base_options();
+  opt.workers = 3;
+  const auto r = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
+                                          opt);
+  ASSERT_TRUE(r.converged) << "error " << r.final_error;
+  const auto owned = la::assign_blocks_contiguous(16, 3);
+  ASSERT_EQ(r.updates_per_worker.size(), 3u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_GT(r.updates_per_worker[p], 0u);
+    EXPECT_EQ(r.updates_per_worker[p] % owned[p].size(), 0u)
+        << "rank " << p << " updates " << r.updates_per_worker[p];
+  }
+}
+
+TEST_F(MpRuntimeFixture, UpdateBudgetIsPerRankAndExact) {
+  // With no criterion, every rank runs its own budget to the update —
+  // whatever the check cadence and however the others fare.
+  MpOptions opt = base_options();
+  opt.solve.x_star.reset();
+  opt.solve.max_updates = 64;
+  opt.solve.check_every = 16;
+  const auto r = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
+                                          opt);
+  ASSERT_EQ(r.updates_per_worker.size(), 4u);
+  for (std::size_t p = 0; p < 4; ++p)
+    EXPECT_EQ(r.updates_per_worker[p], 64u) << "rank " << p;
+  EXPECT_EQ(r.total_updates, 4u * 64u);
+}
+
 // -------------------------------------------------- snapshot-join dedupe
 
 TEST(SnapshotPlan, PartitionsBlocksDisjointlyAcrossEstablishedRanks) {
@@ -385,11 +452,12 @@ TEST(SnapshotPlan, PartitionsBlocksDisjointlyAcrossEstablishedRanks) {
 
 TEST_F(MpRuntimeFixture, DeltaEncodingKeepsBspFinalsInTheOracleBand) {
   // Exact deltas deliver the identical doubles a full frame would, so
-  // the barriered computation is unchanged — but thread-mode stopping is
-  // an asynchronous monitor poll, so the two runs may halt a poll apart.
-  // The band is therefore 2x the post-stop tolerance band, not bitwise
-  // equality (the bit-for-bit contract lives in simnet_test, where the
-  // schedule itself is deterministic).
+  // the barriered computation is unchanged — but a rank that stops on a
+  // peer's kStop may already have finished one more sweep on real
+  // threads, so the two runs may halt a round apart. The band is
+  // therefore 2x the post-stop tolerance band, not bitwise equality (the
+  // bit-for-bit contract lives in simnet_test, where the schedule itself
+  // is deterministic).
   MpOptions off = base_options();
   off.solve.mode = Mode::kBsp;
   off.solve.tol = 1e-9;

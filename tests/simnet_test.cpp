@@ -19,8 +19,10 @@
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
+#include "asyncit/operators/gradient.hpp"
 #include "asyncit/operators/jacobi.hpp"
 #include "asyncit/problems/linear_system.hpp"
+#include "asyncit/problems/quadratic.hpp"
 #include "asyncit/simnet/engine.hpp"
 #include "asyncit/simnet/transport.hpp"
 #include "asyncit/simnet/world.hpp"
@@ -412,7 +414,7 @@ TEST_F(SimWorldFixture, ChaosOverSimRunsTheDelayModelInVirtualTime) {
   const WorldResult r = run_world(*jacobi_, la::zeros(sys_.dim()), o);
   EXPECT_TRUE(r.all_converged) << "residual " << r.final_residual;
   EXPECT_GT(r.obs_events_recorded, 0u);
-  EXPECT_EQ(obs::trace_clock(), before);  // WorldObs restored the clock
+  EXPECT_EQ(obs::trace_clock(), before);  // the world restored the clock
   for (const net::MpResult& rank : r.ranks) {
     ASSERT_GT(rank.delays.count(), 0u);
     // Every measured delay includes the injected hold: the model's
@@ -555,12 +557,16 @@ TEST_F(SimWorldFixture, SwimMembershipProbesOverVirtualTime) {
   EXPECT_TRUE(r.all_converged) << "residual " << r.final_residual;
   std::uint64_t pings = 0, deaths = 0;
   for (const net::MpResult& rank : r.ranks) {
-    EXPECT_EQ(rank.live_at_exit.size(), 4u);  // nobody falsely killed
+    // Ranks stop at their own sweep ends, so a rank may see others leave
+    // (kStop) first; every slot missing from its live view must have
+    // left deliberately — nobody falsely killed.
+    EXPECT_EQ(rank.live_at_exit.size() + rank.membership.leaves_observed,
+              4u);
     pings += rank.membership.pings_sent;
     deaths += rank.membership.deaths_observed;
   }
   EXPECT_GT(pings, 0u);  // the detector actually ran on virtual cadence
-  EXPECT_EQ(deaths, 0u);
+  EXPECT_EQ(deaths, 0u);  // no suspicion expired into a death
 }
 
 TEST(SimTrainWorld, TapTrainingConvergesAndReplaysDeterministically) {
@@ -682,6 +688,78 @@ TEST_F(SimWorldFixture, StragglersStretchVirtualTimeDeterministically) {
   // Totally asynchronous: the fast ranks keep iterating, the world
   // still converges, and the straggler's cost shows up as virtual time.
   EXPECT_GT(skewed.virtual_seconds, uniform.virtual_seconds);
+}
+
+// ------------------------------------------------------- the stop rule
+
+TEST_F(SimWorldFixture, StopCheckCadenceDoesNotChangeTheWorld) {
+  // Every rank checks its criterion at the end of each own sweep, a
+  // boundary the schedule already has: check_every paces only the wall
+  // budget and the CPU yield, neither of which moves virtual time.
+  auto run = [&](std::uint64_t check_every) {
+    WorldOptions o = base_world(4);
+    o.mp.solve.check_every = check_every;
+    return run_world(*jacobi_, la::zeros(sys_.dim()), o);
+  };
+  const WorldResult one = run(1);
+  ASSERT_TRUE(one.all_converged) << "residual " << one.final_residual;
+  for (const std::uint64_t check_every : {4u, 16u}) {
+    const WorldResult other = run(check_every);
+    EXPECT_EQ(other.log_hash, one.log_hash) << "check_every " << check_every;
+    EXPECT_EQ(other.events, one.events) << "check_every " << check_every;
+    EXPECT_EQ(other.total_updates, one.total_updates)
+        << "check_every " << check_every;
+  }
+}
+
+TEST_F(SimWorldFixture, LossyLinksStrandNoRankAfterAPeerStops) {
+  // A rank that stops sends no more value frames, so losing its last
+  // ones would leave a survivor with a stale block forever: the finals
+  // on its kStop frames (control frames, spared by the loss model) close
+  // every block it owned. Seeds chosen over 1..40 before the finals
+  // existed stranded 9 of them at this cadence.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    WorldOptions o = base_world(4);
+    o.mp.seed = seed;
+    o.mp.solve.overwrite = net::OverwritePolicy::kNewestTagWins;
+    o.mp.solve.max_seconds = 30.0;
+    o.sim.topology.drop_prob = 0.3;
+    const WorldResult r = run_world(*jacobi_, la::zeros(sys_.dim()), o);
+    EXPECT_TRUE(r.all_converged)
+        << "seed " << seed << " residual " << r.final_residual;
+    EXPECT_LT(r.virtual_seconds, 1.0) << "seed " << seed;
+  }
+}
+
+TEST(SimStopFinals, ReorderedLinksStrandNoRankAfterAPeerStops) {
+  // Under kLastArrivalWins an older value frame overtaken on a non-FIFO
+  // link can land after the owner's last one; once the owner has stopped
+  // nothing ever corrects it. The final value on the kStop frame
+  // overrides it, and value frames at or below the final tag are dropped.
+  Rng rng(62);
+  auto f = problems::make_separable_quadratic(64, 1.0, 8.0, rng);
+  const double gamma = 2.0 / (f->mu() + f->lipschitz());
+  const la::Partition partition = la::Partition::balanced(64, 8);
+  op::GradientOperator grad(*f, gamma, partition);
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    WorldOptions o;
+    o.mp.workers = 4;
+    o.mp.seed = seed;
+    o.mp.solve.overwrite = net::OverwritePolicy::kLastArrivalWins;
+    o.mp.solve.tol = 1e-9;
+    o.mp.solve.x_star = f->minimizer();
+    o.mp.solve.max_seconds = 20.0;
+    o.mp.solve.max_updates = 100000000;
+    o.mp.solve.check_every = 1;
+    o.sim.topology.latency = 2e-4;
+    o.sim.topology.jitter = 0.9;
+    o.sim.compute.phase = 1e-4;
+    o.sim.compute.jitter = 0.3;
+    const WorldResult r = run_world(grad, la::zeros(64), o);
+    EXPECT_TRUE(r.all_converged)
+        << "seed " << seed << " residual " << r.final_residual;
+    EXPECT_LT(r.virtual_seconds, 1.0) << "seed " << seed;
+  }
 }
 
 }  // namespace
