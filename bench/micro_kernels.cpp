@@ -15,7 +15,9 @@
 // The three headline scenarios are the ones the asynchronous executors
 // hammer per update: SpMV (spmv_*), the fused Jacobi block update
 // (jacobi_block), and the fused block-residual sweep used by every
-// displacement stopping rule (block_residual).
+// displacement stopping rule (block_residual). train_eval times the PSGD
+// server's full-train evaluation (one margin pass) against the two-sweep
+// shape it replaced, with loss and accuracy parity hard-gated at 0.
 //
 // The *_levels scenarios additionally walk the SIMD dispatch ladder
 // (linalg/simd_dispatch.hpp): each supported level is forced in turn and
@@ -36,6 +38,8 @@
 #include "asyncit/linalg/kernels_ref.hpp"
 #include "asyncit/linalg/simd_dispatch.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
+#include "asyncit/train/dataset.hpp"
+#include "asyncit/train/sgd.hpp"
 #include "harness/bench_harness.hpp"
 
 using namespace asyncit;
@@ -73,6 +77,26 @@ double block_residual_ref(const op::BlockOperator& op,
         worst, la::ref::sq_dist(fb.data(), x.data() + r.begin, r.size()));
   }
   return std::sqrt(worst);
+}
+
+/// The two-sweep evaluation dataset_eval replaced: a row_dot pass for
+/// the loss, then a second full pass over the design for the accuracy.
+train::Eval two_pass_eval(const train::Dataset& data,
+                          std::span<const double> x) {
+  const std::size_t m = data.samples();
+  double sum = 0.0;
+  for (std::size_t h = 0; h < m; ++h) {
+    const double t =
+        -static_cast<double>(data.labels[h]) * data.design.row_dot(h, x);
+    sum += t > 0.0 ? t + std::log1p(std::exp(-t)) : std::log1p(std::exp(t));
+  }
+  double sq = 0.0;
+  for (const double xi : x) sq += xi * xi;
+  std::size_t correct = 0;
+  for (std::size_t h = 0; h < m; ++h)
+    correct += (data.design.row_dot(h, x) >= 0.0 ? 1 : -1) == data.labels[h];
+  return {sum / static_cast<double>(m) + 0.5 * data.ridge * sq,
+          static_cast<double>(correct) / static_cast<double>(m)};
 }
 
 void spmv_scenario(bench::Report& report, const std::string& name,
@@ -268,6 +292,44 @@ int main() {
         .metric("speedup_median", t_ref.median_s / t_opt.median_s);
     std::printf("%-16s ref %8.1f ns  opt %8.1f ns  speedup %.2fx\n",
                 "bf_block", t_ref.median_s * 1e9, t_opt.median_s * 1e9,
+                t_ref.median_s / t_opt.median_s);
+  }
+
+  // ---------------- PSGD server evaluation: one margin pass vs two -----
+  // The psgd_tap_inproc benchmark dataset. dataset_eval computes every
+  // margin once; the reference sweeps the design for the loss and again
+  // for the accuracy. Both must give the same bits.
+  {
+    problems::LogisticConfig cfg;
+    cfg.samples = 4800;
+    cfg.features = 256;
+    cfg.density = 0.2;
+    cfg.separation = 3.0;
+    cfg.label_noise = 0.0;
+    cfg.ridge = 0.01;
+    const train::Dataset data = train::make_synthetic_dataset(cfg, 1);
+    const la::Vector x = seeded_vector(data.features(), 71);
+    la::Vector margins(data.samples());
+
+    const train::Eval fused = train::dataset_eval(data, x, margins);
+    const train::Eval ref = two_pass_eval(data, x);
+
+    volatile double sink = 0.0;
+    const auto t_ref = bench::measure(
+        2, 21, 4, [&] { sink = two_pass_eval(data, x).loss; });
+    const auto t_opt = bench::measure(
+        2, 21, 4, [&] { sink = train::dataset_eval(data, x, margins).loss; });
+    (void)sink;
+    report.scenario("train_eval")
+        .det("samples", data.samples())
+        .det("nnz", data.design.nnz())
+        .det("parity_loss", std::abs(fused.loss - ref.loss))
+        .det("parity_accuracy", std::abs(fused.accuracy - ref.accuracy))
+        .timing("two_pass", t_ref)
+        .timing("fused", t_opt)
+        .metric("speedup_median", t_ref.median_s / t_opt.median_s);
+    std::printf("%-16s two-pass %7.1f us  fused %7.1f us  speedup %.2fx\n",
+                "train_eval", t_ref.median_s * 1e6, t_opt.median_s * 1e6,
                 t_ref.median_s / t_opt.median_s);
   }
 

@@ -70,26 +70,31 @@ SyntheticLasso make_synthetic_lasso(const LassoConfig& cfg, Rng& rng) {
   return out;
 }
 
+LogisticData make_logistic_data(const LogisticConfig& cfg, Rng& rng) {
+  LogisticData out;
+  out.design = make_design_matrix(cfg.samples, cfg.features, cfg.density,
+                                  rng);
+
+  out.ground_truth.resize(cfg.features);
+  for (auto& v : out.ground_truth) v = cfg.separation * rng.normal();
+
+  out.labels.resize(cfg.samples);
+  la::Vector margins(cfg.samples);
+  out.design.matvec(out.ground_truth, margins);
+  for (std::size_t h = 0; h < cfg.samples; ++h) {
+    out.labels[h] = margins[h] >= 0.0 ? 1 : -1;
+    if (rng.bernoulli(cfg.label_noise)) out.labels[h] = -out.labels[h];
+  }
+  return out;
+}
+
 SyntheticLogistic make_synthetic_logistic(const LogisticConfig& cfg,
                                           Rng& rng) {
-  la::CsrMatrix a = make_design_matrix(cfg.samples, cfg.features,
-                                       cfg.density, rng);
-
-  la::Vector truth(cfg.features);
-  for (auto& v : truth) v = cfg.separation * rng.normal();
-
-  std::vector<int> labels(cfg.samples);
-  la::Vector margins(cfg.samples);
-  a.matvec(truth, margins);
-  for (std::size_t h = 0; h < cfg.samples; ++h) {
-    labels[h] = margins[h] >= 0.0 ? 1 : -1;
-    if (rng.bernoulli(cfg.label_noise)) labels[h] = -labels[h];
-  }
-
+  LogisticData data = make_logistic_data(cfg, rng);
   SyntheticLogistic out;
-  out.ground_truth = truth;
-  auto logistic = std::make_shared<LogisticFunction>(std::move(a),
-                                                     std::move(labels),
+  out.ground_truth = std::move(data.ground_truth);
+  auto logistic = std::make_shared<LogisticFunction>(std::move(data.design),
+                                                     std::move(data.labels),
                                                      cfg.ridge);
   out.logistic = logistic.get();
   out.problem.f = std::move(logistic);

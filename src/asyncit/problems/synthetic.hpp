@@ -4,9 +4,16 @@
 // produce datasets with *controlled conditioning* (mu and L enter Theorem
 // 1's rate explicitly), which is precisely what makes the bound auditable.
 // See DESIGN.md §2 for the substitution rationale.
+//
+// The logistic generator comes in two layers. make_logistic_data is the
+// raw seeded draw (design, labels, truth); make_synthetic_logistic wraps
+// it in the solver-side LogisticFunction. The training dataset
+// (train/dataset.cpp) filters the raw draw directly, so it never pays for
+// that function's transpose and spectral norm.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "asyncit/problems/composite.hpp"
 #include "asyncit/problems/lasso.hpp"
@@ -42,6 +49,19 @@ struct LogisticConfig {
   double lambda1 = 0.0;
 };
 
+/// The raw logistic draw, before any function is built on it.
+struct LogisticData {
+  la::CsrMatrix design;      ///< m×n
+  std::vector<int> labels;   ///< m entries in {−1, +1}, after label noise
+  la::Vector ground_truth;   ///< hyperplane the PRE-noise labels follow
+};
+
+/// Draws design, truth and labels (sign of the true margin, then each
+/// label flipped with probability label_noise). The one draw both
+/// generators below share: make_synthetic_logistic wraps it in a
+/// LogisticFunction, train::make_synthetic_dataset filters its rows.
+LogisticData make_logistic_data(const LogisticConfig& cfg, Rng& rng);
+
 struct SyntheticLogistic {
   CompositeProblem problem;
   la::Vector ground_truth;
@@ -50,6 +70,8 @@ struct SyntheticLogistic {
   const LogisticFunction* logistic = nullptr;
 };
 
+/// make_logistic_data wrapped in a LogisticFunction (which computes its
+/// transpose and Lipschitz constant) plus the optional l1 prox.
 SyntheticLogistic make_synthetic_logistic(const LogisticConfig& cfg,
                                           Rng& rng);
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "asyncit/problems/logistic.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/rng.hpp"
 
@@ -27,17 +26,16 @@ constexpr std::size_t kOversample = 4;
 
 Dataset make_synthetic_dataset(const problems::LogisticConfig& cfg,
                                std::uint64_t seed) {
+  ASYNCIT_CHECK_MSG(cfg.ridge > 0.0,
+                    "ridge must be positive: Section V assumes mu > 0");
   problems::LogisticConfig wide = cfg;
   wide.samples = kOversample * cfg.samples;
   Rng rng(seed);
-  problems::SyntheticLogistic synth =
-      problems::make_synthetic_logistic(wide, rng);
-  ASYNCIT_CHECK(synth.logistic != nullptr);
-  const la::CsrMatrix& a = synth.logistic->design();
-  const std::vector<int>& labels = synth.logistic->labels();
+  const problems::LogisticData raw = problems::make_logistic_data(wide, rng);
+  const la::CsrMatrix& a = raw.design;
 
   double truth_sq = 0.0;
-  for (const double v : synth.ground_truth) truth_sq += v * v;
+  for (const double v : raw.ground_truth) truth_sq += v * v;
   const double truth_norm = std::sqrt(truth_sq);
   ASYNCIT_CHECK(truth_norm > 0.0);
 
@@ -54,13 +52,13 @@ Dataset make_synthetic_dataset(const problems::LogisticConfig& cfg,
     const std::span<const double> vals = a.row_values(h);
     double row_sq = 0.0;
     for (const double v : vals) row_sq += v * v;
-    const double margin = a.row_dot(h, synth.ground_truth);
+    const double margin = a.row_dot(h, raw.ground_truth);
     if (row_sq == 0.0 ||
         std::abs(margin) < kMarginGap * std::sqrt(row_sq) * truth_norm)
       continue;
     for (std::size_t k = 0; k < cols.size(); ++k)
       kept.push_back({out_row, cols[k], vals[k]});
-    d.labels.push_back(labels[h]);
+    d.labels.push_back(raw.labels[h]);
     ++out_row;
   }
   ASYNCIT_CHECK_MSG(out_row == cfg.samples,

@@ -4,12 +4,15 @@
 // every rank holds the SAME model vector x and a WORKER owns a contiguous
 // shard of dataset ROWS, not a block of coordinates. A Dataset is the
 // value type both sides share — the server evaluates loss/accuracy over
-// all rows, a worker samples minibatches from its shard.
+// all rows (one margin pass, sgd.hpp dataset_eval), a worker samples
+// minibatches from its shard.
 //
 // Datasets are built deterministically from a (config, seed) pair, so in
 // one-rank-per-process deployments (tools/asyncit_node.cpp) every rank
 // reconstructs an identical dataset from the launch config instead of
-// shipping megabytes of design matrix over the wire.
+// shipping megabytes of design matrix over the wire. The build filters
+// the raw problems::make_logistic_data draw and constructs no solver-side
+// LogisticFunction, so a rank pays for the draw and the row filter only.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +43,11 @@ struct Dataset {
   }
 };
 
-/// Deterministic synthetic instance: the problems/ logistic generator
-/// (separable hyperplane + label noise), repackaged row-major for SGD.
-/// Same (cfg, seed) => bit-identical dataset in every process.
+/// Deterministic synthetic instance: the problems/ logistic draw
+/// (separable hyperplane + label noise; the same make_logistic_data that
+/// make_synthetic_logistic wraps), filtered to a margin gap and
+/// repackaged row-major for SGD. Same (cfg, seed) => bit-identical
+/// dataset in every process. Throws CheckError unless cfg.ridge > 0.
 Dataset make_synthetic_dataset(const problems::LogisticConfig& cfg,
                                std::uint64_t seed);
 

@@ -37,6 +37,7 @@ PsgdServer::PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
     : ctx_(ctx),
       endpoint_(&endpoint),
       x_(x0),
+      margins_(ctx.data->samples()),
       clock_(ctx.options->workers,
              ctx.options->sgd.discipline == Discipline::kBsp
                  ? 0
@@ -96,8 +97,9 @@ void PsgdServer::maybe_eval() {
       sgd.discipline == Discipline::kBsp ? bsp_round_ : deltas_applied_;
   if (progress < next_eval_) return;
   next_eval_ = progress + std::max<std::uint64_t>(1, sgd.eval_every);
-  last_loss_ = dataset_loss(*ctx_.data, x_);
-  last_accuracy_ = dataset_accuracy(*ctx_.data, x_);
+  const Eval eval = dataset_eval(*ctx_.data, x_, margins_);
+  last_loss_ = eval.loss;
+  last_accuracy_ = eval.accuracy;
   m_loss_->set(last_loss_);
   m_accuracy_->set(last_accuracy_);
   obs::record(obs::EventType::kTrainStep, 2,

@@ -23,10 +23,10 @@
 //                      budget exhaustion, the server announces
 //                      target-accuracy / wall-budget termination.
 //
-// The delta hot path is allocation-free in steady state: scratch and
-// pending buffers are sized at construction, receive batches are
-// recycled to the endpoint's pool, and sends borrow pooled frames
-// (tests/alloc_test.cpp pins this).
+// The delta hot path is allocation-free in steady state: scratch, the
+// server's eval margins and pending buffers are sized at construction,
+// receive batches are recycled to the endpoint's pool, and sends borrow
+// pooled frames (tests/alloc_test.cpp pins this).
 #pragma once
 
 #include <cstdint>
@@ -98,6 +98,7 @@ class PsgdServer {
   PsgdContext ctx_;
   transport::Endpoint* endpoint_;
   la::Vector x_;
+  la::Vector margins_;  ///< eval scratch, one margin per dataset row
   SspClock clock_;  ///< per-worker completed-step clocks (all disciplines)
   /// Adaptive staleness (kSsp + sgd.adaptive.enabled): decisions re-point
   /// clock_ and are pushed to the workers via the params-frame offset.

@@ -54,27 +54,23 @@ DeltaSpan sgd_minibatch_delta(const Dataset& data, la::BlockRange shard,
   return {static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi - lo)};
 }
 
-double dataset_loss(const Dataset& data, std::span<const double> x) {
+Eval dataset_eval(const Dataset& data, std::span<const double> x,
+                  std::span<double> margins) {
   const std::size_t m = data.samples();
+  ASYNCIT_CHECK(margins.size() == m);
+  data.design.matvec(x, margins);
   double sum = 0.0;
+  std::size_t correct = 0;
   for (std::size_t h = 0; h < m; ++h) {
     const double z = static_cast<double>(data.labels[h]);
-    sum += log1pexp(-z * data.design.row_dot(h, x));
+    sum += log1pexp(-z * margins[h]);
+    const int predicted = margins[h] >= 0.0 ? 1 : -1;
+    correct += predicted == data.labels[h];
   }
   double sq = 0.0;
   for (const double xi : x) sq += xi * xi;
-  return sum / static_cast<double>(m) + 0.5 * data.ridge * sq;
-}
-
-double dataset_accuracy(const Dataset& data, std::span<const double> x) {
-  const std::size_t m = data.samples();
-  std::size_t correct = 0;
-  for (std::size_t h = 0; h < m; ++h) {
-    const double score = data.design.row_dot(h, x);
-    const int predicted = score >= 0.0 ? 1 : -1;
-    correct += predicted == data.labels[h];
-  }
-  return static_cast<double>(correct) / static_cast<double>(m);
+  return {sum / static_cast<double>(m) + 0.5 * data.ridge * sq,
+          static_cast<double>(correct) / static_cast<double>(m)};
 }
 
 }  // namespace asyncit::train

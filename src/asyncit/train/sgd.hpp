@@ -2,10 +2,11 @@
 //
 // Everything here is allocation-free in steady state: the minibatch
 // gradient accumulates into caller-owned scratch (sized once per run),
-// loss/accuracy reduce to scalars over CSR rows, and SspClock is a flat
-// per-worker table. tests/alloc_test.cpp pins the delta path at zero
-// steady-state allocations; tests/train_test.cpp drives SspClock on a
-// virtual clock with no transport at all.
+// an evaluation writes every row margin into caller-owned scratch in one
+// CSR pass and reduces loss and accuracy from those margins, and
+// SspClock is a flat per-worker table. tests/alloc_test.cpp pins the
+// delta path at zero steady-state allocations; tests/train_test.cpp
+// drives SspClock on a virtual clock with no transport at all.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +41,20 @@ DeltaSpan sgd_minibatch_delta(const Dataset& data, la::BlockRange shard,
                               std::span<const double> x, Rng& rng,
                               std::span<double> delta);
 
-/// Mean logistic loss + ridge over the full dataset. Allocation-free.
-double dataset_loss(const Dataset& data, std::span<const double> x);
+/// Full-train metrics of one model.
+struct Eval {
+  double loss = 0.0;      ///< mean logistic loss + (ridge/2) ‖x‖²
+  double accuracy = 0.0;  ///< fraction of rows with sign(⟨a_h, x⟩) == z_h
+};
 
-/// Fraction of rows classified correctly by sign(⟨a_h, x⟩).
-double dataset_accuracy(const Dataset& data, std::span<const double> x);
+/// Evaluates x over the full dataset in one pass over the design: a
+/// matvec writes every row margin ⟨a_h, x⟩ into `margins` (caller
+/// scratch, |margins| == samples()), then one loop over the margins sums
+/// the loss terms and counts the correct signs. Allocation-free. The
+/// margins are the bits CsrMatrix::row_dot gives at every SIMD level
+/// (each backend's row-range matvec calls its own gather dot per row).
+Eval dataset_eval(const Dataset& data, std::span<const double> x,
+                  std::span<double> margins);
 
 /// The SSP bounded-staleness rule on per-worker clocks (yxtj/PSGD's
 /// deltaIter table; the Feyzmahdavian–Johansson bounded-delay setting).

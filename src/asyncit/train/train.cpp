@@ -31,6 +31,14 @@ std::uint64_t epochs_of(std::uint64_t steps, std::size_t batch,
   return shard_rows == 0 ? 0 : steps * batch / shard_rows;
 }
 
+/// Full-train metrics of the model a run ended with.
+void fill_final_eval(const Dataset& data, TrainResult& r) {
+  la::Vector margins(data.samples());
+  const Eval eval = dataset_eval(data, r.x, margins);
+  r.final_loss = eval.loss;
+  r.final_accuracy = eval.accuracy;
+}
+
 void fill_endpoint_stats(const transport::Endpoint& ep, TrainResult& r) {
   r.messages_sent += ep.sent();
   r.messages_dropped += ep.dropped();
@@ -95,8 +103,7 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
 
   result.x = server.model();
   result.converged = server.target_reached();
-  result.final_loss = dataset_loss(data, result.x);
-  result.final_accuracy = dataset_accuracy(data, result.x);
+  fill_final_eval(data, result);
   result.rounds = server.rounds();
   result.versions = server.versions();
   result.deltas_applied = server.deltas_applied();
@@ -192,8 +199,7 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
           : 0.0;
   // Every rank rebuilds the dataset, so every rank can report full-train
   // metrics of the model it ended with.
-  result.final_loss = dataset_loss(data, result.x);
-  result.final_accuracy = dataset_accuracy(data, result.x);
+  fill_final_eval(data, result);
   fill_endpoint_stats(endpoint, result);
   trace.stop(result.obs_events_recorded, result.obs_events_dropped);
   return result;

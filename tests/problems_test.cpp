@@ -1,9 +1,11 @@
 // Tests for the problem substrates: linear systems, quadratics, lasso,
-// logistic regression (gradients checked against finite differences),
+// logistic regression (gradients checked against finite differences;
+// the raw draw and the wrapped generator consume the RNG identically),
 // convex network flow (feasibility, duality), the obstacle problem
 // (feasibility + complementarity), and PageRank.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "asyncit/linalg/norms.hpp"
@@ -19,6 +21,7 @@
 #include "asyncit/problems/quadratic.hpp"
 #include "asyncit/problems/synthetic.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/train/dataset.hpp"
 
 namespace asyncit::problems {
 namespace {
@@ -244,6 +247,32 @@ TEST(Logistic, ValueIsConvexAlongSegments) {
     }
     EXPECT_LE(f.value(mid), 0.5 * (f.value(a) + f.value(b)) + 1e-9);
   }
+}
+
+TEST(Logistic, RawDrawAndWrappedGeneratorShareOneDraw) {
+  LogisticConfig cfg;
+  cfg.samples = 120;
+  cfg.features = 24;
+  cfg.label_noise = 0.1;
+  for (const std::uint64_t seed : {16u, 17u}) {
+    Rng raw_rng(seed), wrapped_rng(seed);
+    const LogisticData raw = make_logistic_data(cfg, raw_rng);
+    const SyntheticLogistic wrapped = make_synthetic_logistic(cfg, wrapped_rng);
+    const la::CsrMatrix& a = wrapped.logistic->design();
+    EXPECT_TRUE(std::ranges::equal(raw.design.row_ptr(), a.row_ptr()));
+    EXPECT_TRUE(std::ranges::equal(raw.design.col_idx(), a.col_idx()));
+    EXPECT_TRUE(std::ranges::equal(raw.design.values(), a.values()));
+    EXPECT_EQ(raw.labels, wrapped.logistic->labels());
+    EXPECT_EQ(raw.ground_truth, wrapped.ground_truth);
+    // Both consumed the stream identically: their next draws agree.
+    EXPECT_EQ(raw_rng.next(), wrapped_rng.next()) << "seed " << seed;
+  }
+}
+
+TEST(Logistic, TrainingDatasetRequiresPositiveRidge) {
+  LogisticConfig cfg;
+  cfg.ridge = 0.0;
+  EXPECT_THROW(train::make_synthetic_dataset(cfg, 1), CheckError);
 }
 
 // ------------------------------------------------------------ network flow

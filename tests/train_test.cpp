@@ -1,17 +1,21 @@
 // Tests for the parameter-server training mode (train/): the SSP
-// admission clock on a virtual schedule, delta support spans, the
+// admission clock on a virtual schedule, delta support spans, the fused
+// evaluation against a row-by-row reference at every SIMD level, the
 // delta-frame wire round trip, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
 // synthetic logistic set, and the per-rank run_training_node entry.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "asyncit/linalg/simd_dispatch.hpp"
 #include "asyncit/linalg/vector_ops.hpp"
 #include "asyncit/problems/synthetic.hpp"
+#include "asyncit/support/check.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/train/sgd.hpp"
 #include "asyncit/train/train.hpp"
@@ -103,6 +107,74 @@ TEST(SgdMath, DeltaSupportSpanIsExact) {
   // Endpoints of the span are nonzero (tightest range).
   EXPECT_NE(delta[span.offset], 0.0);
   EXPECT_NE(delta[span.offset + span.count - 1], 0.0);
+}
+
+TEST(SgdMath, EvalMatchesRowByRowReferenceAtEverySimdLevel) {
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/11);
+  const std::size_t m = data.samples();
+  const std::size_t n = data.features();
+
+  // The zero model (every margin 0, the tie counted as +1), three seeded
+  // ones, and a large-margin one whose loss terms hit both log1pexp
+  // branches far into saturation.
+  std::vector<la::Vector> models{la::zeros(n)};
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    la::Vector x(n);
+    for (double& v : x) v = rng.normal();
+    models.push_back(std::move(x));
+  }
+  la::Vector large = models[1];
+  for (double& v : large) v *= 1e4;
+  models.push_back(std::move(large));
+
+  struct RestoreLevel {
+    la::simd::Level level = la::simd::active_level();
+    ~RestoreLevel() { la::simd::force(level); }
+  } restore;
+  la::Vector margins(m);
+  for (const la::simd::Level level : la::simd::supported_levels()) {
+    ASSERT_TRUE(la::simd::force(level));
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      const la::Vector& x = models[i];
+      const train::Eval eval = train::dataset_eval(data, x, margins);
+      // Row-by-row reference: row_dot per row, the same log1pexp branch
+      // as train/sgd.cpp, and a sign count. The loss barely feels a
+      // last-bit change in one margin, so the margins left in the
+      // scratch are compared too.
+      std::size_t margin_mismatches = 0;
+      double sum = 0.0;
+      std::size_t correct = 0;
+      for (std::size_t h = 0; h < m; ++h) {
+        const double margin = data.design.row_dot(h, x);
+        margin_mismatches += margins[h] != margin;
+        const double t = -static_cast<double>(data.labels[h]) * margin;
+        sum += t > 0.0 ? t + std::log1p(std::exp(-t))
+                       : std::log1p(std::exp(t));
+        correct += (margin >= 0.0 ? 1 : -1) == data.labels[h];
+      }
+      double sq = 0.0;
+      for (const double xi : x) sq += xi * xi;
+      const double loss =
+          sum / static_cast<double>(m) + 0.5 * data.ridge * sq;
+      const double accuracy =
+          static_cast<double>(correct) / static_cast<double>(m);
+
+      EXPECT_EQ(margin_mismatches, 0u)
+          << la::simd::to_string(level) << " model " << i;
+      EXPECT_EQ(eval.loss, loss)
+          << la::simd::to_string(level) << " model " << i;
+      EXPECT_EQ(eval.accuracy, accuracy)
+          << la::simd::to_string(level) << " model " << i;
+    }
+  }
+
+  la::Vector short_margins(m - 1), long_margins(m + 1);
+  EXPECT_THROW(train::dataset_eval(data, models[0], short_margins),
+               CheckError);
+  EXPECT_THROW(train::dataset_eval(data, models[0], long_margins),
+               CheckError);
 }
 
 TEST(DeltaFrame, WireRoundTripPreservesClockAndSupport) {
