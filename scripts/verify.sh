@@ -14,7 +14,8 @@
 # ThreadSanitizer leg (its test preset filters to kernels_test, net_test,
 # transport_test, membership_test, obs_test, train_test — the trace rings
 # and the threaded PSGD server/worker pumps are concurrent structures
-# tsan must bless — and the multi-process churn_smoke).
+# tsan must bless — simnet_test, the multi-process churn_smoke and
+# sim_smoke, whose fibers exercise the tsan fiber annotations).
 # The release/debug/asan presets run the FULL suite, which includes the
 # train_test unit suite plus the multi-process train_smoke_{bsp,tap,ssp}
 # and train_churn_smoke cluster tests.

@@ -1,7 +1,6 @@
 #include "asyncit/net/channel.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -62,80 +61,14 @@ double DelayHistogram::quantile(double p) const {
   return max_;
 }
 
-// ----------------------------------------------------------- LinkStamper
+// -------------------------------------------------------------- LinkSpec
 
-bool LinkStamper::stamp(Message& m, double now, bool allow_drop) {
-  ++stamped_;
-  // Always consume the same number of draws per message so the sequence
-  // stays aligned across replays regardless of mode flags.
-  const double latency =
-      rng_.uniform(policy_.min_latency, policy_.max_latency);
-  const bool drop = policy_.drop_prob > 0.0 && rng_.bernoulli(policy_.drop_prob);
-  m.t_send = now;
-  m.deliver_at = now + latency;
-  if (policy_.fifo) {
-    m.deliver_at = std::max(m.deliver_at, last_deliver_at_);
-    last_deliver_at_ = m.deliver_at;
-  }
-  if (drop && allow_drop) {
-    ++dropped_;
-    return false;
-  }
-  return true;
-}
-
-// --------------------------------------------------------------- Mailbox
-
-void Mailbox::post(Message m) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Insert keeping pending_ sorted by deliver_at (ties: arrival order).
-    auto it = std::upper_bound(
-        pending_.begin(), pending_.end(), m,
-        [](const Message& a, const Message& b) {
-          return a.deliver_at < b.deliver_at;
-        });
-    pending_.insert(it, std::move(m));
-    ++posted_;
-  }
-  cv_.notify_one();
-}
-
-std::size_t Mailbox::drain(double now, std::vector<Message>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  while (n < pending_.size() && pending_[n].deliver_at <= now) ++n;
-  for (std::size_t i = 0; i < n; ++i) {
-    delays_.add(now - pending_[i].t_send);
-    out.push_back(std::move(pending_[i]));
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(n));
-  delivered_ += n;
-  return n;
-}
-
-void Mailbox::wait_for_post(std::uint64_t seen_posted,
-                            double timeout_seconds) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-               [&] { return posted_ > seen_posted; });
-}
-
-double Mailbox::next_delivery() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.empty() ? std::numeric_limits<double>::infinity()
-                          : pending_.front().deliver_at;
-}
-
-std::uint64_t Mailbox::posted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return posted_;
-}
-
-std::uint64_t Mailbox::delivered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
+LinkSpec link_spec(const DeliveryPolicy& policy) {
+  ASYNCIT_CHECK(policy.min_latency >= 0.0 &&
+                policy.max_latency >= policy.min_latency);
+  ASYNCIT_CHECK(policy.drop_prob >= 0.0 && policy.drop_prob < 1.0);
+  return {policy.min_latency, policy.max_latency, policy.drop_prob,
+          policy.drop_control, policy.fifo};
 }
 
 }  // namespace asyncit::net

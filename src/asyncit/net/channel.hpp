@@ -1,26 +1,34 @@
-// Mailbox channels for the in-process message-passing runtime.
+// The link model and delivery queue every message-passing fabric shares.
 //
-// Where sim/ *simulates* channels in virtual time, net/ runs them on real
-// threads: every block value travels as a tagged Message posted into the
-// receiver's Mailbox and becomes visible only once its injected delivery
-// time has passed. Latency, ordering, and loss are injected at the sending
-// LINK (LinkStamper) so that the delay process is a deterministic function
-// of the seed and the per-link message count — two runs with the same seed
-// draw identical latency/drop sequences on every link no matter how the
-// OS schedules the worker threads. Delivery-side reordering (non-FIFO
-// links) then produces genuine out-of-order arrivals on real hardware:
-// a message sent later can carry a smaller injected latency and overtake
-// its predecessor, which the receiver observes as a label inversion.
+// Where sim/ *simulates* channels in virtual time, net/ moves block values
+// as tagged Messages through a transport, and the paper's delay process is
+// written exactly once, here, for every fabric that injects one (the
+// inproc backend, the chaos decorator, simnet):
 //
-// Delays are MEASURED, not assumed: every drained message records the wall
-// clock interval between post and drain in a DelayHistogram (injected
-// latency + scheduling delay — the quantity the paper's unbounded-delay
-// assumptions are about).
+//   LinkModel      one per directed link (src -> dst). It owns the link's
+//                  seeded stream and draws, per frame and in a fixed
+//                  order, a variate in [lo, hi) and then a loss decision,
+//                  so the delay process is a deterministic function of the
+//                  seed and the link's frame count: two runs with the same
+//                  seed draw identical sequences on every link however the
+//                  OS schedules the senders. The backend maps the variate
+//                  to a delivery time (inproc/chaos: the latency itself;
+//                  simnet: a multiple of the link's base latency).
+//   DeliveryQueue  one per receiver: frames mature in delivery-time order,
+//                  equal times in push order. A later frame with a smaller
+//                  draw overtakes its predecessor (non-FIFO links), which
+//                  the receiver observes as a label inversion.
+//
+// Delays are MEASURED, not assumed: every frame the queue delivers records
+// the interval between its t_send and the drain in a DelayHistogram
+// (injected latency + scheduling delay — the quantity the paper's
+// unbounded-delay assumptions are about).
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
-#include <mutex>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "asyncit/linalg/partition.hpp"
@@ -74,15 +82,48 @@ struct Message {
   la::Vector value;             ///< the block payload
 };
 
+/// Sender-side description of an outgoing message; the Endpoint fills in
+/// src (its own rank) and the timing fields.
+struct MessageHeader {
+  la::BlockId block = 0;
+  model::Step tag = 0;
+  std::uint64_t round = 0;
+  std::uint32_t offset = 0;  ///< partial-block frames (see Message)
+  bool partial = false;
+  /// Partial-range frame that nonetheless finishes the sender's round —
+  /// the delta layer emits exactly one complete frame per (block, round)
+  /// so gated modes (SSP/BSP) count rounds identically with delta on.
+  bool complete = false;
+  MsgKind kind = MsgKind::kValue;
+  /// Chaos-drawn latency riding the wire (see Message); backends forward
+  /// it verbatim. 0 outside the chaos decorator.
+  double injected_delay = 0.0;
+  /// Scalar-quantization lattice (codec frames only; 0 bits = raw
+  /// doubles). The payload the peer hands to send() is ALREADY
+  /// roundtripped onto these lattice points: inproc/chaos/simnet deliver
+  /// the doubles as-is, the TCP backend re-quantizes (exactly) into a
+  /// codec wire frame and the decoder dequantizes with the same params.
+  std::uint8_t quant_bits = 0;
+  double quant_min = 0.0;
+  double quant_scale = 0.0;
+};
+
+/// Copies a send's header and payload into `m` (typically a pooled
+/// message, whose payload capacity is reused); the timing fields are the
+/// link's to fill.
+void fill_message(Message& m, std::uint32_t src, const MessageHeader& header,
+                  std::span<const double> value);
+
 /// Per-link delivery behaviour (latency, ordering, loss).
 struct DeliveryPolicy {
   /// Injected latency is uniform in [min_latency, max_latency] seconds.
-  /// Zero-zero means immediate visibility (still via the mailbox).
+  /// Zero-zero means immediate visibility (still via the delivery queue).
   double min_latency = 0.0;
   double max_latency = 0.0;
   /// Enforce per-link in-order delivery: each message's delivery time is
-  /// floored at the previous message's on the same link. false (default)
-  /// allows overtaking — the out-of-order regime of the paper.
+  /// floored at the previous one the link carried (a dropped message sets
+  /// no floor). false (default) allows overtaking — the out-of-order
+  /// regime of the paper.
   bool fifo = false;
   /// Probability that a message is lost in transit. Only honoured in the
   /// totally asynchronous mode (SSP/BSP gate on complete rounds and would
@@ -142,67 +183,162 @@ class DelayHistogram {
   double max_ = 0.0;
 };
 
-/// Sender-side stamping of one directed link (src -> dst). Owns its RNG
-/// stream, so the sequence of (latency, drop) draws for a link depends only
-/// on the seed and the link's message count — the replay-determinism
-/// anchor of the whole runtime. Owned and used by a single sender thread;
-/// not thread-safe by design.
-class LinkStamper {
- public:
-  LinkStamper(DeliveryPolicy policy, std::uint64_t seed)
-      : policy_(policy), rng_(seed) {}
+/// The fixed parameters of a LinkModel's draws, shared by every link of
+/// a fabric.
+struct LinkSpec {
+  double lo = 0.0;  ///< variates are uniform in [lo, hi)
+  double hi = 0.0;
+  double drop_prob = 0.0;
+  /// Control frames face the loss model too (DeliveryPolicy::drop_control).
+  bool drop_control = false;
+  /// Floor each departing frame's delivery time at the link's previous one.
+  bool fifo = false;
+};
 
-  /// Stamps deliver_at (and applies the FIFO floor). Returns false when
-  /// the message was dropped (caller must not post it).
-  bool stamp(Message& m, double now, bool allow_drop);
+/// The LinkSpec of an in-process policy: variates are latencies in
+/// [min_latency, max_latency]. Checks the policy — 0 <= min_latency <=
+/// max_latency and 0 <= drop_prob < 1 (drop_prob 1 would starve a run
+/// into its wall budget with no diagnostic) — the one place the inproc
+/// backend and the chaos decorator, and so every thread-mode run,
+/// validate a policy.
+LinkSpec link_spec(const DeliveryPolicy& policy);
+
+/// One frame's draws: its variate and whether it leaves the sender.
+struct LinkDraw {
+  double variate = 0.0;
+  bool sent = false;
+};
+
+/// One directed link's delay and loss process (src -> dst). Holds only
+/// per-link state — the seeded stream, the FIFO floor and the counters —
+/// and takes the fabric's shared LinkSpec per call, because a world of W
+/// ranks holds W^2 links. Driven by the single sender thread; not
+/// thread-safe by design.
+class LinkModel {
+ public:
+  explicit LinkModel(std::uint64_t seed) : rng_(seed) {}
+
+  /// Draws one frame: a variate in [lo, hi), then a loss decision when
+  /// drop_prob > 0. Both draws are consumed whatever the frame's kind or
+  /// fate, so the stream stays aligned across replays; control frames are
+  /// spared the loss unless spec.drop_control, and no frame is lost
+  /// unless `allow_drop`.
+  LinkDraw draw(const LinkSpec& spec, MsgKind kind, bool allow_drop);
+
+  /// The delivery time of a frame that leaves: with spec.fifo, floored at
+  /// the previous departing frame's and raising the floor. Dropped frames
+  /// never reach here, so they leave the floor unchanged.
+  double leave(const LinkSpec& spec, double deliver_at);
 
   std::uint64_t stamped() const { return stamped_; }
   std::uint64_t dropped() const { return dropped_; }
 
  private:
-  DeliveryPolicy policy_;
   Rng rng_;
-  double last_deliver_at_ = 0.0;  ///< FIFO floor
+  double floor_ = 0.0;
   std::uint64_t stamped_ = 0;
   std::uint64_t dropped_ = 0;
 };
 
-/// Multi-producer single-consumer mailbox. Producers post stamped
-/// messages; the consumer drains every message whose deliver_at has
-/// passed, in deliver_at order (which is NOT post order on non-FIFO
-/// links). A condition variable lets coordination modes (BSP/SSP) sleep
-/// until something new can possibly be ready instead of spinning.
-class Mailbox {
+/// The frames one receiver holds until they mature: a min-heap on
+/// (deliver_at, push seq), so frames deliver in delivery-time order and
+/// equal times in push order — the tie-break every fabric shares. Push
+/// and pop cost O(log n) however large the backlog, so a receiver that
+/// fell behind catches up instead of sinking into a quadratic sorted
+/// insert. Single-threaded; the inproc backend adds a lock.
+class DeliveryQueue {
  public:
-  void post(Message m);
+  void push(Message m);
 
-  /// Moves every message with deliver_at <= now into `out` (appended, in
-  /// deliver_at order) and records its measured delay. Returns the number
-  /// delivered.
-  std::size_t drain(double now, std::vector<Message>& out);
+  /// Moves every frame with deliver_at <= now into `out` (appended, in
+  /// delivery order), records each one's measured delay now - t_send,
+  /// and returns the number moved.
+  std::size_t pop_matured(double now, std::vector<Message>& out);
 
-  /// Blocks until the post counter exceeds `seen_posted` or
-  /// `timeout_seconds` passes. The caller reads posted() BEFORE its last
-  /// drain and passes it here, so a post landing between drain and wait
-  /// can never be slept through (no lost wakeup).
-  void wait_for_post(std::uint64_t seen_posted, double timeout_seconds);
+  /// Earliest deliver_at among held frames (+inf when empty).
+  double next_delivery() const {
+    return heap_.empty() ? std::numeric_limits<double>::infinity()
+                         : heap_.front().at;
+  }
 
-  /// Earliest deliver_at among pending messages (+inf when empty).
-  double next_delivery() const;
-
-  std::uint64_t posted() const;
-  std::uint64_t delivered() const;
+  std::size_t size() const { return heap_.size(); }
+  std::uint64_t pushed() const { return pushed_; }
+  std::uint64_t delivered() const { return delivered_; }
   const DelayHistogram& delays() const { return delays_; }
 
  private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  // Min-heap on deliver_at (lazy: a sorted insert into a vector keeps the
-  // code simple; mailboxes hold few messages at a time).
-  std::vector<Message> pending_;
-  std::uint64_t posted_ = 0;
+  struct Entry {
+    double at;  ///< m.deliver_at, kept beside seq for the comparisons
+    std::uint64_t seq;
+    Message m;
+  };
+  /// Max-heap order "matures later" = min-heap on (deliver_at, seq).
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  std::vector<Entry> heap_;
+  std::uint64_t pushed_ = 0;
   std::uint64_t delivered_ = 0;
   DelayHistogram delays_;
 };
+
+// Per-frame paths, inline so each fabric's send and receive loops
+// compile them in place.
+
+inline void fill_message(Message& m, std::uint32_t src,
+                         const MessageHeader& header,
+                         std::span<const double> value) {
+  m.src = src;
+  m.block = header.block;
+  m.tag = header.tag;
+  m.round = header.round;
+  m.partial = header.partial;
+  m.complete = header.complete;
+  m.kind = header.kind;
+  m.offset = header.offset;
+  m.injected_delay = header.injected_delay;  // chaos latency rides along
+  m.value.assign(value.begin(), value.end());
+}
+
+inline LinkDraw LinkModel::draw(const LinkSpec& spec, MsgKind kind,
+                                bool allow_drop) {
+  ++stamped_;
+  const double variate = rng_.uniform(spec.lo, spec.hi);
+  const bool lost = spec.drop_prob > 0.0 && rng_.bernoulli(spec.drop_prob);
+  if (lost && allow_drop && (!is_control(kind) || spec.drop_control)) {
+    ++dropped_;
+    return {variate, false};
+  }
+  return {variate, true};
+}
+
+inline double LinkModel::leave(const LinkSpec& spec, double deliver_at) {
+  if (!spec.fifo) return deliver_at;
+  floor_ = std::max(deliver_at, floor_);
+  return floor_;
+}
+
+inline void DeliveryQueue::push(Message m) {
+  const double at = m.deliver_at;
+  heap_.push_back({at, pushed_++, std::move(m)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+inline std::size_t DeliveryQueue::pop_matured(double now,
+                                              std::vector<Message>& out) {
+  std::size_t n = 0;
+  while (!heap_.empty() && heap_.front().at <= now) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Message& m = heap_.back().m;
+    delays_.add(now - m.t_send);
+    out.push_back(std::move(m));
+    heap_.pop_back();
+    ++n;
+  }
+  delivered_ += n;
+  return n;
+}
 
 }  // namespace asyncit::net

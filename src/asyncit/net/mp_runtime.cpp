@@ -58,10 +58,6 @@ void accumulate(MpResult& into, const MpResult& rank) {
 MpResult run_message_passing(const op::BlockOperator& op,
                              const la::Vector& x0,
                              const MpOptions& options) {
-  ASYNCIT_CHECK(options.chaos.delivery.min_latency >= 0.0 &&
-                options.chaos.delivery.max_latency >= options.chaos.delivery.min_latency);
-  ASYNCIT_CHECK(options.chaos.delivery.drop_prob >= 0.0 &&
-                options.chaos.delivery.drop_prob < 1.0);
   // The in-process backend derives one RNG stream per directed link from
   // options.seed in the fixed pre-transport order: replays are
   // deterministic however the OS schedules the threads.

@@ -193,7 +193,7 @@ const KeyEntry kKeys[] = {
        return read_value(ls, c.sgd.learning_rate, e);
      }},
     {{"batch_size", "int", "16",
-      "minibatch rows per worker step (train)"},
+      "minibatch rows per worker step (train; must be >= 1)"},
      [](NodeConfig& c, std::istringstream& ls, std::string& e) {
        return read_value(ls, c.sgd.batch_size, e);
      }},
@@ -565,6 +565,10 @@ bool validate(NodeConfig& cfg, std::string& error) {
     }
     if (cfg.dataset.samples < cfg.world - 1) {
       error = "train workload needs at least one dataset row per worker";
+      return false;
+    }
+    if (cfg.sgd.batch_size < 1) {
+      error = "train workload needs batch_size >= 1";
       return false;
     }
   }

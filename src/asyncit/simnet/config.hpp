@@ -10,7 +10,11 @@
 // draws from streams derived from the run's master seed (per directed
 // link for the wire, per rank for compute), so one (config, seed) pair
 // names exactly one execution — the reproducibility contract the
-// unbounded-delay experiments rely on.
+// unbounded-delay experiments rely on. The wire knobs parameterize the
+// link model and delivery queue every fabric shares (net/channel.hpp):
+// jitter, fifo and the loss knobs mean exactly what they mean for the
+// inproc backend; the base latency, bandwidth and partitions are
+// simnet's own.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +42,9 @@ struct TopologyConfig {
   /// Base one-way latency in seconds for an intra-region link.
   double latency = 1e-3;
   /// Per-message uniform jitter as a fraction of the link's base
-  /// latency: each frame draws from [base*(1-j), base*(1+j)). j >= 1
-  /// gives the paper's unbounded-ish heavy reordering regime.
+  /// latency: each frame's net::LinkModel variate is drawn from
+  /// [1-j, 1+j) and scales the base. j >= 1 gives the paper's
+  /// unbounded-ish heavy reordering regime.
   double jitter = 0.5;
   /// Deterministic per-directed-link base skew fraction: link (s, d)
   /// scales its base by (1 + asymmetry * u(s,d)) with u(s,d) in [-1, 1)
@@ -49,13 +54,12 @@ struct TopologyConfig {
   /// Link bandwidth in bytes/second; adds frame_bytes/bandwidth of
   /// serialization delay per frame. 0 = infinite.
   double bandwidth = 0.0;
-  /// In-order delivery floor per directed link (sim analogue of
-  /// net::DeliveryPolicy::fifo). Off by default: out-of-order delivery
-  /// is the phenomenon under study.
+  /// In-order delivery floor per directed link (the link model's FIFO
+  /// floor, as net::DeliveryPolicy::fifo). Off by default: out-of-order
+  /// delivery is the phenomenon under study.
   bool fifo = false;
-  /// Per-frame loss probability (droppable frames only, exactly the
-  /// net::LinkStamper contract; drop_control extends it to control
-  /// frames).
+  /// Per-frame loss probability (droppable frames only, the link model's
+  /// rule for every fabric; drop_control extends it to control frames).
   double drop_prob = 0.0;
   bool drop_control = false;
   /// Ranks are assigned round-robin to `regions` regions; links whose

@@ -1,8 +1,6 @@
 #include "asyncit/simnet/transport.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "asyncit/support/check.hpp"
 #include "asyncit/transport/wire.hpp"
@@ -10,8 +8,6 @@
 namespace asyncit::simnet {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// splitmix64 finalizer — the standard bit mixer, used to derive
 /// independent per-link / per-rank seeds and the asymmetry skew from the
@@ -33,7 +29,12 @@ constexpr std::uint64_t kSkewSalt = 0x736b65775f73696dull;     // "skew_sim"
 
 SimTransport::SimTransport(std::size_t world, const SimConfig& config,
                            std::uint64_t seed, SimEngine* engine)
-    : config_(config), seed_(seed), engine_(engine) {
+    : config_(config),
+      seed_(seed),
+      engine_(engine),
+      spec_{1.0 - config.topology.jitter, 1.0 + config.topology.jitter,
+            config.topology.drop_prob, config.topology.drop_control,
+            config.topology.fifo} {
   ASYNCIT_CHECK(world >= 1);
   const TopologyConfig& topo = config_.topology;
   ASYNCIT_CHECK(topo.latency >= 0.0 && topo.jitter >= 0.0);
@@ -54,7 +55,6 @@ SimTransport::SimTransport(std::size_t world, const SimConfig& config,
     for (std::size_t dst = 0; dst < world; ++dst)
       ep->links_.emplace_back(mix64(seed ^ kLinkSalt) ^
                               mix64(src * world + dst));
-    if (topo.fifo) ep->fifo_floor_.assign(world, 0.0);
     ep->compute_rng_.reseed(mix64(seed ^ kComputeSalt) ^ mix64(src));
     const std::uint32_t every = config_.compute.straggler_every;
     // Ranks every-1, 2*every-1, ... straggle (never rank 0: the train
@@ -115,36 +115,23 @@ transport::SendReceipt SimEndpoint::send(
   SimEngine* engine = owner_->engine_;
   const double t = engine != nullptr ? engine->now() : now;
   const TopologyConfig& topo = owner_->config_.topology;
-  ++sent_;
   // A severed link loses everything crossing the cut, control frames
   // included — that IS the modelled failure, so allow_drop does not
-  // apply. Checked before the loss-model draws: a partitioned link
+  // apply. Checked before the link model draws: a partitioned link
   // carries no traffic, so it consumes no draws (the per-link stream is
   // a function of the frames the link actually carried).
   for (const PartitionWindow& w : topo.partitions) {
     if (t >= w.t0 && t < w.t1 &&
         (rank_ < w.boundary) != (dst < w.boundary)) {
-      ++dropped_;
       ++partition_dropped_;
       return transport::SendReceipt{false, t, 0.0};
     }
   }
-  // Fixed per-frame draw order (latency, then drop if drop_prob > 0),
-  // consumed regardless of outcome — LinkStamper's replay-determinism
-  // contract.
-  Rng& link = links_[dst];
-  const double jitter_mult =
-      link.uniform(1.0 - topo.jitter, 1.0 + topo.jitter);
-  const bool drop_draw =
-      topo.drop_prob > 0.0 && link.bernoulli(topo.drop_prob);
-  const bool droppable =
-      allow_drop && (!net::is_control(header.kind) || topo.drop_control);
-  if (drop_draw && droppable) {
-    ++dropped_;
-    return transport::SendReceipt{false, t, 0.0};
-  }
+  net::LinkModel& link = links_[dst];
+  const net::LinkDraw draw = link.draw(owner_->spec_, header.kind, allow_drop);
+  if (!draw.sent) return transport::SendReceipt{false, t, 0.0};
   double latency =
-      std::max(owner_->base_latency(rank_, dst) * jitter_mult, 0.0);
+      std::max(owner_->base_latency(rank_, dst) * draw.variate, 0.0);
   if (topo.bandwidth > 0.0) {
     // Serialization delay charged at the frame's TRUE wire size (the TCP
     // framing: header + payload, quantized frames at their packed size)
@@ -157,52 +144,18 @@ transport::SendReceipt SimEndpoint::send(
                 8.0) /
                topo.bandwidth;
   }
-  double deliver_at = t + latency;
-  if (!fifo_floor_.empty()) {
-    deliver_at = std::max(deliver_at, fifo_floor_[dst]);
-    fifo_floor_[dst] = deliver_at;
-  }
+  const double deliver_at = link.leave(owner_->spec_, t + latency);
   SimEndpoint& station = *owner_->endpoints_[dst];
   net::Message m = station.pool_.acquire();
-  m.src = rank_;
-  m.block = header.block;
-  m.tag = header.tag;
-  m.round = header.round;
-  m.partial = header.partial;
-  m.complete = header.complete;
-  m.kind = header.kind;
-  m.offset = header.offset;
-  m.injected_delay = header.injected_delay;  // chaos latency rides along
+  net::fill_message(m, rank_, header, value);
   m.t_send = t;
   m.deliver_at = deliver_at;
-  m.value.assign(value.begin(), value.end());
-  Pending p;
-  p.deliver_at = deliver_at;
-  p.seq = owner_->next_seq_++;
-  p.msg = std::move(m);
-  station.pending_.push_back(std::move(p));
-  std::push_heap(station.pending_.begin(), station.pending_.end(),
-                 PendingLater{});
-  ++station.activity_;
+  station.queue_.push(std::move(m));
   if (engine != nullptr) {
     // Low 16 bits of the sender identify the waker in the event log.
     engine->wake(dst, deliver_at, static_cast<std::uint16_t>(rank_));
   }
   return transport::SendReceipt{true, t, deliver_at};
-}
-
-std::size_t SimEndpoint::drain(double now, std::vector<net::Message>& out) {
-  std::size_t n = 0;
-  while (!pending_.empty() && pending_.front().deliver_at <= now) {
-    std::pop_heap(pending_.begin(), pending_.end(), PendingLater{});
-    Pending p = std::move(pending_.back());
-    pending_.pop_back();
-    delays_.add(now - p.msg.t_send);
-    out.push_back(std::move(p.msg));
-    ++n;
-  }
-  delivered_ += n;
-  return n;
 }
 
 std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
@@ -213,9 +166,9 @@ std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
     // are visible at its end and a bare gate poll still advances the
     // clock (guaranteed progress for wait loops).
     engine->advance(compute_draw());
-    return drain(engine->now(), out);
+    return queue_.pop_matured(engine->now(), out);
   }
-  return drain(now, out);
+  return queue_.pop_matured(now, out);
 }
 
 void SimEndpoint::recycle(std::vector<net::Message>& consumed) {
@@ -225,7 +178,7 @@ void SimEndpoint::recycle(std::vector<net::Message>& consumed) {
 
 void SimEndpoint::wait_for_activity(std::uint64_t seen,
                                     double timeout_seconds) {
-  if (activity_ > seen) return;
+  if (activity() > seen) return;
   SimEngine* engine = owner_->engine_;
   if (engine != nullptr && engine->in_fiber()) {
     engine->wait_until(engine->now() + std::max(timeout_seconds, 0.0));
@@ -233,8 +186,16 @@ void SimEndpoint::wait_for_activity(std::uint64_t seen,
   // Passive mode: no thread to wait on — scripted drivers poll.
 }
 
-double SimEndpoint::next_delivery() const {
-  return pending_.empty() ? kInf : pending_.front().deliver_at;
+std::uint64_t SimEndpoint::sent() const {
+  std::uint64_t n = partition_dropped_;
+  for (const net::LinkModel& l : links_) n += l.stamped();
+  return n;
+}
+
+std::uint64_t SimEndpoint::dropped() const {
+  std::uint64_t n = partition_dropped_;
+  for (const net::LinkModel& l : links_) n += l.dropped();
+  return n;
 }
 
 }  // namespace asyncit::simnet

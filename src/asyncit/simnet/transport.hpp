@@ -1,14 +1,16 @@
 // Virtual-time backend: the WAN topology of config.hpp behind the
 // transport::Transport interface (DESIGN.md §10).
 //
-// Delivery is a dest-side min-heap keyed (deliver_at, global send seq) —
-// the same (time, seq) deterministic tie-break as the engine's event
-// queue, so delivery order is a pure function of (config, seed). Each
-// frame's latency is base(s, d) * jitter_draw + serialization, where
-// base(s, d) is COMPUTED from (latency, regions, cross_region, asymmetry)
-// rather than stored: the only per-link state is the jitter/drop RNG
-// stream (32 B) and, with fifo, the in-order floor — O(world) per
-// endpoint instead of an O(world^2) matrix of doubles.
+// The link model and the delivery queue are the ones every fabric shares
+// (net/channel.hpp): each directed link is a net::LinkModel whose stream
+// is seeded from the master seed by a per-link salt, and each destination
+// holds a net::DeliveryQueue keyed (deliver_at, push seq), so delivery
+// order is a pure function of (config, seed). What is simnet's own is the
+// mapping of a frame's variate to its latency, base(s, d) * variate +
+// serialization, where base(s, d) is COMPUTED from (latency, regions,
+// cross_region, asymmetry) rather than stored, and the partition cut,
+// checked before any draw. The per-link state is the link model alone —
+// O(world) per endpoint instead of an O(world^2) matrix of doubles.
 //
 // Two drive modes per endpoint:
 //
@@ -58,14 +60,14 @@ class SimEndpoint final : public transport::Endpoint {
                               bool allow_drop) override;
   std::size_t receive(double now, std::vector<net::Message>& out) override;
   void recycle(std::vector<net::Message>& consumed) override;
-  std::uint64_t activity() const override { return activity_; }
+  std::uint64_t activity() const override { return queue_.pushed(); }
   void wait_for_activity(std::uint64_t seen,
                          double timeout_seconds) override;
-  double next_delivery() const override;
-  std::uint64_t sent() const override { return sent_; }
-  std::uint64_t dropped() const override { return dropped_; }
-  std::uint64_t delivered() const override { return delivered_; }
-  net::DelayHistogram delays() const override { return delays_; }
+  double next_delivery() const override { return queue_.next_delivery(); }
+  std::uint64_t sent() const override;
+  std::uint64_t dropped() const override;
+  std::uint64_t delivered() const override { return queue_.delivered(); }
+  net::DelayHistogram delays() const override { return queue_.delays(); }
 
   /// Frames dropped by an active PartitionWindow cut (subset of
   /// dropped()). Partition drops ignore allow_drop: a severed link loses
@@ -75,43 +77,20 @@ class SimEndpoint final : public transport::Endpoint {
  private:
   friend class SimTransport;
 
-  struct Pending {
-    double deliver_at = 0.0;
-    std::uint64_t seq = 0;  ///< transport-global send counter (tie-break)
-    net::Message msg;
-  };
-  struct PendingLater {
-    bool operator()(const Pending& a, const Pending& b) const {
-      if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
-      return a.seq > b.seq;
-    }
-  };
-
   /// One virtual compute-phase cost draw for this rank.
   double compute_draw();
-  /// Pops matured frames (deliver_at <= now) in (deliver_at, seq) order.
-  std::size_t drain(double now, std::vector<net::Message>& out);
 
   SimTransport* owner_ = nullptr;
   std::uint32_t rank_ = 0;
-  /// Jitter/drop stream per destination, consumed in fixed per-frame
-  /// order (latency draw, then drop draw if drop_prob > 0) so the draw
-  /// sequence of a link depends only on the seed and its frame count.
-  std::vector<Rng> links_;
-  std::vector<double> fifo_floor_;  ///< per destination; empty unless fifo
+  std::vector<net::LinkModel> links_;  ///< per destination
   Rng compute_rng_{0};
   double straggler_ = 1.0;  ///< this rank's compute multiplier
 
   // Receive side. Single-threaded by construction (one carrier: either
-  // the engine thread or the scripted test thread), so plain counters.
-  std::vector<Pending> pending_;  ///< min-heap via std::push_heap
+  // the engine thread or the scripted test thread).
+  net::DeliveryQueue queue_;
   transport::MessagePool pool_;
-  std::uint64_t activity_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t partition_dropped_ = 0;
-  std::uint64_t delivered_ = 0;
-  net::DelayHistogram delays_;
 };
 
 class SimTransport final : public transport::Transport {
@@ -140,7 +119,8 @@ class SimTransport final : public transport::Transport {
   SimConfig config_;
   std::uint64_t seed_ = 0;
   SimEngine* engine_ = nullptr;
-  std::uint64_t next_seq_ = 0;  ///< global send counter (delivery ties)
+  /// Variates are jitter multipliers in [1 - jitter, 1 + jitter).
+  net::LinkSpec spec_;
   std::vector<std::unique_ptr<SimEndpoint>> endpoints_;
 };
 

@@ -305,6 +305,8 @@ PsgdWorker::PsgdWorker(const PsgdContext& ctx, std::size_t w,
       delta_(la::zeros(ctx.data->features())) {
   ASYNCIT_CHECK(endpoint.rank() == w + 1);
   ASYNCIT_CHECK(shard_.size() >= 1);
+  ASYNCIT_CHECK_MSG(ctx_.options->sgd.batch_size >= 1,
+                    "batch_size must be >= 1");
   ASYNCIT_CHECK(x_.size() == ctx_.data->features());
   step_budget_ = step_budget_for(ctx_.options->sgd, shard_.size());
   inbox_.reserve(8);

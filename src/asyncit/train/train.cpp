@@ -1,5 +1,6 @@
 #include "asyncit/train/train.hpp"
 
+#include <exception>
 #include <memory>
 #include <thread>
 
@@ -49,11 +50,6 @@ void fill_endpoint_stats(const transport::Endpoint& ep, TrainResult& r) {
 
 TrainResult run_training(const Dataset& data, const la::Vector& x0,
                          const TrainOptions& options) {
-  ASYNCIT_CHECK(options.chaos.delivery.min_latency >= 0.0 &&
-                options.chaos.delivery.max_latency >=
-                    options.chaos.delivery.min_latency);
-  ASYNCIT_CHECK(options.chaos.delivery.drop_prob >= 0.0 &&
-                options.chaos.delivery.drop_prob < 1.0);
   transport::InprocTransport transport(options.workers + 1,
                                        options.chaos.delivery, options.seed);
   return run_training(data, x0, options, transport);
@@ -66,7 +62,6 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
   ASYNCIT_CHECK(W >= 1);
   ASYNCIT_CHECK(x0.size() == data.features());
   ASYNCIT_CHECK(data.samples() >= W);
-  ASYNCIT_CHECK(options.sgd.batch_size >= 1);
   ASYNCIT_CHECK(transport.world() == W + 1);
   ASYNCIT_CHECK(transport.local_ranks().size() == W + 1);
 
@@ -86,16 +81,28 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
     workers.push_back(std::make_unique<PsgdWorker>(
         ctx, w, x0, transport.endpoint(static_cast<std::uint32_t>(w + 1))));
 
+  // The server runs on the calling thread. A throw on any role is held
+  // until every thread has joined, then rethrown (lowest rank first).
+  std::vector<std::exception_ptr> errors(W + 1);
   std::vector<std::thread> threads;
   threads.reserve(W);
   for (std::size_t w = 0; w < W; ++w)
-    threads.emplace_back([&workers, &transport, w] {
-      drive(*workers[w],
-            transport.endpoint(static_cast<std::uint32_t>(w + 1)));
+    threads.emplace_back([&, w] {
+      try {
+        drive(*workers[w],
+              transport.endpoint(static_cast<std::uint32_t>(w + 1)));
+      } catch (...) {
+        errors[w + 1] = std::current_exception();
+      }
     });
-  // The server runs on the calling thread.
-  drive(server, transport.endpoint(0));
+  try {
+    drive(server, transport.endpoint(0));
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
   for (std::thread& th : threads) th.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 
   TrainResult result;
   result.wall_seconds = timer.seconds();

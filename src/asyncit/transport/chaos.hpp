@@ -1,25 +1,29 @@
 // Chaos decorator: the paper's delay/reorder/drop models over ANY backend.
 //
 // Wraps another Transport and injects a net::DeliveryPolicy at the frame
-// level, so the delay-model experiments that previously only ran on
-// in-process mailboxes run unchanged over real sockets:
+// level through the shared link model (net/channel.hpp), so the
+// delay-model experiments of the in-process runtime run unchanged over
+// real sockets:
 //
-//   latency   drawn sender-side from the per-directed-link seeded RNG
-//             stream (same (src, dst) row-major seed derivation as the
-//             inproc backend, so chaos-over-tcp draws the exact latency/
-//             drop sequences that inproc draws for the same master seed)
-//             and carried on the wire in Message::injected_delay; the
-//             RECEIVE side holds each frame until the injected latency
-//             has elapsed past its arrival — additive to whatever the
-//             physical medium did;
+//   latency   drawn sender-side by the link's net::LinkModel, whose
+//             streams are seeded in the inproc backend's (src, dst)
+//             row-major order (chaos-over-tcp draws the exact latency/
+//             drop sequences inproc draws for the same master seed), and
+//             carried on the wire in Message::injected_delay; the RECEIVE
+//             side holds each frame in a net::DeliveryQueue until the
+//             injected latency has elapsed past its arrival — additive to
+//             whatever the physical medium did;
 //   reorder   emerges exactly as in the paper: a later frame with a
 //             smaller draw matures earlier (non-FIFO links), producing
 //             genuine label inversions over TCP;
 //   fifo      optional in-order floor, applied at the receiver per source
 //             link (TCP preserves per-link frame order, so flooring the
-//             scheduled release reproduces sender-side FIFO);
-//   drop      decided sender-side (deterministic per link), the frame is
-//             simply never submitted to the inner backend.
+//             scheduled release reproduces sender-side FIFO; a floor
+//             drawn against the sender's clock is meaningless across
+//             hosts);
+//   drop      decided sender-side by the link model, control frames
+//             exempt as everywhere; a lost frame is simply never
+//             submitted to the inner backend.
 //
 // delays() measures first-seen-to-drain at the receiver: injected hold
 // plus scheduling, the interval the unbounded-delay assumptions of the
@@ -60,25 +64,11 @@ class ChaosEndpoint final : public Endpoint {
   friend class ChaosTransport;
 
   Endpoint* inner_ = nullptr;
-  bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
-  std::vector<net::LinkStamper> links_;  ///< per destination
-  /// Frames awaiting maturity: a min-heap on (release, arrival seq), so
-  /// frames mature in release order and equal releases in arrival order
-  /// (mailbox discipline). Filing a frame costs O(log n) however large
-  /// the drained batch: a rank that falls behind catches up instead of
-  /// sinking into a quadratic sorted insert.
-  struct Held {
-    double release;
-    std::uint64_t seq;
-    net::Message m;
-  };
-  std::vector<Held> held_;
-  std::uint64_t held_seq_ = 0;
-  std::vector<net::Message> staging_;    ///< inner drain scratch
-  std::vector<double> fifo_floor_;       ///< per SOURCE link release floor
-  bool fifo_ = false;
-  std::uint64_t delivered_ = 0;
-  net::DelayHistogram delays_;
+  net::LinkSpec spec_;  ///< the policy's draws; fifo is the receiver's
+  std::vector<net::LinkModel> links_;  ///< per destination
+  net::DeliveryQueue queue_;           ///< frames awaiting maturity
+  std::vector<net::Message> staging_;  ///< inner drain scratch
+  std::vector<double> fifo_floor_;  ///< per SOURCE link; empty unless fifo
 };
 
 class ChaosTransport final : public Transport {

@@ -1,5 +1,7 @@
 #include "asyncit/transport/inproc.hpp"
 
+#include <chrono>
+
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/rng.hpp"
 
@@ -7,28 +9,21 @@ namespace asyncit::transport {
 
 InprocTransport::InprocTransport(std::size_t world,
                                  const net::DeliveryPolicy& policy,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed)
+    : spec_(net::link_spec(policy)) {
   ASYNCIT_CHECK(world >= 1);
-  ASYNCIT_CHECK(policy.min_latency >= 0.0 &&
-                policy.max_latency >= policy.min_latency);
-  ASYNCIT_CHECK(policy.drop_prob >= 0.0 && policy.drop_prob < 1.0);
   stations_.reserve(world);
   for (std::size_t i = 0; i < world; ++i)
     stations_.push_back(std::make_unique<Station>());
-  // One independent RNG stream per directed link, derived in the fixed
-  // (src, dst) row-major order of the pre-transport orchestrator: the
-  // latency/drop draw sequence of every link stays a pure function of
-  // (seed, link, message index).
   Rng seeder(seed);
   endpoints_.resize(world);
   for (std::size_t src = 0; src < world; ++src) {
     InprocEndpoint& ep = endpoints_[src];
     ep.owner_ = this;
     ep.rank_ = static_cast<std::uint32_t>(src);
-    ep.drop_control_ = policy.drop_control;
     ep.links_.reserve(world);
     for (std::size_t dst = 0; dst < world; ++dst)
-      ep.links_.emplace_back(policy, seeder.next());
+      ep.links_.emplace_back(seeder.next());
   }
 }
 
@@ -49,35 +44,28 @@ SendReceipt InprocEndpoint::send(std::uint32_t dst,
                                  std::span<const double> value, double now,
                                  bool allow_drop) {
   ASYNCIT_CHECK(dst < owner_->stations_.size() && dst != rank_);
+  net::LinkModel& link = links_[dst];
+  const net::LinkDraw draw = link.draw(owner_->spec_, header.kind, allow_drop);
+  if (!draw.sent) return {false, now, now + draw.variate};
   InprocTransport::Station& station = *owner_->stations_[dst];
   net::Message m = station.pool.acquire();
-  m.src = rank_;
-  m.block = header.block;
-  m.tag = header.tag;
-  m.round = header.round;
-  m.partial = header.partial;
-  m.complete = header.complete;
-  m.kind = header.kind;
-  m.offset = header.offset;
-  m.injected_delay = header.injected_delay;  // chaos latency rides along
-  m.value.assign(value.begin(), value.end());
-  // The loss model spares control frames unless the stress flag opts
-  // them in; the stamper consumes its drop draw regardless, so the
-  // per-link draw sequence (replay determinism) is kind-independent.
-  const bool droppable =
-      allow_drop && (!net::is_control(header.kind) || drop_control_);
-  const bool sent = links_[dst].stamp(m, now, droppable);
-  const SendReceipt receipt{sent, m.t_send, m.deliver_at};
-  if (sent)
-    station.mailbox.post(std::move(m));
-  else
-    station.pool.recycle(std::move(m));
+  net::fill_message(m, rank_, header, value);
+  m.t_send = now;
+  m.deliver_at = link.leave(owner_->spec_, now + draw.variate);
+  const SendReceipt receipt{true, now, m.deliver_at};
+  {
+    std::lock_guard<std::mutex> lock(station.mu);
+    station.queue.push(std::move(m));
+  }
+  station.cv.notify_one();
   return receipt;
 }
 
 std::size_t InprocEndpoint::receive(double now,
                                     std::vector<net::Message>& out) {
-  return owner_->stations_[rank_]->mailbox.drain(now, out);
+  InprocTransport::Station& station = *owner_->stations_[rank_];
+  std::lock_guard<std::mutex> lock(station.mu);
+  return station.queue.pop_matured(now, out);
 }
 
 void InprocEndpoint::recycle(std::vector<net::Message>& consumed) {
@@ -87,36 +75,47 @@ void InprocEndpoint::recycle(std::vector<net::Message>& consumed) {
 }
 
 std::uint64_t InprocEndpoint::activity() const {
-  return owner_->stations_[rank_]->mailbox.posted();
+  const InprocTransport::Station& station = *owner_->stations_[rank_];
+  std::lock_guard<std::mutex> lock(station.mu);
+  return station.queue.pushed();
 }
 
 void InprocEndpoint::wait_for_activity(std::uint64_t seen,
                                        double timeout_seconds) {
-  owner_->stations_[rank_]->mailbox.wait_for_post(seen, timeout_seconds);
+  // The caller read activity() BEFORE its last receive(), so a post that
+  // lands in between is never slept through (no lost wakeup).
+  InprocTransport::Station& station = *owner_->stations_[rank_];
+  std::unique_lock<std::mutex> lock(station.mu);
+  station.cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                      [&] { return station.queue.pushed() > seen; });
 }
 
 double InprocEndpoint::next_delivery() const {
-  return owner_->stations_[rank_]->mailbox.next_delivery();
+  const InprocTransport::Station& station = *owner_->stations_[rank_];
+  std::lock_guard<std::mutex> lock(station.mu);
+  return station.queue.next_delivery();
 }
 
 std::uint64_t InprocEndpoint::sent() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.stamped();
+  for (const net::LinkModel& l : links_) n += l.stamped();
   return n;
 }
 
 std::uint64_t InprocEndpoint::dropped() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.dropped();
+  for (const net::LinkModel& l : links_) n += l.dropped();
   return n;
 }
 
 std::uint64_t InprocEndpoint::delivered() const {
-  return owner_->stations_[rank_]->mailbox.delivered();
+  const InprocTransport::Station& station = *owner_->stations_[rank_];
+  std::lock_guard<std::mutex> lock(station.mu);
+  return station.queue.delivered();
 }
 
 net::DelayHistogram InprocEndpoint::delays() const {
-  return owner_->stations_[rank_]->mailbox.delays();
+  return owner_->stations_[rank_]->queue.delays();  // read once quiesced
 }
 
 }  // namespace asyncit::transport

@@ -1,26 +1,26 @@
-// In-process backend: the seeded mailbox channels behind the Transport
+// In-process backend: the shared link model behind the Transport
 // interface.
 //
-// This is the PR-1 net:: channel machinery (net::Mailbox delivery-order
-// queues, net::LinkStamper per-directed-link latency/drop stamping)
-// verbatim, relocated from the peer loop into an Endpoint. The RNG
-// streams are derived from the master seed in the exact (src, dst)
-// row-major order the old run_message_passing used, and each send
-// performs the same draws in the same order, so the latency/drop sequence
-// of every link is byte-for-byte the pre-transport one — the channel
-// replay-determinism tests hold across the refactor.
+// Every send runs the sending link's net::LinkModel (latency draw, loss
+// draw, FIFO floor) and posts the stamped message into the destination
+// station's net::DeliveryQueue, under the station's lock. The link streams
+// are derived from the master seed in (src, dst) row-major order, self
+// links included, so the latency/drop sequence of every link is a pure
+// function of (seed, link, message index) — the channel replay-determinism
+// tests pin it, and the chaos decorator derives its streams the same way.
 //
 // Pooling: a sender borrows the outgoing net::Message from the
 // DESTINATION station's pool (the message ends its life there when the
 // receiver recycles its drain batch), so every pool's acquires and
 // recycles match one-to-one regardless of how asymmetric the traffic is.
 //
-// delays() measures post-to-drain (injected latency + scheduling), as
-// before.
+// delays() measures post-to-drain (injected latency + scheduling).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "asyncit/net/channel.hpp"
@@ -52,17 +52,15 @@ class InprocEndpoint final : public Endpoint {
   friend class InprocTransport;
   InprocTransport* owner_ = nullptr;
   std::uint32_t rank_ = 0;
-  bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
-  /// Per-destination stampers, owned and used by this endpoint's peer
-  /// thread alone (the replay-determinism contract of net::LinkStamper).
-  std::vector<net::LinkStamper> links_;
+  /// Per-destination links, owned and used by this endpoint's peer thread
+  /// alone (the replay-determinism contract of net::LinkModel).
+  std::vector<net::LinkModel> links_;
 };
 
 class InprocTransport final : public Transport {
  public:
   /// Seeds one RNG stream per directed link from `seed` in (src, dst)
-  /// row-major order — identical derivation to the pre-transport
-  /// orchestrator, including the unused self-link draws.
+  /// row-major order, including the unused self-link draws.
   InprocTransport(std::size_t world, const net::DeliveryPolicy& policy,
                   std::uint64_t seed);
 
@@ -73,12 +71,17 @@ class InprocTransport final : public Transport {
 
  private:
   friend class InprocEndpoint;
-  /// Receive side of one rank: the mailbox plus the pool its consumed
-  /// messages return to (and its senders borrow from).
+  /// Receive side of one rank: its delivery queue, posted to by every
+  /// sender thread under `mu`, and the pool its consumed messages return
+  /// to (and its senders borrow from). `cv` lets a gated peer sleep until
+  /// something new is posted instead of spinning.
   struct Station {
-    net::Mailbox mailbox;
+    mutable std::mutex mu;
+    std::condition_variable cv;
+    net::DeliveryQueue queue;
     MessagePool pool;
   };
+  net::LinkSpec spec_;
   std::vector<std::unique_ptr<Station>> stations_;
   std::vector<InprocEndpoint> endpoints_;
 };

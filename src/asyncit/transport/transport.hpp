@@ -1,16 +1,14 @@
 // Pluggable wire transport for the message-passing runtime.
 //
-// net::Peer used to talk straight to in-process Mailbox queues, so the
+// net::Peer used to talk straight to in-process delivery queues, so the
 // "distributed" runtime could only ever simulate communication effects
 // inside one address space. transport/ puts an interface between the peer
 // loop and the medium: a Transport owns the communication fabric of a run
 // (one Endpoint per locally hosted rank), and a peer sends/receives/waits
 // exclusively through its Endpoint. Three backends implement it:
 //
-//   inproc  (transport/inproc.hpp)  the seeded mailbox channels of PR 1
-//           refactored behind the interface — byte-for-byte the same
-//           latency/drop draw sequences, so channel replay determinism is
-//           unchanged;
+//   inproc  (transport/inproc.hpp)  the shared seeded link model and
+//           delivery queue of net/channel.hpp within one process;
 //   tcp     (transport/tcp.hpp)     nonblocking POSIX sockets over
 //           loopback/LAN with the length-prefixed wire format of
 //           transport/wire.hpp and per-peer reader/writer threads — ranks
@@ -42,31 +40,8 @@
 
 namespace asyncit::transport {
 
-/// Sender-side description of an outgoing message; the Endpoint fills in
-/// src (its own rank) and the timing fields.
-struct MessageHeader {
-  la::BlockId block = 0;
-  model::Step tag = 0;
-  std::uint64_t round = 0;
-  std::uint32_t offset = 0;  ///< partial-block frames (see net::Message)
-  bool partial = false;
-  /// Partial-range frame that nonetheless finishes the sender's round —
-  /// the delta layer emits exactly one complete frame per (block, round)
-  /// so gated modes (SSP/BSP) count rounds identically with delta on.
-  bool complete = false;
-  net::MsgKind kind = net::MsgKind::kValue;
-  /// Chaos-drawn latency riding the wire (see net::Message); backends
-  /// forward it verbatim. 0 outside the chaos decorator.
-  double injected_delay = 0.0;
-  /// Scalar-quantization lattice (codec frames only; 0 bits = raw
-  /// doubles). The payload the peer hands to send() is ALREADY
-  /// roundtripped onto these lattice points: inproc/chaos/simnet deliver
-  /// the doubles as-is, the TCP backend re-quantizes (exactly) into a
-  /// codec wire frame and the decoder dequantizes with the same params.
-  std::uint8_t quant_bits = 0;
-  double quant_min = 0.0;
-  double quant_scale = 0.0;
-};
+/// Sender-side description of an outgoing message (net/channel.hpp).
+using MessageHeader = net::MessageHeader;
 
 /// What happened to one send, for trace logging. `deliver_at` is the
 /// scheduled (inproc/chaos) or nominal (tcp: == t_send) delivery time.
@@ -83,9 +58,8 @@ class Endpoint {
   virtual std::uint32_t rank() const = 0;
 
   /// Sends `value` (a block or sub-block payload) to rank `dst`. `now` is
-  /// the run clock in seconds; `allow_drop` gates the loss model exactly
-  /// like the pre-transport LinkStamper path (only the totally
-  /// asynchronous mode tolerates loss).
+  /// the run clock in seconds; `allow_drop` gates the loss model (only
+  /// the totally asynchronous mode tolerates loss).
   virtual SendReceipt send(std::uint32_t dst, const MessageHeader& header,
                            std::span<const double> value, double now,
                            bool allow_drop) = 0;

@@ -44,24 +44,37 @@ TEST(DelayHistogram, CountsMeanAndQuantiles) {
   EXPECT_NEAR(h.max(), 1.0, 1e-12);
 }
 
-TEST(LinkStamper, ReplayIsDeterministicUnderSeed) {
+/// Stamps one value frame the way the inproc backend does: deliver_at is
+/// now + the latency draw, FIFO-floored when the frame leaves.
+struct Stamped {
+  bool sent;
+  double deliver_at;
+};
+Stamped stamp(LinkModel& link, const LinkSpec& spec, double now) {
+  const LinkDraw d = link.draw(spec, MsgKind::kValue, /*allow_drop=*/true);
+  return {d.sent, d.sent ? link.leave(spec, now + d.variate)
+                         : now + d.variate};
+}
+
+TEST(LinkModel, ReplayIsDeterministicUnderSeed) {
   DeliveryPolicy policy;
   policy.min_latency = 1e-3;
   policy.max_latency = 5e-2;
   policy.drop_prob = 0.3;
-  LinkStamper a(policy, 42), b(policy, 42), c(policy, 43);
+  const LinkSpec spec = link_spec(policy);
+  LinkModel a(42), b(42), c(43);
   bool any_diff_c = false;
   for (int i = 0; i < 200; ++i) {
-    Message ma, mb, mc;
     const double now = 0.1 * i;
-    const bool sa = a.stamp(ma, now, /*allow_drop=*/true);
-    const bool sb = b.stamp(mb, now, /*allow_drop=*/true);
-    const bool sc = c.stamp(mc, now, /*allow_drop=*/true);
+    const Stamped ma = stamp(a, spec, now);
+    const Stamped mb = stamp(b, spec, now);
+    const Stamped mc = stamp(c, spec, now);
     // same seed: identical latency draws and drop decisions, message by
     // message — the replay-determinism anchor of the runtime
     EXPECT_DOUBLE_EQ(ma.deliver_at, mb.deliver_at);
-    EXPECT_EQ(sa, sb);
-    if (sa != sc || ma.deliver_at != mc.deliver_at) any_diff_c = true;
+    EXPECT_EQ(ma.sent, mb.sent);
+    if (ma.sent != mc.sent || ma.deliver_at != mc.deliver_at)
+      any_diff_c = true;
   }
   EXPECT_TRUE(any_diff_c);  // different seed: different stream
   EXPECT_EQ(a.stamped(), 200u);
@@ -70,23 +83,24 @@ TEST(LinkStamper, ReplayIsDeterministicUnderSeed) {
   EXPECT_LT(a.dropped(), 200u);
 }
 
-TEST(LinkStamper, FifoFloorsDeliveryTimes) {
+TEST(LinkModel, FifoFloorsDeliveryTimes) {
   DeliveryPolicy policy;
   policy.min_latency = 1e-3;
   policy.max_latency = 1e-1;
   policy.fifo = true;
-  LinkStamper link(policy, 7);
+  const LinkSpec spec = link_spec(policy);
+  LinkModel link(7);
   double prev = 0.0;
   for (int i = 0; i < 100; ++i) {
-    Message m;
-    ASSERT_TRUE(link.stamp(m, 1e-4 * i, /*allow_drop=*/true));
+    const Stamped m = stamp(link, spec, 1e-4 * i);
+    ASSERT_TRUE(m.sent);
     EXPECT_GE(m.deliver_at, prev);  // in-order delivery guaranteed
     prev = m.deliver_at;
   }
 }
 
-TEST(Mailbox, DrainsInDeliveryOrderNotPostOrder) {
-  Mailbox mb;
+TEST(DeliveryQueue, DrainsInDeliveryOrderNotPushOrder) {
+  DeliveryQueue q;
   auto make = [](model::Step tag, double t_send, double deliver_at) {
     Message m;
     m.tag = tag;
@@ -94,25 +108,32 @@ TEST(Mailbox, DrainsInDeliveryOrderNotPostOrder) {
     m.deliver_at = deliver_at;
     return m;
   };
-  // posted 1, 2, 3 — but message 2 overtakes 1 (smaller latency), and 3
+  // pushed 1, 2, 3 — but message 2 overtakes 1 (smaller latency), and 3
   // is not deliverable yet
-  mb.post(make(1, 0.0, 0.050));
-  mb.post(make(2, 0.010, 0.020));
-  mb.post(make(3, 0.015, 0.900));
+  q.push(make(1, 0.0, 0.050));
+  q.push(make(2, 0.010, 0.020));
+  q.push(make(3, 0.015, 0.900));
   std::vector<Message> out;
-  EXPECT_EQ(mb.drain(0.1, out), 2u);
+  EXPECT_EQ(q.pop_matured(0.1, out), 2u);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].tag, 2u);  // delivery order, not post order
+  EXPECT_EQ(out[0].tag, 2u);  // delivery order, not push order
   EXPECT_EQ(out[1].tag, 1u);
-  EXPECT_EQ(mb.posted(), 3u);
-  EXPECT_EQ(mb.delivered(), 2u);
-  EXPECT_NEAR(mb.next_delivery(), 0.9, 1e-12);
+  EXPECT_EQ(q.pushed(), 3u);
+  EXPECT_EQ(q.delivered(), 2u);
+  EXPECT_NEAR(q.next_delivery(), 0.9, 1e-12);
   // measured delays: drain time minus send time
-  EXPECT_EQ(mb.delays().count(), 2u);
-  EXPECT_NEAR(mb.delays().max(), 0.1, 1e-9);
+  EXPECT_EQ(q.delays().count(), 2u);
+  EXPECT_NEAR(q.delays().max(), 0.1, 1e-9);
   out.clear();
-  EXPECT_EQ(mb.drain(1.0, out), 1u);
+  EXPECT_EQ(q.pop_matured(1.0, out), 1u);
   EXPECT_EQ(out[0].tag, 3u);
+  // equal delivery times drain in push order
+  out.clear();
+  for (model::Step tag : {7u, 5u, 9u}) q.push(make(tag, 1.0, 2.0));
+  EXPECT_EQ(q.pop_matured(2.0, out), 3u);
+  EXPECT_EQ(out[0].tag, 7u);
+  EXPECT_EQ(out[1].tag, 5u);
+  EXPECT_EQ(out[2].tag, 9u);
 }
 
 // -------------------------------------------------------- incorporation

@@ -29,6 +29,7 @@
 #include "asyncit/support/rng.hpp"
 #include "asyncit/train/dataset.hpp"
 #include "asyncit/train/train.hpp"
+#include "asyncit/transport/chaos.hpp"
 #include "asyncit/transport/inproc.hpp"
 
 namespace asyncit::simnet {
@@ -287,13 +288,17 @@ TEST(SimTransport, SeededDropsReplayExactly) {
 // ------------------------------------------------- cross-backend parity
 
 TEST(BackendParity, ScriptedSendsDrainInTheSameOrderAsInproc) {
-  // Zero-latency topologies on both backends, one scripted driver
-  // thread: the delivery ORDER must be the send order on both sides —
-  // the determinism bar the engine's (t, seq) tie-break inherits.
+  // Zero-latency links on all three fabrics, one scripted thread:
+  // every frame matures at the same instant, so the delivery ORDER must
+  // be the push order everywhere — the (deliver_at, push seq) tie-break
+  // of the one shared delivery queue, which the engine's (t, seq)
+  // tie-break mirrors.
   net::DeliveryPolicy instant;  // min=max=0, no drops
   instant.min_latency = 0.0;
   instant.max_latency = 0.0;
   transport::InprocTransport inproc(3, instant, 13);
+  transport::InprocTransport inner(3, instant, 13);
+  transport::ChaosTransport chaos(inner, instant, 13);
   SimConfig cfg;
   cfg.topology.latency = 0.0;
   cfg.topology.jitter = 0.0;
@@ -304,18 +309,23 @@ TEST(BackendParity, ScriptedSendsDrainInTheSameOrderAsInproc) {
   for (int round = 0; round < 8; ++round)
     for (std::uint32_t src : {1u, 2u, 1u}) {
       inproc.endpoint(src).send(0, value_header(tag), payload, 0.0, false);
+      chaos.endpoint(src).send(0, value_header(tag), payload, 0.0, false);
       sim.endpoint(src).send(0, value_header(tag), payload, 0.0, false);
       ++tag;
     }
 
-  std::vector<net::Message> got_inproc, got_sim;
+  std::vector<net::Message> got_inproc, got_chaos, got_sim;
   ASSERT_EQ(inproc.endpoint(0).receive(1.0, got_inproc), tag);
+  ASSERT_EQ(chaos.endpoint(0).receive(1.0, got_chaos), tag);
   ASSERT_EQ(sim.endpoint(0).receive(1.0, got_sim), tag);
   for (std::size_t i = 0; i < got_sim.size(); ++i) {
     EXPECT_EQ(got_sim[i].src, got_inproc[i].src) << "position " << i;
     EXPECT_EQ(got_sim[i].tag, got_inproc[i].tag) << "position " << i;
+    EXPECT_EQ(got_chaos[i].src, got_inproc[i].src) << "position " << i;
+    EXPECT_EQ(got_chaos[i].tag, got_inproc[i].tag) << "position " << i;
   }
   inproc.endpoint(0).recycle(got_inproc);
+  chaos.endpoint(0).recycle(got_chaos);
   sim.endpoint(0).recycle(got_sim);
 }
 

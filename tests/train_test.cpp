@@ -3,10 +3,13 @@
 // evaluation against a row-by-row reference at every SIMD level, the
 // delta-frame wire round trip, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
-// synthetic logistic set, and the per-rank run_training_node entry.
+// synthetic logistic set, the per-rank run_training_node entry, the
+// worker's batch-size check, and thread mode rethrowing a role's fault.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -52,6 +55,58 @@ train::TrainOptions base_options(train::Discipline d) {
   options.sgd.eval_every = 4;
   return options;
 }
+
+/// Delegates to an inner endpoint but throws from every receive(): a
+/// fault in a caller-supplied fabric.
+class FailingEndpoint final : public transport::Endpoint {
+ public:
+  explicit FailingEndpoint(transport::Endpoint& inner) : inner_(inner) {}
+  std::uint32_t rank() const override { return inner_.rank(); }
+  transport::SendReceipt send(std::uint32_t dst,
+                              const transport::MessageHeader& header,
+                              std::span<const double> value, double now,
+                              bool allow_drop) override {
+    return inner_.send(dst, header, value, now, allow_drop);
+  }
+  std::size_t receive(double, std::vector<net::Message>&) override {
+    throw std::runtime_error("injected receive failure");
+  }
+  void recycle(std::vector<net::Message>& consumed) override {
+    inner_.recycle(consumed);
+  }
+  std::uint64_t activity() const override { return inner_.activity(); }
+  void wait_for_activity(std::uint64_t seen, double timeout) override {
+    inner_.wait_for_activity(seen, timeout);
+  }
+  double next_delivery() const override { return inner_.next_delivery(); }
+  std::uint64_t sent() const override { return inner_.sent(); }
+  std::uint64_t dropped() const override { return inner_.dropped(); }
+  std::uint64_t delivered() const override { return inner_.delivered(); }
+  net::DelayHistogram delays() const override { return inner_.delays(); }
+
+ private:
+  transport::Endpoint& inner_;
+};
+
+/// `inner` with rank `failing` behind a FailingEndpoint.
+class FailingTransport final : public transport::Transport {
+ public:
+  FailingTransport(transport::Transport& inner, std::uint32_t failing)
+      : inner_(inner), failing_rank_(failing), failing_(inner.endpoint(failing)) {}
+  std::size_t world() const override { return inner_.world(); }
+  std::vector<std::uint32_t> local_ranks() const override {
+    return inner_.local_ranks();
+  }
+  transport::Endpoint& endpoint(std::uint32_t rank) override {
+    return rank == failing_rank_ ? failing_ : inner_.endpoint(rank);
+  }
+  const char* backend() const override { return "failing"; }
+
+ private:
+  transport::Transport& inner_;
+  std::uint32_t failing_rank_;
+  FailingEndpoint failing_;
+};
 
 TEST(SspClock, AdmissionBoundOnVirtualSchedule) {
   train::SspClock clock(/*workers=*/3, /*staleness=*/2);
@@ -349,6 +404,39 @@ TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {
     ASSERT_EQ(results[rank].steps_per_worker.size(), 1u);
     EXPECT_GT(results[rank].steps_per_worker[0], 0u);
   }
+}
+
+TEST(TrainNode, ZeroBatchWorkerThrowsCheckError) {
+  // The worker's step budget divides by the batch size, so a worker rank
+  // must refuse batch 0 before computing it (every node-mode worker and
+  // every simnet train world start here).
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.sgd.batch_size = 0;
+  transport::InprocTransport transport(options.workers + 1,
+                                       options.chaos.delivery, options.seed);
+  EXPECT_THROW(train::run_training_node(data, la::zeros(data.features()),
+                                        options, transport.endpoint(1)),
+               CheckError);
+}
+
+TEST(TrainThreads, RoleExceptionIsRethrownAfterEveryThreadJoins) {
+  // Worker rank 2 fails on its first receive. The run must join every
+  // thread and rethrow instead of terminating the process.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.workers = 2;
+  // The server waits for the failed worker's stop frame until its wall
+  // budget runs out.
+  options.sgd.max_seconds = 0.5;
+  transport::InprocTransport inproc(options.workers + 1,
+                                    options.chaos.delivery, options.seed);
+  FailingTransport fabric(inproc, /*failing=*/2);
+  EXPECT_THROW(train::run_training(data, la::zeros(data.features()), options,
+                                   fabric),
+               std::runtime_error);
 }
 
 }  // namespace

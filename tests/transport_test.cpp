@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -744,6 +745,39 @@ TEST(InprocBackend, DeliversAndReplaysDeterministically) {
     EXPECT_LE(got[i - 1].deliver_at, got[i].deliver_at);  // delivery order
   a.endpoint(1).recycle(got);
   EXPECT_TRUE(got.empty());
+}
+
+TEST(InprocBackend, DroppedFrameLeavesTheFifoFloorUnchanged) {
+  // A frame the loss model drops never leaves the sender, so it must not
+  // hold back the frames behind it: with fifo on, each delivered frame is
+  // floored at the frames the link actually CARRIED. A twin link without
+  // the floor and without loss (the drop draw is consumed either way)
+  // exposes every frame's raw latency draw.
+  net::DeliveryPolicy policy;
+  policy.min_latency = 1e-3;
+  policy.max_latency = 1e-1;
+  policy.drop_prob = 0.5;
+  policy.fifo = true;
+  InprocTransport fifo(2, policy, 31);
+  policy.fifo = false;
+  InprocTransport raw(2, policy, 31);
+  MessageHeader h;
+  const la::Vector v{1.0};
+  double floor = 0.0;
+  int shadowed = 0;  // drops whose draw lay above the carried floor
+  for (int i = 0; i < 200; ++i) {
+    const double now = 1e-4 * i;
+    const SendReceipt r = fifo.endpoint(0).send(1, h, v, now, true);
+    const double drawn =
+        raw.endpoint(0).send(1, h, v, now, /*allow_drop=*/false).deliver_at;
+    if (!r.sent) {
+      if (drawn > floor) ++shadowed;
+      continue;
+    }
+    floor = std::max(floor, drawn);
+    EXPECT_DOUBLE_EQ(r.deliver_at, floor) << "frame " << i;
+  }
+  EXPECT_GT(shadowed, 0);  // the scenario the rule is about did occur
 }
 
 // -------------------------------------------------------------------- tcp
