@@ -14,13 +14,17 @@
 //                < 60 s acceptance bar is enforced by the sim_scale_smoke
 //                ctest leg in Release, not here).
 //
-// Communication is the runtime's dense broadcast (every update goes to
-// world-1 peers), so frame count scales O(world^2 * sweeps): the
-// 1000-rank run moves ~10M frames. The 10000-rank leg is a fixed
-// virtual-horizon determinism/throughput probe (~2 sweeps, no
-// convergence target) and only runs with ASYNCIT_BENCH_SIM_10K=1 — it
-// costs minutes and real memory, which is exactly the regime the CI
-// smoke must not enter. Skipping is LOGGED, never silent.
+// Each rank publishes its block only to the ranks that read it (the
+// Jacobi operator's read sets: about 3 readers per block under this
+// generator), and stops when its own block is within tol, so frame count
+// scales O(world * sweeps): the 1000-rank run moves 14k frames. Events,
+// frames and updates are pure functions of (config, seed), recorded as
+// deterministic fields and gated with `equals`. The 10000-rank leg is a
+// fixed virtual-horizon determinism/throughput probe (~2 sweeps, no
+// convergence target) and only runs with ASYNCIT_BENCH_SIM_10K=1: each
+// rank still holds O(world) state, so its memory grows with world^2
+// (2000 ranks take 810 MB), which is the regime the CI smoke must not
+// enter. Skipping is LOGGED, never silent.
 //
 // BENCH_simnet.json via the shared harness; gated by CI perf-smoke
 // against bench/baselines/simnet.json.
@@ -63,8 +67,8 @@ SweepResult sweep(std::size_t world, double tol, double max_virtual) {
   // block per rank here, so after every update) and stops at its first
   // sweep under tol; check_every only paces the wall-budget check.
   o.mp.solve.check_every = 4;
-  // latency/phase = 0.1 bounds in-flight frames near 0.1 * world^2 —
-  // the knob that keeps the 1000-rank pending heaps in tens of MB.
+  // latency/phase = 0.1 keeps about a tenth of each rank's publishes
+  // in flight at any instant.
   o.sim.compute.phase = 1e-3;
   o.sim.compute.jitter = 0.3;
   o.sim.topology.latency = world >= 10000 ? 1e-5 : 1e-4;
@@ -86,16 +90,16 @@ void record(bench::Report& report, const std::string& name,
             const SweepResult& r, bool expect_converged) {
   auto& s = report.scenario(name)
                 .det("deterministic", r.deterministic)
-                .metric("events", static_cast<double>(r.first.events))
+                .det("events", r.first.events)
+                .det("messages_sent", r.first.messages_sent)
+                .det("total_updates", r.first.total_updates)
                 .metric("events_per_sec",
                         r.wall_total > 0.0
                             ? 2.0 * static_cast<double>(r.first.events) /
                                   r.wall_total
                             : 0.0)
                 .metric("virtual_seconds", r.first.virtual_seconds)
-                .metric("wall_seconds", r.wall_total)
-                .metric("messages_sent",
-                        static_cast<double>(r.first.messages_sent));
+                .metric("wall_seconds", r.wall_total);
   if (expect_converged)
     s.det("converged", r.first.all_converged)
         .det("residual_band", r.first.final_residual < 1e-5);
@@ -125,7 +129,7 @@ int main() {
   const char* gate = std::getenv("ASYNCIT_BENCH_SIM_10K");
   if (gate != nullptr && gate[0] == '1') {
     // Fixed virtual horizon (~2 sweeps): a determinism + throughput
-    // probe at 2e8 frames, not a convergence run.
+    // probe, not a convergence run.
     const SweepResult r = sweep(10000, 0.0, 2e-3);
     t.add_row({"10000", "-", r.deterministic ? "yes" : "NO",
                std::to_string(r.first.events),
@@ -136,7 +140,8 @@ int main() {
     record(report, "sweep_10000", r, /*expect_converged=*/false);
   } else {
     std::printf("sweep_10000 SKIPPED (set ASYNCIT_BENCH_SIM_10K=1 to run "
-                "the ~2e8-frame leg; minutes of wall time)\n");
+                "the 10000-rank leg; its per-rank state grows with "
+                "world^2)\n");
   }
 
   std::printf("%s\n", t.render().c_str());

@@ -77,9 +77,8 @@ def main():
     ap.add_argument("--latency", type=float, default=1e-4)
     ap.add_argument("--compute", type=float, default=1e-3)
     ap.add_argument("--check-every", type=int, default=4,
-                    help="stop-check cadence in own updates; sim updates "
-                    "are cheap, so check often instead of overshooting "
-                    "the tolerance by a dense-broadcast round")
+                    help="wall-budget check cadence in own updates "
+                    "(every rank checks its stop rule at each sweep end)")
     ap.add_argument("--max-virtual", type=float, default=300.0,
                     help="virtual-seconds budget (costs no wall time)")
     ap.add_argument("--max-wall", type=float, default=0.0,

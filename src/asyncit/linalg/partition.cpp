@@ -63,6 +63,53 @@ std::span<double> Partition::block_span(std::span<double> x,
   return x.subspan(r.begin, r.size());
 }
 
+void Partition::attach_reads(std::vector<std::size_t> begin,
+                             std::vector<BlockId> blocks) {
+  const std::size_t m = num_blocks();
+  ASYNCIT_CHECK(begin.size() == m + 1 && begin.front() == 0 &&
+                begin.back() == blocks.size());
+  auto sets = std::make_shared<ReadSets>();
+  // The transpose: count each block's readers, then fill in reader order,
+  // which is ascending because b runs ascending.
+  sets->readers_begin.assign(m + 1, 0);
+  for (BlockId b = 0; b < m; ++b) {
+    ASYNCIT_CHECK(begin[b] < begin[b + 1]);
+    bool self = false;
+    for (std::size_t k = begin[b]; k < begin[b + 1]; ++k) {
+      ASYNCIT_CHECK(blocks[k] < m &&
+                    (k == begin[b] || blocks[k - 1] < blocks[k]));
+      self = self || blocks[k] == b;
+      ++sets->readers_begin[blocks[k] + 1];
+    }
+    ASYNCIT_CHECK_MSG(self, "a block's read set must include the block");
+  }
+  for (BlockId c = 0; c < m; ++c)
+    sets->readers_begin[c + 1] += sets->readers_begin[c];
+  sets->readers.resize(blocks.size());
+  std::vector<std::size_t> fill(sets->readers_begin.begin(),
+                                sets->readers_begin.end() - 1);
+  for (BlockId b = 0; b < m; ++b)
+    for (std::size_t k = begin[b]; k < begin[b + 1]; ++k)
+      sets->readers[fill[blocks[k]]++] = b;
+  sets->reads_begin = std::move(begin);
+  sets->reads = std::move(blocks);
+  reads_ = std::move(sets);
+}
+
+std::span<const BlockId> Partition::reads(BlockId b) const {
+  ASYNCIT_CHECK(reads_ != nullptr && b < num_blocks());
+  const std::size_t k = reads_->reads_begin[b];
+  return std::span<const BlockId>(reads_->reads)
+      .subspan(k, reads_->reads_begin[b + 1] - k);
+}
+
+std::span<const BlockId> Partition::readers(BlockId b) const {
+  ASYNCIT_CHECK(reads_ != nullptr && b < num_blocks());
+  const std::size_t k = reads_->readers_begin[b];
+  return std::span<const BlockId>(reads_->readers)
+      .subspan(k, reads_->readers_begin[b + 1] - k);
+}
+
 std::vector<std::vector<BlockId>> assign_blocks_contiguous(
     std::size_t num_blocks, std::size_t workers) {
   ASYNCIT_CHECK(workers >= 1 && workers <= num_blocks);

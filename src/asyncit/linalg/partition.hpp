@@ -4,10 +4,23 @@
 // practice a "component" x_i is a block of contiguous coordinates owned by
 // one processor. Partition maps between coordinate space (size n) and block
 // space (size num_blocks). The scalar case is n blocks of size 1.
+//
+// A partition may also carry READ SETS: for each block b, the blocks whose
+// coordinates the update F_b reads. An operator that knows its sparsity
+// attaches them to the partition it returns (op::JacobiOperator takes
+// them from its CSR columns); a partition without them means that every
+// block reads every block. The message-passing runtime publishes block b
+// only to the ranks that read it, so the read sets are a contract, not a
+// hint: F_b must not change when any block outside reads(b) changes. A
+// wrapper that forwards another operator's partition (SOR, projected
+// Jacobi, Krasnoselskii-Mann, a prox step on the inner output) inherits
+// its read sets, and may therefore read only what the inner operator
+// reads, plus its own block.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,13 +61,35 @@ class Partition {
                                      BlockId b) const;
   std::span<double> block_span(std::span<double> x, BlockId b) const;
 
-  bool operator==(const Partition& other) const = default;
+  /// Attaches read sets in CSR form: block b's update reads the blocks
+  /// blocks[begin[b] .. begin[b+1]), listed in ascending order, b
+  /// included. Copies of this partition share them.
+  void attach_reads(std::vector<std::size_t> begin,
+                    std::vector<BlockId> blocks);
+  /// Whether read sets are attached (without them every block reads
+  /// every block).
+  bool has_reads() const { return reads_ != nullptr; }
+  /// The blocks block b's update reads, ascending, b included. Requires
+  /// has_reads().
+  std::span<const BlockId> reads(BlockId b) const;
+  /// The blocks whose update reads block b, ascending, b included.
+  /// Requires has_reads().
+  std::span<const BlockId> readers(BlockId b) const;
 
  private:
+  /// Both directions of the read relation, in CSR form.
+  struct ReadSets {
+    std::vector<std::size_t> reads_begin;
+    std::vector<BlockId> reads;
+    std::vector<std::size_t> readers_begin;
+    std::vector<BlockId> readers;
+  };
+
   std::size_t dim_ = 0;
   std::size_t max_block_size_ = 0;
   std::vector<BlockRange> ranges_;
   std::vector<BlockId> coord_to_block_;
+  std::shared_ptr<const ReadSets> reads_;
 };
 
 /// Contiguous near-even assignment of `num_blocks` blocks to `workers`

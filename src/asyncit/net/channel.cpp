@@ -55,8 +55,8 @@ double DelayHistogram::quantile(double p) const {
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     seen += counts_[i];
-    if (double(seen) >= rank)
-      return std::isinf(edges_[i]) ? max_ : edges_[i];
+    // A bucket's upper edge can lie above every sample it holds.
+    if (double(seen) >= rank) return std::clamp(edges_[i], min_, max_);
   }
   return max_;
 }

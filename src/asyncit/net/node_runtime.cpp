@@ -103,13 +103,11 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   if (peer.auditor() != nullptr)
     result.admissibility.push_back(peer.auditor()->report());
   result.log = peer.log();  // empty unless obs.record_trace
-  result.x = peer.release_iterate();  // the rank's full private iterate
   if (options.solve.x_star.has_value()) {
-    result.final_error =
-        la::WeightedMaxNorm(partition).distance(result.x,
-                                                *options.solve.x_star);
+    result.final_error = peer.oracle_error();
     result.converged = result.final_error < options.solve.tol;
   }
+  result.x = peer.release_iterate();  // current for owned and read blocks
   return result;
 }
 

@@ -11,17 +11,21 @@
 // There is no global observer, and none is needed:
 //   stopping   each peer's PRIVATE view converges to the same fixed
 //              point, so at the end of every own sweep the peer checks
-//              its criterion on that view (oracle distance under the
-//              weighted max norm; or, with displacement_tol, the sweep's
-//              own displacements confirmed by the residual of the whole
-//              view) and on a hit leaves with kStop control frames that
-//              carry the final value and tag of every block it owns.
-//              Receivers apply those finals under any overwrite policy
-//              and drop the leaver's older value frames for the block, so
-//              a lost or overtaken last frame cannot strand them. Async
+//              its criterion on that view: the oracle distance of its
+//              owned blocks (async without membership) or of the whole
+//              view (SSP/BSP, elastic), or, with displacement_tol, the
+//              sweep's own displacements confirmed by the residual of
+//              the whole view. On a hit it leaves with kStop control
+//              frames: the final value and tag of every block it owns,
+//              to that block's readers, and a bare leave notice to every
+//              other rank it reads from. Receivers apply those finals
+//              under any overwrite policy and drop the leaver's older
+//              value frames for the block, so a lost or overtaken last
+//              frame cannot strand them; a kStop that does not leave is
+//              retried until it does or its destination has left. Async
 //              ranks keep refining until their own criterion fires (a
-//              departed rank's finals are within tolerance, so the
-//              survivors still converge); SSP/BSP ranks stop on the first
+//              departed rank's finals are within tolerance, so its
+//              readers still converge); SSP/BSP ranks stop on the first
 //              kStop — the departed rank would deadlock their round gate.
 //   budgets    options.solve.max_updates counts THIS rank's updates,
 //              exactly; max_seconds is this rank's wall time (read from
@@ -48,8 +52,11 @@
 namespace asyncit::net {
 
 /// Runs the endpoint's rank of a world of options.workers ranks until
-/// its own stopping criterion, a received stop, or budget exhaustion. MpResult.x is the rank's full private
-/// iterate; message statistics cover this rank's endpoint only.
+/// its own stopping criterion, a received stop, or budget exhaustion.
+/// MpResult.x is the rank's private iterate, current only for the blocks
+/// it owns or reads (see net/peer.hpp); final_error and converged cover
+/// the blocks its stop rule checks. Message statistics cover this rank's
+/// endpoint only.
 MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
                   const MpOptions& options, transport::Endpoint& endpoint);
 

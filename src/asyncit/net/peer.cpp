@@ -110,6 +110,8 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
     ASYNCIT_CHECK(ctx_.options->solve.mode == Mode::kAsync);
     owned_epoch_ = ctx_.membership->table().epoch();
     recompute_owned();
+  } else {
+    plan_publication();
   }
   if (ctx_.options->obs.record_trace)
     trace_budget_ =
@@ -172,8 +174,7 @@ void Peer::incorporate_tracked(const la::Partition& partition,
 void Peer::stop_here(obs::StopReason reason) {
   const bool criterion = reason == obs::StopReason::kOracle ||
                          reason == obs::StopReason::kDisplacement;
-  if (criterion || ctx_.options->solve.mode != Mode::kAsync)
-    broadcast_stop();
+  if (criterion || ctx_.options->solve.mode != Mode::kAsync) send_finals();
   trip_stop(reason);
 }
 
@@ -458,50 +459,130 @@ void Peer::send_block(la::BlockId b, bool partial) {
                         receipt.deliver_at, tag});
     }
   };
-  for_each_destination(send_one);
+  for (const std::uint32_t dst : readers_of(b))
+    if (sends_to(dst)) send_one(dst);
   if (partial) ++partials_sent_;
 }
 
-template <class SendFn>
-void Peer::for_each_destination(SendFn&& send) {
-  if (ctx_.membership != nullptr) {
-    // The LIVE view only (suspects included — they are still presumed
-    // members until the grace period expires).
-    for (const std::uint32_t dst : ctx_.membership->table().live_ranks())
-      if (dst != id_) send(dst);
+void Peer::plan_publication() {
+  const la::Partition& partition = ctx_.op->partition();
+  const SolveOptions& solve = ctx_.options->solve;
+  const std::vector<std::vector<la::BlockId>>& launch = *ctx_.owned;
+  const std::vector<la::BlockId>& owned = launch[id_];
+  // Every rank reads every block without read sets, in the gated modes
+  // (one rank's stop ends every rank, and the round gates count every
+  // rank's frames), and under the displacement rule (its confirmation
+  // reads the whole view).
+  const bool displacement =
+      !solve.x_star.has_value() && solve.displacement_tol > 0.0;
+  const bool dense = !partition.has_reads() ||
+                     solve.mode != Mode::kAsync || displacement;
+  if (dense) {
+    for (std::uint32_t r = 0; r < launch.size(); ++r)
+      if (r != id_) readers_.push_back(r);
+    reader_range_.assign(owned.size(), {0, readers_.size()});
     return;
   }
-  const auto peers = static_cast<std::uint32_t>(ctx_.options->workers);
-  for (std::uint32_t dst = 0; dst < peers; ++dst)
-    if (dst != id_) send(dst);
+  // The launch assignment is contiguous: a block's owner is the last rank
+  // whose first block does not come after it.
+  auto owner = [&](la::BlockId c) {
+    const auto it = std::upper_bound(
+        launch.begin(), launch.end(), c,
+        [](la::BlockId v, const std::vector<la::BlockId>& o) {
+          return v < o.front();
+        });
+    return static_cast<std::uint32_t>(it - launch.begin() - 1);
+  };
+  // Owners of `blocks` other than this rank, appended to `out` from
+  // `first` on, sorted and deduplicated.
+  auto add_owners = [&](std::span<const la::BlockId> blocks,
+                        std::vector<std::uint32_t>& out, std::size_t first) {
+    for (const la::BlockId c : blocks)
+      if (const std::uint32_t r = owner(c); r != id_) out.push_back(r);
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+    out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(first),
+                          out.end()),
+              out.end());
+  };
+  for (const la::BlockId b : owned) {
+    const std::size_t first = readers_.size();
+    add_owners(partition.readers(b), readers_, first);
+    reader_range_.emplace_back(first, readers_.size());
+  }
+  for (const la::BlockId b : owned)
+    add_owners(partition.reads(b), notices_, 0);
+  std::vector<std::uint32_t> told = readers_;
+  std::sort(told.begin(), told.end());
+  std::erase_if(notices_, [&](std::uint32_t r) {
+    return std::binary_search(told.begin(), told.end(), r);
+  });
 }
 
-void Peer::broadcast_stop() {
-  // The finals close the leaver's blocks at every receiver: a lost last
+std::span<const std::uint32_t> Peer::readers_of(la::BlockId b) const {
+  // Elastic: the LIVE view (suspects included — they are still presumed
+  // members until the grace period expires), since any of them may
+  // adopt any block.
+  if (ctx_.membership != nullptr) return ctx_.membership->table().live_ranks();
+  const std::vector<la::BlockId>& owned = (*ctx_.owned)[id_];
+  const auto [first, last] = reader_range_[static_cast<std::size_t>(
+      std::lower_bound(owned.begin(), owned.end(), b) - owned.begin())];
+  return std::span<const std::uint32_t>(readers_).subspan(first, last - first);
+}
+
+std::span<const std::uint32_t> Peer::leave_notices() const {
+  if (ctx_.membership == nullptr) return notices_;
+  if (owned_blocks().empty()) return ctx_.membership->table().live_ranks();
+  return {};
+}
+
+void Peer::send_finals() {
+  // The finals close the leaver's blocks at every reader: a lost last
   // value frame (drops) or an older one arriving late (non-FIFO links
-  // under kLastArrivalWins) would otherwise leave a survivor holding a
-  // stale block of a rank that will never send again.
-  const la::Partition& partition = ctx_.op->partition();
+  // under kLastArrivalWins) would otherwise leave a reader holding a
+  // stale block of a rank that will never send again. The leave notices
+  // tell the ranks this one reads from that it has gone, so they stop
+  // retrying their own kStops toward it.
   const double t = now();
-  auto send_all = [&](const transport::MessageHeader& header,
-                      std::span<const double> value) {
-    for_each_destination([&](std::uint32_t dst) {
-      endpoint_->send(dst, header, value, t, /*allow_drop=*/false);
-    });
-  };
+  for (const la::BlockId b : owned_blocks())
+    for (const std::uint32_t dst : readers_of(b))
+      if (sends_to(dst)) send_stop(dst, b, /*final=*/true, t);
+  for (const std::uint32_t dst : leave_notices())
+    if (sends_to(dst)) send_stop(dst, 0, /*final=*/false, t);
+}
+
+void Peer::send_stop(std::uint32_t dst, la::BlockId b, bool final,
+                     double t) {
   transport::MessageHeader header;
   header.kind = MsgKind::kStop;
   header.round = round_;
-  if (owned_blocks().empty()) {
-    send_all(header, {});
-    return;
-  }
-  for (const la::BlockId b : owned_blocks()) {
+  std::span<const double> value;
+  if (final) {
     header.block = b;
     header.tag = view_.tags[b];
-    send_all(header,
-             partition.block_span(std::span<const double>(view_.x), b));
+    value = ctx_.op->partition().block_span(std::span<const double>(view_.x),
+                                            b);
   }
+  if (!endpoint_->send(dst, header, value, t, /*allow_drop=*/false).sent)
+    unsent_stops_.push_back({dst, b, final});
+}
+
+void Peer::resend_stops() {
+  std::vector<UnsentStop> pending;
+  while (!unsent_stops_.empty() && now() <= ctx_.options->solve.max_seconds) {
+    const std::uint64_t seen = endpoint_->activity();
+    endpoint_->wait_for_activity(seen, kMaxGateWait);
+    receive();
+    pending.swap(unsent_stops_);
+    const double t = now();
+    for (const UnsentStop& s : pending)
+      if (!has_left(s.dst)) send_stop(s.dst, s.block, s.final, t);
+    pending.clear();
+  }
+}
+
+bool Peer::has_left(std::uint32_t dst) const {
+  return stopped_ranks_[dst] ||
+         (ctx_.options->solve.mode != Mode::kAsync && peers_stopped_ > 0);
 }
 
 bool Peer::all_others_inactive() const {
@@ -735,11 +816,20 @@ void Peer::maybe_check() {
   }
 }
 
+double Peer::oracle_error() const {
+  const la::Vector& x_star = *ctx_.options->solve.x_star;
+  if (ctx_.options->solve.mode != Mode::kAsync || ctx_.membership != nullptr)
+    return norm_->distance(view_.x, x_star);
+  double worst = 0.0;
+  for (const la::BlockId b : owned_blocks())
+    worst = std::max(worst, norm_->block_distance(view_.x, x_star, b));
+  return worst;
+}
+
 void Peer::check_criterion() {
   const SolveOptions& solve = ctx_.options->solve;
   if (norm_) {
-    if (norm_->distance(view_.x, *solve.x_star) < solve.tol)
-      stop_here(obs::StopReason::kOracle);
+    if (oracle_error() < solve.tol) stop_here(obs::StopReason::kOracle);
   } else if (solve.displacement_tol > 0.0) {
     if (displacement_stop_.should_stop(
             std::span<double>(&sweep_displacement_, 1), *ctx_.op,
@@ -807,6 +897,7 @@ void Peer::run() {
     // absorbed a full sweep of this rank's own updates.
     if (!stop_) check_criterion();
   }
+  resend_stops();
 }
 
 }  // namespace asyncit::net

@@ -19,8 +19,18 @@
 //                (inner_steps applications per phase; with
 //                publish_partials, mid-phase partials are sent and
 //                mid-phase arrivals incorporated — Definition 3);
-//   send         publish the new block values to every other peer, tagged
-//                with a per-block production counter.
+//   send         publish the new block values to the ranks that read
+//                them, tagged with a per-block production counter.
+//
+// Publication follows the read relation. Rank q reads block b if q's
+// update reads b (the operator's read sets, la/partition.hpp), q's stop
+// rule reads b, or q may adopt b. Where nothing narrows that (no read
+// sets, the gated modes, the displacement rule, elastic membership) every
+// rank reads every block and each publish goes to every other rank; an
+// async rank with an oracle stop reads only its owned blocks and their
+// read sets, so its publishes go to its graph neighbours. The private
+// view therefore holds current values only for the blocks the rank owns
+// or reads.
 //
 // Coordination gates (Mode) before each sweep:
 //   kAsync  never wait — the paper's Section II totally asynchronous
@@ -34,13 +44,18 @@
 // Stopping is the peer's own: at the end of every own sweep it checks
 // its criterion on its private view (see net/node_runtime.hpp) and, on
 // a hit, leaves with a kStop frame per owned block carrying the block's
-// final value and tag.
+// final value and tag to that block's readers, plus a bare kStop (a
+// leave notice) to every other rank it reads from. A kStop whose send
+// receipt says it did not leave is retried until it leaves, its
+// destination is known to have left, or the wall budget runs out.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "asyncit/linalg/norms.hpp"
@@ -138,6 +153,10 @@ class Peer {
 
   // ---- post-run accessors ----
   const LocalView& view() const { return view_; }
+  /// Oracle distance (solve.x_star required) over the blocks the stop
+  /// rule reads: the owned blocks of an async rank without membership,
+  /// the whole view otherwise.
+  double oracle_error() const;
   /// Moves the private iterate out (the view is unusable afterwards).
   la::Vector release_iterate() { return std::move(view_.x); }
   std::uint64_t updates() const { return own_updates_; }
@@ -216,16 +235,41 @@ class Peer {
   /// flexible communication when configured) and publishes the result.
   void update_block(la::BlockId b, std::size_t reps,
                     std::span<const double> compute_view);
-  /// Sends the current value of owned block b to every other peer.
+  /// Sends the current value of owned block b to the ranks that read it.
   void send_block(la::BlockId b, bool partial);
-  /// Calls send(dst) for every other rank a publish goes to: the live
-  /// view when elastic, the whole world otherwise.
-  template <class SendFn>
-  void for_each_destination(SendFn&& send);
+  /// Computes the readers of each launch-owned block and the leave-notice
+  /// list (no-op when elastic: the live view is read at send time).
+  void plan_publication();
+  /// The ranks owned block b goes to: its readers, or the live view when
+  /// elastic. Every send loop filters it through sends_to().
+  std::span<const std::uint32_t> readers_of(la::BlockId b) const;
+  /// The ranks this rank reads from that read none of its blocks; a
+  /// leaver sends them a bare kStop (when elastic: the live view, and
+  /// only if it owns no block). Filtered through sends_to() too.
+  std::span<const std::uint32_t> leave_notices() const;
+  /// Whether a send goes to `dst`: another rank whose kStop has not
+  /// arrived. A rank that has left reads nothing, and frames to it would
+  /// only pile up undrained.
+  bool sends_to(std::uint32_t dst) const {
+    return dst != id_ && !stopped_ranks_[dst];
+  }
   /// Announces this rank's departure: one kStop per owned block carrying
-  /// its final value and tag (a bare kStop when it owns none). Control
-  /// frames, so the loss model spares them.
-  void broadcast_stop();
+  /// its final value and tag to the block's readers, and a bare kStop to
+  /// each leave_notices() rank. Control frames, so the loss model spares
+  /// them; one that does not leave is queued for resend_stops().
+  void send_finals();
+  /// Sends one kStop, queueing it for a retry when it does not leave.
+  void send_stop(std::uint32_t dst, la::BlockId b, bool final, double t);
+  /// After the run loop: retries the queued kStops, receiving between
+  /// passes, until each has left or its destination has (has_left), or
+  /// the wall budget runs out.
+  void resend_stops();
+  /// Whether `dst` no longer needs this rank's kStop: its own kStop has
+  /// arrived, or (gated modes) another rank's stop has arrived — that
+  /// rank is then sending its kStops to every rank, and every rank stops
+  /// on the first. (A gated rank that stops on a peer's stop sends none,
+  /// so no notice would ever end a retry toward it.)
+  bool has_left(std::uint32_t dst) const;
   /// A received kStop: applies the final value it carries, then the
   /// leave rules (gated modes stop, elastic ranks drop the leaver).
   void on_peer_stop(const la::Partition& partition, const Message& m);
@@ -284,6 +328,20 @@ class Peer {
   std::uint64_t frames_rejected_ = 0;
   std::vector<bool> stopped_ranks_;   ///< kStop seen, by rank
   ThreadCpuTimer cpu_timer_;
+
+  // ---- publication (plan_publication; all empty when elastic) ----
+  /// Readers of the launch-owned blocks: owned block i goes to
+  /// readers_[reader_range_[i].first .. reader_range_[i].second).
+  std::vector<std::uint32_t> readers_;
+  std::vector<std::pair<std::size_t, std::size_t>> reader_range_;
+  std::vector<std::uint32_t> notices_;  ///< see leave_notices()
+  /// kStops whose send receipt said they did not leave (resend_stops).
+  struct UnsentStop {
+    std::uint32_t dst;
+    la::BlockId block;
+    bool final;  ///< carries the block's final value (else bare)
+  };
+  std::vector<UnsentStop> unsent_stops_;
 
   // ---- stopping criterion (SolveOptions::x_star / displacement_tol) --
   std::optional<la::WeightedMaxNorm> norm_;  ///< set with an oracle

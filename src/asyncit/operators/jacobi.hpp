@@ -17,6 +17,8 @@ namespace asyncit::op {
 class JacobiOperator final : public BlockOperator {
  public:
   /// A must be square with nonzero diagonal; partition.dim() == A.rows().
+  /// partition() returns `partition` with the read sets of A's sparsity
+  /// attached (block b reads the blocks its rows have columns in).
   JacobiOperator(const la::CsrMatrix& a, la::Vector b,
                  la::Partition partition);
 

@@ -4,6 +4,7 @@
 // against the shared-memory executors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "asyncit/net/channel.hpp"
@@ -42,6 +43,22 @@ TEST(DelayHistogram, CountsMeanAndQuantiles) {
   h.merge(other);
   EXPECT_EQ(h.count(), 101u);
   EXPECT_NEAR(h.max(), 1.0, 1e-12);
+}
+
+TEST(DelayHistogram, QuantilesStayWithinTheObservedRange) {
+  // Every sample sits strictly inside one bucket: its upper edge lies
+  // above the max, and every quantile must still read the sample itself.
+  DelayHistogram h;
+  const double v = 5.22e-4;
+  for (int i = 0; i < 10; ++i) h.add(v);
+  const auto& edges = h.edges();
+  const auto upper = std::lower_bound(edges.begin(), edges.end(), v);
+  ASSERT_TRUE(upper != edges.begin() && upper != edges.end());
+  ASSERT_GT(*upper, v);
+  ASSERT_LT(*(upper - 1), v);
+  for (const double p : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(h.quantile(p), v) << "p " << p;
+  EXPECT_EQ(h.p99(), v);
 }
 
 /// Stamps one value frame the way the inproc backend does: deliver_at is

@@ -1,11 +1,14 @@
 // Tests for the operator layer: prox library (with nonexpansiveness
 // property sweeps), Jacobi / projected Jacobi, gradient, the paper's
 // Definition-4 backward-forward operator, the classic forward-backward,
-// Krasnoselskii-Mann averaging, and the contraction estimator.
+// Krasnoselskii-Mann averaging, the contraction estimator, and the read
+// sets a Jacobi partition carries (and its wrappers inherit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/operators/contraction.hpp"
@@ -15,6 +18,7 @@
 #include "asyncit/operators/projected_jacobi.hpp"
 #include "asyncit/operators/prox.hpp"
 #include "asyncit/operators/prox_gradient.hpp"
+#include "asyncit/operators/relaxation.hpp"
 #include "asyncit/problems/linear_system.hpp"
 #include "asyncit/problems/quadratic.hpp"
 #include "asyncit/support/check.hpp"
@@ -347,6 +351,121 @@ TEST(KrasnoselskiiMann, RejectsBadEta) {
   GradientOperator grad(*f, 0.1, la::Partition::scalar(4));
   EXPECT_THROW(KrasnoselskiiMannOperator(grad, 0.0), CheckError);
   EXPECT_THROW(KrasnoselskiiMannOperator(grad, 1.5), CheckError);
+}
+
+// ------------------------------------------------------------ read sets
+
+TEST(ReadSets, JacobiReadsTheBlocksItsRowsHaveColumnsIn) {
+  // Tridiagonal 6x6 in three blocks of two rows: the middle block reads
+  // both neighbours, the end blocks one each.
+  std::vector<la::Triplet> t;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    t.push_back({i, i, 4.0});
+    if (i > 0) t.push_back({i, i - 1, -1.0});
+    if (i + 1 < 6) t.push_back({i, i + 1, -1.0});
+  }
+  const la::CsrMatrix a = la::CsrMatrix::from_triplets(6, 6, std::move(t));
+  JacobiOperator jacobi(a, la::Vector(6, 1.0), la::Partition::balanced(6, 3));
+  const la::Partition& p = jacobi.partition();
+  ASSERT_TRUE(p.has_reads());
+  using Blocks = std::vector<la::BlockId>;
+  auto list = [](std::span<const la::BlockId> s) {
+    return Blocks(s.begin(), s.end());
+  };
+  EXPECT_EQ(list(p.reads(0)), (Blocks{0, 1}));
+  EXPECT_EQ(list(p.reads(1)), (Blocks{0, 1, 2}));
+  EXPECT_EQ(list(p.reads(2)), (Blocks{1, 2}));
+  EXPECT_EQ(list(p.readers(0)), (Blocks{0, 1}));
+  EXPECT_EQ(list(p.readers(1)), (Blocks{0, 1, 2}));
+  EXPECT_EQ(list(p.readers(2)), (Blocks{1, 2}));
+  // Copies share the read sets; a partition built directly has none.
+  const la::Partition copy = p;
+  EXPECT_TRUE(copy.has_reads());
+  EXPECT_FALSE(la::Partition::balanced(6, 3).has_reads());
+}
+
+/// A prox step on the inner operator's output (the c15 wrapper's shape):
+/// it forwards the inner partition, and so inherits its read sets.
+class SoftThresholdedJacobi final : public BlockOperator {
+ public:
+  SoftThresholdedJacobi(const JacobiOperator& inner, double tau)
+      : inner_(inner), tau_(tau) {}
+  const la::Partition& partition() const override {
+    return inner_.partition();
+  }
+  using BlockOperator::apply_block;
+  void apply_block(la::BlockId b, std::span<const double> x,
+                   std::span<double> out, Workspace& ws) const override {
+    inner_.apply_block(b, x, out, ws);
+    for (double& v : out) v = soft_threshold(v, tau_);
+  }
+  std::string name() const override { return "soft-thresholded-jacobi"; }
+
+ private:
+  const JacobiOperator& inner_;
+  double tau_;
+};
+
+/// The read-set contract: for every block b and every block c outside
+/// reads(b), perturbing block c leaves apply_block(b) bit-identical.
+/// Returns how many (b, c) pairs it perturbed.
+std::size_t expect_reads_cover_dependencies(const BlockOperator& op) {
+  const la::Partition& p = op.partition();
+  EXPECT_TRUE(p.has_reads()) << op.name();
+  if (!p.has_reads()) return 0;
+  Rng rng(23);
+  la::Vector x(op.dim());
+  for (double& v : x) v = rng.uniform(-1.0, 1.0);
+  std::size_t pairs = 0;
+  for (la::BlockId b = 0; b < p.num_blocks(); ++b) {
+    la::Vector base(p.range(b).size());
+    op.apply_block(b, x, base);
+    const auto reads = p.reads(b);
+    for (la::BlockId c = 0; c < p.num_blocks(); ++c) {
+      if (std::binary_search(reads.begin(), reads.end(), c)) continue;
+      la::Vector y = x;
+      for (double& v : p.block_span(std::span<double>(y), c))
+        v += rng.uniform(1.0, 2.0);
+      la::Vector out(base.size());
+      op.apply_block(b, y, out);
+      EXPECT_EQ(out, base) << op.name() << ": block " << b
+                           << " changed when block " << c << " moved";
+      ++pairs;
+    }
+  }
+  return pairs;
+}
+
+TEST(ReadSets, JacobiAndItsPartitionForwardingWrappersReadOnlyTheirSets) {
+  // The c14 world's generator: 3 random off-diagonals per row, so each
+  // block of four rows reads a handful of the 24 blocks.
+  Rng rng(97);
+  const LinearSystem sys = make_diagonally_dominant_system(96, 3, 8.0, rng);
+  const la::Partition partition = la::Partition::balanced(96, 24);
+  la::Vector lower(96);
+  for (double& v : lower) v = rng.uniform(-0.5, 0.5);
+  JacobiOperator jacobi(sys.a, sys.b, partition);
+  SorJacobiOperator sor(sys.a, sys.b, 0.7, partition);
+  ProjectedJacobiOperator projected(sys.a, sys.b, lower, partition);
+  KrasnoselskiiMannOperator km(jacobi, 0.5);
+  SoftThresholdedJacobi prox(jacobi, 0.05);
+  for (const BlockOperator* op :
+       std::initializer_list<const BlockOperator*>{&jacobi, &sor, &projected,
+                                                   &km, &prox})
+    EXPECT_GT(expect_reads_cover_dependencies(*op), 24u) << op->name();
+}
+
+TEST(ReadSets, OperatorsThatBuildTheirOwnPartitionReportNone) {
+  Rng rng(5);
+  auto f = make_separable_quadratic(12, 1.0, 4.0, rng);
+  auto g = make_l1_prox(0.1);
+  const la::Partition partition = la::Partition::balanced(12, 4);
+  GradientOperator grad(*f, f->suggested_step(), partition);
+  BackwardForwardOperator bf(*f, *g, f->suggested_step(), partition);
+  KrasnoselskiiMannOperator km(grad, 0.5);
+  EXPECT_FALSE(grad.partition().has_reads());
+  EXPECT_FALSE(bf.partition().has_reads());
+  EXPECT_FALSE(km.partition().has_reads());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "asyncit/operators/jacobi.hpp"
@@ -141,9 +143,12 @@ TEST_F(RuntimeFixture, SlowWorkerDoesFewerUpdates) {
   opt.workers = 2;
   opt.worker_slowdown = {1.0, 20.0};
   opt.x_star = x_star_;
-  opt.tol = 0.0;  // unreachable: run the full update budget
-  opt.max_updates = 60000;
-  opt.max_seconds = 30.0;
+  opt.tol = 0.0;  // unreachable: run the full wall budget
+  // A wall budget of many scheduler slices: over an update budget the run
+  // lasted ~20 ms, and one descheduling of the fast worker could decide
+  // the ratio on a loaded host.
+  opt.max_updates = std::numeric_limits<std::uint64_t>::max();
+  opt.max_seconds = 0.4;
   auto result = run_async_threads(*jacobi_, la::zeros(sys_.dim()), opt);
   ASSERT_EQ(result.updates_per_worker.size(), 2u);
   // the 20x-slower worker must complete far fewer updates — the async

@@ -18,6 +18,7 @@
 
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/net/mp_runtime.hpp"
+#include "asyncit/net/node_runtime.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/gradient.hpp"
 #include "asyncit/operators/jacobi.hpp"
@@ -770,6 +771,201 @@ TEST(SimStopFinals, ReorderedLinksStrandNoRankAfterAPeerStops) {
         << "seed " << seed << " residual " << r.final_residual;
     EXPECT_LT(r.virtual_seconds, 1.0) << "seed " << seed;
   }
+}
+
+// -------------------------------------------- publication to readers
+
+/// The c14 world: the seeded sparse Jacobi system, one block per rank,
+/// oracle stop at 1e-6.
+struct SparseWorld {
+  explicit SparseWorld(std::size_t world) : rng(97) {
+    sys = problems::make_diagonally_dominant_system(world, 3, 8.0, rng);
+    jacobi = std::make_unique<op::JacobiOperator>(
+        sys.a, sys.b, la::Partition::balanced(world, world));
+    x_star = op::picard_solve(*jacobi, la::zeros(world), 50000, 1e-14);
+    o.mp.workers = world;
+    o.mp.seed = 97;
+    o.mp.solve.tol = 1e-6;
+    o.mp.solve.x_star = x_star;
+    o.mp.solve.max_seconds = 300.0;
+    o.mp.solve.max_updates = 100000000;
+    o.mp.solve.check_every = 4;
+    o.sim.compute.phase = 1e-3;
+    o.sim.compute.jitter = 0.3;
+    o.sim.topology.latency = 1e-4;
+    o.sim.topology.jitter = 0.5;
+  }
+
+  /// Every block from its owner's private view, checked against x_star
+  /// with a norm built here, not the runtime's.
+  double assembled_error(const WorldResult& r) const {
+    const la::Partition& p = jacobi->partition();
+    la::Vector x(p.dim());
+    for (la::BlockId b = 0; b < p.num_blocks(); ++b) {
+      const auto src = p.block_span(std::span<const double>(r.ranks[b].x), b);
+      std::copy(src.begin(), src.end(),
+                p.block_span(std::span<double>(x), b).begin());
+    }
+    return la::WeightedMaxNorm(la::Partition::balanced(p.dim(),
+                                                       p.num_blocks()))
+        .distance(x, x_star);
+  }
+
+  Rng rng;
+  problems::LinearSystem sys;
+  std::unique_ptr<op::JacobiOperator> jacobi;
+  la::Vector x_star;
+  WorldOptions o;
+};
+
+TEST(SimPublication, SparseJacobiSendsValueFramesOnlyToReaders) {
+  SparseWorld w(100);
+  const la::Partition& p = w.jacobi->partition();
+  ASSERT_TRUE(p.has_reads());
+  const WorldResult r = run_world(*w.jacobi, la::zeros(100), w.o);
+  ASSERT_TRUE(r.all_converged) << "residual " << r.final_residual;
+  EXPECT_LT(w.assembled_error(r), w.o.mp.solve.tol);
+  std::uint64_t sent = 0;
+  for (std::uint32_t q = 0; q < 100; ++q) {
+    // Rank q owns block q. Its readers get every update and the final
+    // (until they leave); the other ranks it reads from get at most one
+    // bare leave notice.
+    const auto readers = p.readers(q);
+    const auto reads = p.reads(q);
+    std::uint64_t notices = 0;
+    for (const la::BlockId c : reads)
+      notices += c != q && !std::binary_search(readers.begin(),
+                                               readers.end(), c);
+    const net::MpResult& rank = r.ranks[q];
+    EXPECT_LE(rank.messages_sent,
+              (rank.total_updates + 1) * (readers.size() - 1) + notices)
+        << "rank " << q;
+    sent += rank.messages_sent;
+    // No frame of a block q does not read ever reached q: its view of
+    // that block is still x0.
+    for (la::BlockId c = 0; c < 100; ++c)
+      if (!std::binary_search(reads.begin(), reads.end(), c))
+        EXPECT_EQ(rank.x[c], 0.0) << "rank " << q << " block " << c;
+  }
+  EXPECT_LT(sent, r.total_updates * 10);  // a dense world sends 99 each
+  const WorldResult again = run_world(*w.jacobi, la::zeros(100), w.o);
+  EXPECT_EQ(again.log_hash, r.log_hash);
+  EXPECT_EQ(again.events, r.events);
+  EXPECT_EQ(again.messages_sent, r.messages_sent);
+  EXPECT_EQ(again.final_residual, r.final_residual);
+}
+
+TEST(SimStopFinals, FinalsLostToAPartitionAreResentToTheirReaders) {
+  // A kStop crossing an active partition cut does not leave. A reader
+  // that misses a neighbour's final keeps a stale block of a rank that
+  // will never send again, and checks its own blocks against it: it
+  // would sit above tol until the virtual budget. The leaver retries
+  // each kStop that did not leave until its destination has left.
+  SparseWorld w(48);
+  w.o.sim.topology.fifo = true;
+  w.o.sim.topology.drop_prob = 0.1;
+  w.o.sim.topology.bandwidth = 1e7;
+  w.o.sim.topology.partitions.push_back({0.005, 0.02, 24});
+  w.o.chaos = true;
+  w.o.chaos_policy.min_latency = 2e-4;
+  w.o.chaos_policy.max_latency = 2e-3;
+  w.o.chaos_policy.fifo = true;
+  w.o.chaos_policy.drop_prob = 0.05;
+  const WorldResult r = run_world(*w.jacobi, la::zeros(48), w.o);
+  EXPECT_GT(r.partition_dropped, 0u);
+  EXPECT_TRUE(r.all_converged) << "residual " << r.final_residual;
+  EXPECT_LT(w.assembled_error(r), w.o.mp.solve.tol);
+  EXPECT_LT(r.virtual_seconds, 1.0);
+  const WorldResult again = run_world(*w.jacobi, la::zeros(48), w.o);
+  EXPECT_EQ(again.log_hash, r.log_hash);
+  EXPECT_EQ(again.final_residual, r.final_residual);
+}
+
+/// Forwards to an inner endpoint, except that every kStop toward `dst`
+/// fails to leave — a link that closed under the sender.
+class StopLossEndpoint final : public transport::Endpoint {
+ public:
+  StopLossEndpoint(transport::Endpoint& inner, std::uint32_t dst)
+      : inner_(inner), dst_(dst) {}
+  std::uint32_t rank() const override { return inner_.rank(); }
+  transport::SendReceipt send(std::uint32_t dst,
+                              const transport::MessageHeader& header,
+                              std::span<const double> value, double now,
+                              bool allow_drop) override {
+    if (dst != dst_ || header.kind != net::MsgKind::kStop)
+      return inner_.send(dst, header, value, now, allow_drop);
+    ++lost_;
+    return {false, now, now};
+  }
+  std::size_t receive(double now, std::vector<net::Message>& out) override {
+    return inner_.receive(now, out);
+  }
+  void recycle(std::vector<net::Message>& consumed) override {
+    inner_.recycle(consumed);
+  }
+  std::uint64_t activity() const override { return inner_.activity(); }
+  void wait_for_activity(std::uint64_t seen, double timeout) override {
+    inner_.wait_for_activity(seen, timeout);
+  }
+  double next_delivery() const override { return inner_.next_delivery(); }
+  std::uint64_t sent() const override { return inner_.sent(); }
+  std::uint64_t dropped() const override { return inner_.dropped(); }
+  std::uint64_t delivered() const override { return inner_.delivered(); }
+  net::DelayHistogram delays() const override { return inner_.delays(); }
+  std::uint64_t lost() const { return lost_; }
+
+ private:
+  transport::Endpoint& inner_;
+  std::uint32_t dst_;
+  std::uint64_t lost_ = 0;
+};
+
+TEST(SimStopFinals, ALeaveNoticeEndsRetriesTowardARankThatLeft) {
+  // Block 1 reads block 0, block 0 reads only itself, and block 1's own
+  // coupling converges far more slowly. Rank 0 stops first; its final
+  // to rank 1 never leaves, so it retries. Rank 1 still converges on
+  // rank 0's last value frame, and since rank 0 reads nothing of rank 1
+  // it owes rank 0 no final: its bare leave notice is what ends rank 0's
+  // retries, instead of the 30 s virtual budget.
+  std::vector<la::Triplet> t;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const bool second = i >= 4;
+    t.push_back({i, i, 4.0});
+    if (i % 4 != 0) t.push_back({i, i - 1, second ? -1.9 : -1.0});
+    if (i % 4 != 3) t.push_back({i, i + 1, second ? -1.9 : -1.0});
+    if (second) t.push_back({i, i - 4, -0.1});
+  }
+  const la::CsrMatrix a = la::CsrMatrix::from_triplets(8, 8, std::move(t));
+  op::JacobiOperator jacobi(a, la::Vector(8, 1.0),
+                            la::Partition::balanced(8, 2));
+  net::MpOptions o;
+  o.workers = 2;
+  o.seed = 5;
+  o.solve.tol = 1e-9;
+  o.solve.x_star = op::picard_solve(jacobi, la::zeros(8), 50000, 1e-14);
+  o.solve.max_seconds = 30.0;
+  o.solve.check_every = 1;
+  SimConfig sim;
+  sim.topology.latency = 2e-4;
+  sim.compute.phase = 1e-4;
+  SimEngine engine;
+  SimTransport fabric(2, sim, o.seed, &engine);
+  StopLossEndpoint lossy(fabric.endpoint(0), 1);
+  SimClock clock(&engine);
+  std::vector<net::MpResult> ranks(2);
+  engine.spawn(0, [&] {
+    ranks[0] = net::run_node(jacobi, la::zeros(8), o, lossy, clock);
+  });
+  engine.spawn(1, [&] {
+    ranks[1] = net::run_node(jacobi, la::zeros(8), o, fabric.endpoint(1),
+                             clock);
+  });
+  engine.run();
+  EXPECT_TRUE(ranks[0].converged) << ranks[0].final_error;
+  EXPECT_TRUE(ranks[1].converged) << ranks[1].final_error;
+  EXPECT_GT(lossy.lost(), 1u);           // rank 0 retried while rank 1 ran
+  EXPECT_EQ(ranks[0].peers_stopped, 1u);  // and then heard it leave
+  EXPECT_LT(engine.now(), 1.0);
 }
 
 }  // namespace
