@@ -604,8 +604,10 @@ def main():
             print(f"  rank {rank}: NO RESULT LINE")
         elif train:
             tr = r.get("train") or {}
-            print(f"  rank {rank}: ok={r.get('ok')} "
-                  f"accuracy={tr.get('accuracy')} loss={tr.get('loss')} "
+            # Only the server evaluates the final model.
+            evaluation = (f"accuracy={tr.get('accuracy')} "
+                          f"loss={tr.get('loss')} " if rank == 0 else "")
+            print(f"  rank {rank}: ok={r.get('ok')} {evaluation}"
                   f"epoch={tr.get('epoch')} updates={r.get('updates')} "
                   f"sent={r.get('sent')} delivered={r.get('delivered')}")
         else:

@@ -15,10 +15,6 @@ namespace asyncit::net {
 
 namespace {
 
-/// Poll granularity while blocked in a coordination gate or idle; bounds
-/// how long a waiting peer can miss a stop or its wall budget.
-constexpr double kMaxGateWait = 1e-3;
-
 /// Whether a value-carrying frame fits this run's geometry: a known block
 /// and a carried range inside it. A non-partial frame must carry EXACTLY
 /// its block (a shorter payload would silently prefix-overwrite the block
@@ -570,7 +566,7 @@ void Peer::resend_stops() {
   std::vector<UnsentStop> pending;
   while (!unsent_stops_.empty() && now() <= ctx_.options->solve.max_seconds) {
     const std::uint64_t seen = endpoint_->activity();
-    endpoint_->wait_for_activity(seen, kMaxGateWait);
+    endpoint_->wait_for_activity(seen, rt::kMaxGateWait);
     receive();
     pending.swap(unsent_stops_);
     const double t = now();
@@ -792,7 +788,7 @@ bool Peer::wait_for_rounds(std::uint64_t needed) {
     // or the poll bound expires (keeps the stop flag responsive).
     const double t = now();
     const double next = endpoint_->next_delivery();
-    double timeout = kMaxGateWait;
+    double timeout = rt::kMaxGateWait;
     if (next > t) timeout = std::min(timeout, next - t);
     endpoint_->wait_for_activity(seen, std::max(timeout, 1e-5));
   }
@@ -877,7 +873,7 @@ void Peer::run() {
         stop_here(obs::StopReason::kWallBudget);
       else
         check_criterion();
-      if (!stop_) endpoint_->wait_for_activity(seen, kMaxGateWait);
+      if (!stop_) endpoint_->wait_for_activity(seen, rt::kMaxGateWait);
       continue;
     }
     std::span<const double> compute_view(view_.x);

@@ -1,11 +1,12 @@
-// Named counters / gauges / log-spaced histograms (DESIGN.md §8).
+// Named counters and gauges (DESIGN.md §8).
 //
-// Generalizes net::DelayHistogram into a registry any layer can write
-// to concurrently. Registration (the name lookup) takes a mutex and may
-// allocate; the returned handles are stable for the registry's lifetime
-// and their hot paths are single relaxed atomic RMWs — cache the handle
-// once per thread/site, never re-look-up per event. reset() zeroes
-// values in place (handles stay valid) at run boundaries.
+// A registry any layer can write to concurrently. Registration (the name
+// lookup) takes a mutex and may allocate; the returned handles are
+// stable for the registry's lifetime and their hot paths are single
+// relaxed atomic RMWs — cache the handle once per thread/site, never
+// re-look-up per event. reset() zeroes values in place (handles stay
+// valid) at run boundaries. Delay distributions are not kept here: every
+// one the stack reports is a net::DelayHistogram.
 //
 // to_json() renders the same ordered-object style as the bench
 // harness's `asyncit-bench/1` reports, under schema `asyncit-metrics/1`
@@ -19,7 +20,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace asyncit::obs {
 
@@ -50,41 +50,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-spaced histogram with atomic buckets — net::DelayHistogram's
-/// layout (upper edges, last = +inf; quantile() returns the holding
-/// bucket's upper edge) made safe for concurrent writers.
-class Histogram {
- public:
-  /// Edges span [lo, hi] log-spaced across `buckets` finite buckets,
-  /// plus an overflow bucket. Defaults match net::DelayHistogram.
-  explicit Histogram(double lo = 1e-6, double hi = 100.0,
-                     std::size_t buckets = 48);
-
-  void observe(double value);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
-  double min() const;
-  double max() const { return max_.load(std::memory_order_relaxed); }
-  /// Approximate quantile (upper edge of the bucket holding rank
-  /// p*count); exact max for the overflow bucket.
-  double quantile(double p) const;
-
-  const std::vector<double>& edges() const { return edges_; }
-  std::vector<std::uint64_t> counts() const;
-
-  void reset();
-
- private:
-  std::vector<double> edges_;
-  std::deque<std::atomic<std::uint64_t>> counts_;  // deque: atomics can't move
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-};
-
 class MetricsRegistry {
  public:
   /// Process-global registry used by the instrumented stack.
@@ -97,8 +62,6 @@ class MetricsRegistry {
   /// Find-or-create by name. Slow path (mutex + map); cache the result.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, double lo = 1e-6,
-                       double hi = 100.0);
 
   /// Zeroes every registered metric in place. Handles stay valid.
   void reset();
@@ -110,10 +73,8 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
   std::map<std::string, Counter*> counter_index_;
   std::map<std::string, Gauge*> gauge_index_;
-  std::map<std::string, Histogram*> histogram_index_;
 };
 
 }  // namespace asyncit::obs

@@ -1,5 +1,5 @@
 // Worker pacing shared by the threaded executors (rt::) and the
-// message-passing peers (net::).
+// message-passing ranks (net::, train::).
 #pragma once
 
 #include <algorithm>
@@ -24,6 +24,11 @@ namespace asyncit::rt {
 /// workers alternate many times per contraction step; free when every
 /// worker has its own core.
 constexpr double kYieldPeriod = 1e-4;
+
+/// Longest wait on Endpoint::wait_for_activity while a message-passing
+/// rank (net::Peer, the PSGD server and workers) is blocked in a gate or
+/// idle: bounds how long it can miss a stop or its wall budget.
+constexpr double kMaxGateWait = 1e-3;
 
 /// Compute repetition count for heterogeneity injection: a slowdown
 /// factor f makes the worker redo each block update ceil(f) times

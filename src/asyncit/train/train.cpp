@@ -1,10 +1,12 @@
 #include "asyncit/train/train.hpp"
 
-#include <exception>
-#include <memory>
-#include <thread>
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <utility>
 
 #include "asyncit/obs/trace_recorder.hpp"
+#include "asyncit/runtime/pacing.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/train/psgd.hpp"
@@ -14,16 +16,12 @@ namespace asyncit::train {
 
 namespace {
 
-/// Gate-wait bound while a pump() made no progress — the same latency /
-/// CPU trade as net::Peer's kMaxGateWait.
-constexpr double kMaxGateWait = 1e-3;
-
 /// Drives one role to completion on the calling thread.
 template <typename Role>
 void drive(Role& role, transport::Endpoint& ep) {
   while (!role.finished()) {
     const std::uint64_t seen = ep.activity();
-    if (!role.pump()) ep.wait_for_activity(seen, kMaxGateWait);
+    if (!role.pump()) ep.wait_for_activity(seen, rt::kMaxGateWait);
   }
 }
 
@@ -32,18 +30,8 @@ std::uint64_t epochs_of(std::uint64_t steps, std::size_t batch,
   return shard_rows == 0 ? 0 : steps * batch / shard_rows;
 }
 
-/// Full-train metrics of the model a run ended with.
-void fill_final_eval(const Dataset& data, TrainResult& r) {
-  la::Vector margins(data.samples());
-  const Eval eval = dataset_eval(data, r.x, margins);
-  r.final_loss = eval.loss;
-  r.final_accuracy = eval.accuracy;
-}
-
-void fill_endpoint_stats(const transport::Endpoint& ep, TrainResult& r) {
-  r.messages_sent += ep.sent();
-  r.messages_dropped += ep.dropped();
-  r.messages_delivered += ep.delivered();
+double per_second(std::uint64_t count, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
 }
 
 }  // namespace
@@ -59,83 +47,43 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
                          const TrainOptions& options,
                          transport::Transport& transport) {
   const std::size_t W = options.workers;
-  ASYNCIT_CHECK(W >= 1);
-  ASYNCIT_CHECK(x0.size() == data.features());
-  ASYNCIT_CHECK(data.samples() >= W);
   ASYNCIT_CHECK(transport.world() == W + 1);
   ASYNCIT_CHECK(transport.local_ranks().size() == W + 1);
 
+  // The run owns tracing: armed once here, while every rank is handed
+  // kOff so none re-anchors the process-global recorder.
   obs::ScopedTrace trace(options.obs.trace_level,
-                        options.obs.trace_ring_capacity);
+                         options.obs.trace_ring_capacity);
+  TrainOptions per_rank = options;
+  per_rank.obs.trace_level = obs::TraceLevel::kOff;
 
+  // One run_training_node per rank over its endpoint, exactly what
+  // simnet::run_train_world does on fibers and tools/asyncit_node does
+  // per process.
   WallTimer timer;
-  PsgdContext ctx;
-  ctx.data = &data;
-  ctx.options = &options;
-  ctx.clock = &timer;
+  std::vector<TrainResult> ranks(W + 1);
+  net::run_on_threads(W + 1, [&](std::uint32_t r) {
+    ranks[r] =
+        run_training_node(data, x0, per_rank, transport.endpoint(r), timer);
+  });
 
-  PsgdServer server(ctx, x0, transport.endpoint(0));
-  std::vector<std::unique_ptr<PsgdWorker>> workers;
-  workers.reserve(W);
-  for (std::size_t w = 0; w < W; ++w)
-    workers.push_back(std::make_unique<PsgdWorker>(
-        ctx, w, x0, transport.endpoint(static_cast<std::uint32_t>(w + 1))));
-
-  // The server runs on the calling thread. A throw on any role is held
-  // until every thread has joined, then rethrown (lowest rank first).
-  std::vector<std::exception_ptr> errors(W + 1);
-  std::vector<std::thread> threads;
-  threads.reserve(W);
-  for (std::size_t w = 0; w < W; ++w)
-    threads.emplace_back([&, w] {
-      try {
-        drive(*workers[w],
-              transport.endpoint(static_cast<std::uint32_t>(w + 1)));
-      } catch (...) {
-        errors[w + 1] = std::current_exception();
-      }
-    });
-  try {
-    drive(server, transport.endpoint(0));
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  for (std::thread& th : threads) th.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  TrainResult result;
+  // The server's result, plus what only the workers know.
+  TrainResult result = std::move(ranks[0]);
   result.wall_seconds = timer.seconds();
   trace.stop(result.obs_events_recorded, result.obs_events_dropped);
-
-  result.x = server.model();
-  result.converged = server.target_reached();
-  fill_final_eval(data, result);
-  result.rounds = server.rounds();
-  result.versions = server.versions();
-  result.deltas_applied = server.deltas_applied();
-  result.examples_processed = server.examples_processed();
   result.examples_per_sec =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(result.examples_processed) /
-                result.wall_seconds
-          : 0.0;
-  result.peers_stopped = server.workers_stopped();
-  result.frames_rejected = server.frames_rejected();
-  result.steering_decisions = server.steering_decisions();
-  result.staleness_at_exit = server.staleness_bound();
-  result.steps_per_worker.reserve(W);
-  result.epochs = ~std::uint64_t{0};
-  for (std::size_t w = 0; w < W; ++w) {
-    result.steps_per_worker.push_back(workers[w]->steps());
-    result.frames_rejected += workers[w]->frames_rejected();
-    result.epochs = std::min(
-        result.epochs, epochs_of(workers[w]->steps(),
-                                 options.sgd.batch_size,
-                                 data.shard(w, W).size()));
+      per_second(result.examples_processed, result.wall_seconds);
+  result.epochs = std::numeric_limits<std::uint64_t>::max();
+  for (const TrainResult& worker : std::span(ranks).subspan(1)) {
+    result.steps_per_worker.insert(result.steps_per_worker.end(),
+                                   worker.steps_per_worker.begin(),
+                                   worker.steps_per_worker.end());
+    result.epochs = std::min(result.epochs, worker.epochs);
+    result.frames_rejected += worker.frames_rejected;
+    result.messages_sent += worker.messages_sent;
+    result.messages_delivered += worker.messages_delivered;
+    result.messages_dropped += worker.messages_dropped;
   }
-  for (std::uint32_t r = 0; r <= W; ++r)
-    fill_endpoint_stats(transport.endpoint(r), result);
   result.bad_frames = transport.bad_frames();
   return result;
 }
@@ -156,6 +104,9 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
   ASYNCIT_CHECK(W >= 1 && rank <= W);
   ASYNCIT_CHECK(x0.size() == data.features());
   ASYNCIT_CHECK(data.samples() >= W);
+  // Checked on every rank, so the server refuses it too instead of
+  // waiting out its wall budget for workers that never start.
+  ASYNCIT_CHECK_MSG(options.sgd.batch_size >= 1, "batch_size must be >= 1");
 
   obs::ScopedTrace trace(options.obs.trace_level,
                         options.obs.trace_ring_capacity);
@@ -184,6 +135,11 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
     // epoch definition (slowest worker's completed passes) carries over.
     result.epochs = epochs_of(server.rounds(), options.sgd.batch_size,
                               data.shard(0, W).size());
+    // Only the server evaluates the final model: its model is the run's.
+    la::Vector margins(data.samples());
+    const Eval eval = dataset_eval(data, result.x, margins);
+    result.final_loss = eval.loss;
+    result.final_accuracy = eval.accuracy;
   } else {
     PsgdWorker worker(ctx, rank - 1, x0, endpoint);
     drive(worker, endpoint);
@@ -200,14 +156,10 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
                               data.shard(rank - 1, W).size());
   }
   result.examples_per_sec =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(result.examples_processed) /
-                result.wall_seconds
-          : 0.0;
-  // Every rank rebuilds the dataset, so every rank can report full-train
-  // metrics of the model it ended with.
-  fill_final_eval(data, result);
-  fill_endpoint_stats(endpoint, result);
+      per_second(result.examples_processed, result.wall_seconds);
+  result.messages_sent = endpoint.sent();
+  result.messages_delivered = endpoint.delivered();
+  result.messages_dropped = endpoint.dropped();
   trace.stop(result.obs_events_recorded, result.obs_events_dropped);
   return result;
 }

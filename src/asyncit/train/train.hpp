@@ -1,11 +1,15 @@
 // Entry points of the parameter-server training mode.
 //
 // run_training / run_training_node mirror net::run_message_passing /
-// net::run_node exactly: the first overload spawns every rank of the run
-// as a thread over the seeded in-process backend, the Transport overload
-// runs the same threads over any backend hosting all ranks locally, and
-// run_training_node drives ONE rank per process over a caller-supplied
-// Endpoint (tools/asyncit_node.cpp + scripts/launch_cluster.py).
+// net::run_node exactly. There is one training runtime,
+// run_training_node, which drives ONE rank over a caller-supplied
+// Endpoint: tools/asyncit_node runs one per process
+// (scripts/launch_cluster.py), simnet::run_train_world one per fiber,
+// and run_training W + 1 of them on threads (net::run_on_threads: the
+// server, rank 0, on the calling thread) before merging their results.
+// The first run_training overload runs over the seeded in-process
+// backend, the Transport overload over any backend hosting all ranks
+// locally.
 //
 // Topology: rank 0 is the parameter SERVER, ranks 1..workers are data
 // WORKERS; world = workers + 1. Workers compute minibatch gradient
@@ -81,14 +85,20 @@ struct TrainOptions {
   net::ObsOptions obs;
 };
 
+/// One rank's result (run_training_node), or the merged run
+/// (run_training: the server's result, plus the workers' steps, the
+/// slowest worker's epochs, and rejected frames and endpoint counters
+/// summed over ranks).
 struct TrainResult {
-  /// Final model: the server's authoritative iterate (threaded runs and
-  /// node-mode rank 0) or the worker's local copy (node-mode workers).
+  /// Final model: the server's authoritative iterate (the server rank and
+  /// the merged run) or the worker's local copy (worker ranks).
   la::Vector x;
   double wall_seconds = 0.0;
-  /// target_accuracy was set and reached (server side; node-mode workers
+  /// target_accuracy was set and reached (server side; worker ranks
   /// report whether the server's stop frame ended their run).
   bool converged = false;
+  /// Full-train loss and accuracy of `x`, evaluated once, by the server.
+  /// Worker ranks leave both at -1.
   double final_loss = -1.0;
   double final_accuracy = -1.0;
 
@@ -100,8 +110,8 @@ struct TrainResult {
   /// Completed passes over the (sharded) dataset: min worker clock
   /// converted to epochs.
   std::uint64_t epochs = 0;
-  /// Minibatch steps per worker (threaded runs: all workers; node mode:
-  /// one entry for a worker rank, empty on the server).
+  /// Minibatch steps per worker: W entries in the merged run, one on a
+  /// worker rank, none on the server rank.
   std::vector<std::uint64_t> steps_per_worker;
 
   // ---- transport statistics (same schema as net::MpResult) ----
@@ -110,7 +120,8 @@ struct TrainResult {
   std::uint64_t messages_dropped = 0;
   std::uint64_t frames_rejected = 0;
   std::uint64_t bad_frames = 0;
-  /// Workers whose stop frame the server saw (threaded/server ranks).
+  /// Workers whose stop frame the server saw (the server rank and the
+  /// merged run; 0 on worker ranks).
   std::uint64_t peers_stopped = 0;
 
   std::uint64_t obs_events_recorded = 0;
@@ -118,17 +129,18 @@ struct TrainResult {
 
   /// Adaptive-staleness steering (SgdOptions::adaptive): decisions taken
   /// by the server's controller (traced as kSteering) and the bound at
-  /// exit. Server-side ranks report the controller's view; node-mode
-  /// workers report the newest bound a params frame carried to them
-  /// (0 until one arrives). With steering off, decisions is 0 and the
-  /// server's exit bound is sgd.staleness.
+  /// exit. The server rank and the merged run report the controller's
+  /// view; worker ranks report the newest bound a params frame carried
+  /// to them (0 until one arrives). With steering off, decisions is 0
+  /// and the server's exit bound is sgd.staleness.
   std::uint64_t steering_decisions = 0;
   std::uint64_t staleness_at_exit = 0;
 };
 
 /// Threaded training over the seeded in-process backend
-/// (options.chaos.delivery + options.seed configure its channels).
-/// Requires workers >= 1, x0.size() == data.features(), and at least one
+/// (options.chaos.delivery + options.seed configure its channels): one
+/// run_training_node per rank, merged. Requires workers >= 1,
+/// batch_size >= 1, x0.size() == data.features(), and at least one
 /// dataset row per worker shard.
 TrainResult run_training(const Dataset& data, const la::Vector& x0,
                          const TrainOptions& options);
@@ -139,19 +151,20 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
                          const TrainOptions& options,
                          transport::Transport& transport);
 
-/// One rank per process: drives endpoint.rank()'s role (0 = server,
-/// r >= 1 = worker r-1) until that rank's own stopping criterion or a
-/// server stop frame. The caller owns the transport and should flush()
-/// it after returning (stop frames must drain before teardown) — the
-/// same contract as net::run_node.
+/// One rank: drives endpoint.rank()'s role (0 = server, r >= 1 =
+/// worker r-1) until that rank's own stopping criterion or a server stop
+/// frame. The caller owns the transport and should flush() it after
+/// returning (stop frames must drain before teardown) — the same
+/// contract as net::run_node.
 TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
                               const TrainOptions& options,
                               transport::Endpoint& endpoint);
 
 /// Same, reading time from `clock` instead of starting a wall timer —
-/// the simnet::run_world hook that puts the SGD budgets (max_seconds,
-/// gate timeouts) on virtual time. The clock must read 0 at (or before)
-/// the call and only move forward.
+/// run_training hands every rank one shared timer, and
+/// simnet::run_train_world puts the SGD budgets (max_seconds, gate
+/// timeouts) on virtual time with it. The clock must read 0 at (or
+/// before) the call and only move forward.
 TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
                               const TrainOptions& options,
                               transport::Endpoint& endpoint,

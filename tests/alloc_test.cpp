@@ -271,8 +271,6 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
   obs::TraceRecorder::instance().enable(tc);
   obs::Counter& frames = obs::MetricsRegistry::instance().counter(
       "alloc_test.frames");
-  obs::Histogram& delays = obs::MetricsRegistry::instance().histogram(
-      "alloc_test.delay");
 
   const la::Partition partition = la::Partition::from_sizes({6, 6});
   transport::InprocTransport tx(2, net::DeliveryPolicy{}, 3);
@@ -295,13 +293,12 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
                          m, view);
         obs::record(obs::EventType::kFrameRecv, 0, 0, m.tag, 1e-4);
         frames.add(1);
-        delays.observe(1e-4);
       }
       e1.recycle(inbox);
     }
   };
 
-  round_trip(200);  // warm-up: pools, inbox, ring claim, metric buckets
+  round_trip(200);  // warm-up: pools, inbox, ring claim
 
   const std::uint64_t before = allocations();
   round_trip(400);  // 800 events through a 128-slot ring: 6+ wraps

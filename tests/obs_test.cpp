@@ -176,28 +176,17 @@ TEST(Metrics, RegistryCountsAndSnapshotsJson) {
   reg.reset();
   obs::Counter& c = reg.counter("test.frames");
   obs::Gauge& g = reg.gauge("test.depth");
-  obs::Histogram& h = reg.histogram("test.delay");
   c.add(3);
   c.add(2);
   g.set(7.5);
-  for (int i = 0; i < 100; ++i) h.observe(1e-3);
-  h.observe(2.0);
   EXPECT_EQ(c.value(), 5u);
   EXPECT_EQ(g.value(), 7.5);
-  EXPECT_EQ(h.count(), 101u);
-  EXPECT_EQ(h.max(), 2.0);
-  // Log-spaced layout matches net::DelayHistogram: quantiles report the
-  // bucket upper edge holding the rank.
-  EXPECT_GT(h.quantile(0.5), 1e-3);
-  EXPECT_LT(h.quantile(0.5), 2e-3);
   // Find-or-create returns the same instruments.
   EXPECT_EQ(&reg.counter("test.frames"), &c);
-  EXPECT_EQ(&reg.histogram("test.delay"), &h);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"schema\":\"asyncit-metrics/1\""), std::string::npos);
   EXPECT_NE(json.find("\"test.frames\":5"), std::string::npos);
   EXPECT_NE(json.find("\"test.depth\":7.5"), std::string::npos);
-  EXPECT_NE(json.find("\"test.delay\""), std::string::npos);
 }
 
 TEST(Exporter, WritesWellFormedChromeTraceJson) {

@@ -4,7 +4,8 @@
 // delta-frame wire round trip, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
 // synthetic logistic set, the per-rank run_training_node entry, the
-// worker's batch-size check, and thread mode rethrowing a role's fault.
+// worker's batch-size check, and thread mode: its merge of the W + 1
+// rank results, and rethrowing a role's fault.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -403,6 +404,9 @@ TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {
     EXPECT_TRUE(results[rank].converged) << "rank " << rank;
     ASSERT_EQ(results[rank].steps_per_worker.size(), 1u);
     EXPECT_GT(results[rank].steps_per_worker[0], 0u);
+    // Only the server evaluates the final model.
+    EXPECT_EQ(results[rank].final_loss, -1.0) << "rank " << rank;
+    EXPECT_EQ(results[rank].final_accuracy, -1.0) << "rank " << rank;
   }
 }
 
@@ -419,6 +423,52 @@ TEST(TrainNode, ZeroBatchWorkerThrowsCheckError) {
   EXPECT_THROW(train::run_training_node(data, la::zeros(data.features()),
                                         options, transport.endpoint(1)),
                CheckError);
+  // The server refuses it too, so thread mode fails at once instead of
+  // the server waiting out its wall budget for workers that never start.
+  EXPECT_THROW(train::run_training_node(data, la::zeros(data.features()),
+                                        options, transport.endpoint(0)),
+               CheckError);
+  EXPECT_THROW(train::run_training(data, la::zeros(data.features()), options),
+               CheckError);
+}
+
+TEST(TrainThreads, MergedResultSumsEveryRankOverACallerTransport) {
+  // Thread mode is W + 1 run_training_nodes plus a merge: the server's
+  // result, every worker's steps and epochs, and the endpoint counters
+  // of all W + 1 ranks.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  const train::TrainOptions options = base_options(train::Discipline::kTap);
+  const std::size_t W = options.workers;
+  transport::InprocTransport fabric(W + 1, options.chaos.delivery,
+                                    options.seed);
+  const train::TrainResult r =
+      train::run_training(data, la::zeros(data.features()), options, fabric);
+  EXPECT_TRUE(r.converged);
+
+  ASSERT_EQ(r.steps_per_worker.size(), W);
+  std::uint64_t epochs = ~std::uint64_t{0};
+  for (std::size_t w = 0; w < W; ++w)
+    epochs = std::min<std::uint64_t>(
+        epochs, r.steps_per_worker[w] * options.sgd.batch_size /
+                    data.shard(w, W).size());
+  EXPECT_EQ(r.epochs, epochs);
+
+  std::uint64_t sent = 0, delivered = 0, dropped = 0;
+  for (std::uint32_t rank = 0; rank <= W; ++rank) {
+    sent += fabric.endpoint(rank).sent();
+    delivered += fabric.endpoint(rank).delivered();
+    dropped += fabric.endpoint(rank).dropped();
+  }
+  EXPECT_EQ(r.messages_sent, sent);
+  EXPECT_EQ(r.messages_delivered, delivered);
+  EXPECT_EQ(r.messages_dropped, dropped);
+
+  // The one final evaluation is of the returned model.
+  la::Vector margins(data.samples());
+  const train::Eval eval = train::dataset_eval(data, r.x, margins);
+  EXPECT_EQ(r.final_accuracy, eval.accuracy);
+  EXPECT_EQ(r.final_loss, eval.loss);
 }
 
 TEST(TrainThreads, RoleExceptionIsRethrownAfterEveryThreadJoins) {

@@ -7,7 +7,7 @@
 // and spawns one asyncit_node per rank:
 //
 //   scripts/launch_cluster.py --workers 4 --dim 128 --blocks 8
-//   scripts/launch_cluster.py --workload train --workers 4 \
+//   scripts/launch_cluster.py --workload train --workers 4
 //       --target-accuracy 0.95
 //
 // Manual use:
@@ -28,14 +28,17 @@
 //           synthetic logistic dataset (every rank rebuilds it from the
 //           config; nothing dataset-sized crosses the wire). Exit 0 when
 //           the target accuracy was reached (or, with target_accuracy 0,
-//           when the budgeted run completed).
+//           when the budgeted run completed). Only the server evaluates
+//           the final model: its lines carry the loss and accuracy, and
+//           worker ranks report -1 for both.
 //
 // Output: one `ASYNCIT_NODE_JSON {...}` line per rank (schema
 // asyncit-node/3), the machine-readable contract launch_cluster.py
 // aggregates and asserts on. /3 adds to the /2 fields:
 //   workload  "solve" | "train"
 //   train     {epoch, examples_per_sec, loss, accuracy, steps,
-//             deltas_applied, examples} — null for solve-only ranks
+//             deltas_applied, examples} — null for solve-only ranks;
+//             loss and accuracy are -1 on worker ranks
 // Solve-specific fields (error, inversions, membership, links, ...)
 // keep their /2 meaning and are simply absent from train-workload
 // lines. The older ASYNCIT_NODE_RESULT key=value line is kept for
@@ -357,14 +360,18 @@ int run_train_workload(const net::NodeConfig& cfg, std::uint32_t rank,
       result.steps_per_worker.empty() ? 0 : result.steps_per_worker[0];
   const std::uint64_t updates = rank == 0 ? result.deltas_applied : steps;
 
+  // Only the server evaluates the final model (workers report -1).
+  char eval[64] = "";
+  if (rank == 0)
+    std::snprintf(eval, sizeof eval, "accuracy %.4f loss %.4f ",
+                  result.final_accuracy, result.final_loss);
   if (!quiet)
     std::printf(
-        "[rank %u] %s: accuracy %.4f loss %.4f after %.3f s, epoch %llu, "
+        "[rank %u] %s: %safter %.3f s, epoch %llu, "
         "%llu updates, %.0f examples/s, sent %llu delivered %llu "
         "dropped %llu\n",
-        rank, ok ? "trained" : "TARGET NOT REACHED", result.final_accuracy,
-        result.final_loss, result.wall_seconds,
-        static_cast<unsigned long long>(result.epochs),
+        rank, ok ? "trained" : "TARGET NOT REACHED", eval,
+        result.wall_seconds, static_cast<unsigned long long>(result.epochs),
         static_cast<unsigned long long>(updates), result.examples_per_sec,
         static_cast<unsigned long long>(result.messages_sent),
         static_cast<unsigned long long>(result.messages_delivered),
