@@ -17,8 +17,10 @@
 //
 // BENCH_training.json (via the shared harness): convergence flags and
 // the target-accuracy floor are deterministic-checked by CI's perf-smoke
-// job against bench/baselines/training.json; wall clocks, delta counts
-// and throughput are real-scheduler measurements and tracked warn-only.
+// job against bench/baselines/training.json, as is BSP's in-run
+// evaluation count (its rounds, hence its eval cadence, are
+// scheduler-independent); wall clocks, delta counts and throughput are
+// real-scheduler measurements and tracked warn-only.
 #include <cstdio>
 #include <string>
 
@@ -49,6 +51,7 @@ void record(bench::Report& report, const std::string& name,
       .metric("deltas_applied", static_cast<double>(r.deltas_applied))
       .metric("rounds", static_cast<double>(r.rounds))
       .metric("versions", static_cast<double>(r.versions))
+      .metric("evaluations", static_cast<double>(r.evaluations))
       .metric("epochs", static_cast<double>(r.epochs))
       .metric("examples_per_sec", r.examples_per_sec)
       .metric("messages_sent", static_cast<double>(r.messages_sent))

@@ -52,11 +52,18 @@ double DelayHistogram::quantile(double p) const {
   ASYNCIT_CHECK(p >= 0.0 && p <= 1.0);
   if (count_ == 0) return 0.0;
   const double rank = p * double(count_);
-  std::uint64_t seen = 0;
+  std::uint64_t below = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    // A bucket's upper edge can lie above every sample it holds.
-    if (double(seen) >= rank) return std::clamp(edges_[i], min_, max_);
+    if (counts_[i] == 0) continue;
+    const std::uint64_t seen = below + counts_[i];
+    if (double(seen) >= rank) {
+      // Interpolate by rank between the bucket's edges, each clamped to
+      // the observed [min, max]: an edge can lie outside every sample.
+      const double lo = std::clamp(i == 0 ? 0.0 : edges_[i - 1], min_, max_);
+      const double hi = std::clamp(edges_[i], min_, max_);
+      return lo + (hi - lo) * (rank - double(below)) / double(counts_[i]);
+    }
+    below = seen;
   }
   return max_;
 }

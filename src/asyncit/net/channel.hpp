@@ -162,8 +162,9 @@ class DelayHistogram {
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return max_; }
   double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-  /// Approximate quantile: the upper edge of the bucket holding rank
-  /// p*count, clamped to the observed [min, max].
+  /// Approximate quantile: linear by rank p*count inside the bucket
+  /// holding it, between that bucket's edges clamped to the observed
+  /// [min, max].
   double quantile(double p) const;
   /// Named quantiles exported through the node/cluster JSON (schema
   /// asyncit-node/2); max() above completes the set.

@@ -52,6 +52,7 @@ PsgdServer::PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
     pending_full_.assign(W, 0);
   }
   worker_stopped_.assign(W, 0);
+  reply_owed_.assign(W, 0);
   if (ctx_.options->sgd.discipline == Discipline::kSsp &&
       ctx_.options->sgd.adaptive.enabled)
     steer_ = std::make_unique<obs::StalenessController>(
@@ -72,7 +73,7 @@ void PsgdServer::apply_delta(std::span<const double> payload,
     x_[offset + i] += factor * payload[i];
 }
 
-void PsgdServer::send_params(std::uint32_t dst) {
+bool PsgdServer::send_params(std::uint32_t dst) {
   transport::MessageHeader h;
   h.block = 0;
   h.tag = version_;
@@ -82,7 +83,7 @@ void PsgdServer::send_params(std::uint32_t dst) {
   // the live adaptive bound to the workers' self-gate (0 = steering off).
   if (steer_) h.offset = static_cast<std::uint32_t>(steer_->bound());
   const bool tap = ctx_.options->sgd.discipline == Discipline::kTap;
-  endpoint_->send(dst, h, x_, now(), /*allow_drop=*/tap);
+  return endpoint_->send(dst, h, x_, now(), /*allow_drop=*/tap).sent;
 }
 
 void PsgdServer::broadcast_params() {
@@ -98,6 +99,7 @@ void PsgdServer::maybe_eval() {
   if (progress < next_eval_) return;
   next_eval_ = progress + std::max<std::uint64_t>(1, sgd.eval_every);
   const Eval eval = dataset_eval(*ctx_.data, x_, margins_);
+  ++evaluations_;
   last_loss_ = eval.loss;
   last_accuracy_ = eval.accuracy;
   m_loss_->set(last_loss_);
@@ -109,6 +111,15 @@ void PsgdServer::maybe_eval() {
     target_reached_ = true;
     finish(/*broadcast_stop=*/true);
   }
+}
+
+void PsgdServer::fold(const net::Message& m) {
+  apply_delta(m.value, m.offset, 1.0);
+  ++version_;
+  ++deltas_applied_;
+  examples_ += ctx_.options->sgd.batch_size;
+  obs::record(obs::EventType::kTrainStep, 1, m.src, version_, 1.0);
+  m_deltas_->add();
 }
 
 void PsgdServer::handle(const net::Message& m) {
@@ -159,46 +170,57 @@ void PsgdServer::handle(const net::Message& m) {
       pending_full_[w] = 1;
       break;
     }
-    case Discipline::kTap: {
+    case Discipline::kTap:
       // Any delta advances the model (Theorem 1's totally asynchronous
-      // regime); the sender gets the fresh parameters right back.
-      apply_delta(m.value, m.offset, 1.0);
-      ++version_;
-      ++deltas_applied_;
-      examples_ += sgd.batch_size;
-      obs::record(obs::EventType::kTrainStep, 1, m.src, version_, 1.0);
-      m_deltas_->add();
-      send_params(m.src);
-      maybe_eval();
+      // regime); the sender is owed the parameters, sent after the drain.
+      fold(m);
+      reply_owed_[w] = 1;
       break;
-    }
-    case Discipline::kSsp: {
-      // Fold immediately; the min-clock broadcast happens post-drain in
-      // pump() when the minimum advances.
-      apply_delta(m.value, m.offset, 1.0);
-      ++version_;
-      ++deltas_applied_;
-      examples_ += sgd.batch_size;
-      obs::record(obs::EventType::kTrainStep, 1, m.src, version_, 1.0);
-      m_deltas_->add();
+    case Discipline::kSsp:
+      // Fold immediately; publish() broadcasts after the drain.
+      fold(m);
       if (steer_) {
         steer_gap_max_ = std::max(steer_gap_max_, arrival_gap);
         if (++steer_window_ >= sgd.adaptive.decide_every) {
-          const bool applied =
-              steer_->decide(static_cast<double>(steer_gap_max_),
-                             obs::SteeringDomain::kTrainSsp);
+          if (steer_->decide(static_cast<double>(steer_gap_max_),
+                             obs::SteeringDomain::kTrainSsp)) {
+            clock_.set_staleness(steer_->bound());
+            steered_ = true;
+          }
           steer_window_ = 0;
           steer_gap_max_ = 0;
-          if (applied) {
-            clock_.set_staleness(steer_->bound());
-            // Push the new bound out even when the min hasn't advanced:
-            // a raise must reach gated workers or it frees nobody.
-            broadcast_params();
-          }
         }
       }
       break;
-    }
+  }
+}
+
+void PsgdServer::publish(std::uint64_t prev_min) {
+  const std::size_t W = workers();
+  switch (ctx_.options->sgd.discipline) {
+    case Discipline::kBsp:
+      apply_bsp_round_if_complete();
+      break;
+    case Discipline::kTap:
+      // One frame per drain to each live worker that had a delta folded,
+      // carrying the newest version. A reply the link dropped stays owed
+      // and goes again after the next drain: a worker at its window
+      // waits for it.
+      for (std::size_t w = 0; w < W; ++w)
+        reply_owed_[w] =
+            reply_owed_[w] && !worker_stopped_[w] &&
+            !send_params(static_cast<std::uint32_t>(w + 1));
+      break;
+    case Discipline::kSsp:
+      // The slowest active worker advanced, so gated workers can re-check
+      // clock <= round + staleness; a steered bound goes out even when
+      // the min has not moved (a raise must reach gated workers or it
+      // frees nobody).
+      if (steered_ ||
+          (clock_.active() > 0 && clock_.min_active() > prev_min))
+        broadcast_params();
+      steered_ = false;
+      break;
   }
 }
 
@@ -233,7 +255,6 @@ void PsgdServer::apply_bsp_round_if_complete() {
   ++bsp_round_;
   ++version_;
   broadcast_params();
-  maybe_eval();
 }
 
 void PsgdServer::finish(bool broadcast_stop) {
@@ -254,30 +275,15 @@ void PsgdServer::finish(bool broadcast_stop) {
 bool PsgdServer::pump() {
   if (finished_) return false;
   const double t = now();
-  const bool ssp = ctx_.options->sgd.discipline == Discipline::kSsp;
   const std::uint64_t prev_min =
-      ssp && clock_.active() > 0 ? clock_.min_active() : 0;
+      clock_.active() > 0 ? clock_.min_active() : 0;
 
+  // Per delta: validate and fold. Per drain: publish, then evaluate.
   const std::size_t got = endpoint_->receive(t, inbox_);
-  for (const net::Message& m : inbox_) {
-    if (finished_) break;  // target reached mid-drain
-    handle(m);
-  }
+  for (const net::Message& m : inbox_) handle(m);
   if (got > 0) endpoint_->recycle(inbox_);
-
-  if (!finished_) {
-    if (ctx_.options->sgd.discipline == Discipline::kBsp)
-      apply_bsp_round_if_complete();
-    if (ssp && clock_.active() > 0) {
-      const std::uint64_t mn = clock_.min_active();
-      if (mn > prev_min) {
-        // The slowest active worker advanced: publish the new round so
-        // gated workers can re-check clock <= round + staleness.
-        broadcast_params();
-      }
-      maybe_eval();
-    }
-  }
+  publish(prev_min);
+  maybe_eval();
   if (finished_) return true;
 
   if (t > ctx_.options->sgd.max_seconds) {
@@ -332,6 +338,7 @@ bool PsgdWorker::drain() {
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
       continue;
     }
+    unanswered_ = 0;  // the server drained since those deltas left
     if (m.tag > param_version_) {
       param_version_ = m.tag;
       std::copy(m.value.begin(), m.value.end(), x_.begin());
@@ -361,7 +368,8 @@ bool PsgdWorker::admissible() const {
       return steps_ <= server_round_ + bound;
     }
     case Discipline::kTap:
-      return true;
+      // No clock gate; flow control only (kTapWindow).
+      return unanswered_ < kTapWindow;
   }
   return true;
 }
@@ -380,10 +388,13 @@ void PsgdWorker::step() {
   h.partial = true;
   h.offset = span.offset;
   const bool tap = sgd.discipline == Discipline::kTap;
-  endpoint_->send(0, h,
-                  std::span<const double>(delta_.data() + span.offset,
-                                          span.count),
-                  now(), /*allow_drop=*/tap);
+  const transport::SendReceipt receipt = endpoint_->send(
+      0, h,
+      std::span<const double>(delta_.data() + span.offset, span.count),
+      now(), /*allow_drop=*/tap);
+  // A delta the link dropped never reaches the server, so no reply will
+  // answer it.
+  if (receipt.sent) ++unanswered_;
   if (sgd.discipline != Discipline::kBsp) {
     // Keep making progress on the local copy until the next published
     // version replaces it wholesale (the server folds this same delta

@@ -19,6 +19,18 @@
 //                      live adaptive-staleness bound (0 when steering is
 //                      off — offset has no placement meaning on a full
 //                      model frame, so the field is free to carry it).
+//                      Sent at the end of a server drain, never per
+//                      delta: kBsp to every live worker once a round
+//                      applies, kSsp to every live worker when the min
+//                      clock advanced or steering moved the bound, kTap
+//                      once to each live worker that had a delta folded
+//                      in the drain (the newest version, so a TAP worker
+//                      does not see every version). A kTap reply the
+//                      link dropped is sent again after the next drain:
+//                      a TAP worker stops at PsgdWorker::kTapWindow
+//                      deltas sent since its last params frame, and every
+//                      fabric reports a dropped frame in its SendReceipt,
+//                      so the deltas it counts all reach the server.
 //   either direction   kStop:  empty control frame; a worker announces
 //                      budget exhaustion, the server announces
 //                      target-accuracy / wall-budget termination.
@@ -57,8 +69,10 @@ class PsgdServer {
   PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
              transport::Endpoint& endpoint);
 
-  /// One slice: drain arrivals, fold deltas (barrier-apply for kBsp),
-  /// eval/stop checks. Returns true if any work was done.
+  /// One slice: drain arrivals and fold each delta as it comes (kBsp
+  /// buffers it), then publish once, evaluate at most once (eval_every
+  /// is a minimum spacing checked here), and run the stop checks.
+  /// Returns true if any work was done.
   bool pump();
   bool finished() const { return finished_; }
 
@@ -71,6 +85,8 @@ class PsgdServer {
   std::uint64_t examples_processed() const { return examples_; }
   std::uint64_t frames_rejected() const { return frames_rejected_; }
   std::uint64_t workers_stopped() const { return workers_stopped_; }
+  /// Evaluations run so far (at most one per drain).
+  std::uint64_t evaluations() const { return evaluations_; }
   bool target_reached() const { return target_reached_; }
   double last_loss() const { return last_loss_; }
   double last_accuracy() const { return last_accuracy_; }
@@ -86,11 +102,16 @@ class PsgdServer {
  private:
   double now() const { return ctx_.clock->seconds(); }
   std::size_t workers() const { return ctx_.options->workers; }
+  /// Per delta: validate, then fold (kTap/kSsp) or buffer (kBsp).
   void handle(const net::Message& m);
+  void fold(const net::Message& m);  ///< factor-1 apply, one new version
+  /// Per drain: the discipline's params frames (kBsp applies its round).
+  void publish(std::uint64_t prev_min);
   void apply_delta(std::span<const double> payload, std::uint32_t offset,
                    double factor);
   void apply_bsp_round_if_complete();
-  void send_params(std::uint32_t dst);
+  /// Returns false when the link dropped the frame.
+  bool send_params(std::uint32_t dst);
   void broadcast_params();
   void maybe_eval();
   void finish(bool broadcast_stop);
@@ -105,6 +126,7 @@ class PsgdServer {
   std::unique_ptr<obs::StalenessController> steer_;
   std::uint64_t steer_gap_max_ = 0;  ///< window max of arrival clock gaps
   std::uint64_t steer_window_ = 0;   ///< deltas folded since last decision
+  bool steered_ = false;  ///< a decision moved the bound in this drain
 
   // BSP barrier: one buffered delta per worker per round, applied in
   // rank order with factorDelta = 1/W (bit-reproducible averaging).
@@ -112,6 +134,8 @@ class PsgdServer {
   std::vector<DeltaSpan> pending_span_;
   std::vector<std::uint8_t> pending_full_;
   std::vector<std::uint8_t> worker_stopped_;
+  /// kTap: a delta was folded and no params frame has left since.
+  std::vector<std::uint8_t> reply_owed_;
 
   std::vector<net::Message> inbox_;
 
@@ -126,6 +150,7 @@ class PsgdServer {
   std::uint64_t frames_rejected_ = 0;
   std::uint64_t workers_stopped_ = 0;
   std::uint64_t next_eval_ = 0;
+  std::uint64_t evaluations_ = 0;
   double last_loss_ = -1.0;
   double last_accuracy_ = -1.0;
 
@@ -143,6 +168,13 @@ class PsgdWorker {
   /// be w + 1.
   PsgdWorker(const PsgdContext& ctx, std::size_t w, const la::Vector& x0,
              transport::Endpoint& endpoint);
+
+  /// kTap flow control: a worker with this many deltas unanswered (sent
+  /// since the last params frame arrived) waits for the next one. It
+  /// bounds the server's backlog, and with it the memory the frames in
+  /// flight hold, when the server thread is descheduled; a server that
+  /// keeps up replies long before a worker gets there.
+  static constexpr std::uint64_t kTapWindow = 128;
 
   bool pump();
   bool finished() const { return finished_; }
@@ -181,6 +213,7 @@ class PsgdWorker {
   std::uint64_t steps_ = 0;          ///< == completed-step clock
   std::uint64_t step_budget_ = 0;
   std::uint64_t send_seq_ = 0;
+  std::uint64_t unanswered_ = 0;     ///< deltas that left since params
   std::uint64_t server_round_ = 0;   ///< newest published round seen
   std::uint64_t param_version_ = 0;  ///< newest published version seen
   std::uint64_t steered_bound_ = 0;  ///< newest steered bound seen

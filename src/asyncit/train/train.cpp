@@ -126,6 +126,7 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
     result.rounds = server.rounds();
     result.versions = server.versions();
     result.deltas_applied = server.deltas_applied();
+    result.evaluations = server.evaluations();
     result.examples_processed = server.examples_processed();
     result.peers_stopped = server.workers_stopped();
     result.frames_rejected = server.frames_rejected();

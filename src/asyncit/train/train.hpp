@@ -66,9 +66,11 @@ struct SgdOptions {
   /// Stop as soon as a server eval reaches this train accuracy
   /// (0 disables; the budgets above still apply).
   double target_accuracy = 0.0;
-  /// Server eval cadence: every N applied deltas (kTap/kSsp) or every N
-  /// completed rounds (kBsp) the server computes full-train loss +
-  /// accuracy (allocation-free scalar sweep).
+  /// Server eval cadence, a minimum spacing: at the end of a drain in
+  /// which N applied deltas (kTap/kSsp) or N completed rounds (kBsp) have
+  /// accumulated since the last evaluation, the server computes
+  /// full-train loss + accuracy (allocation-free fused sweep). A drain
+  /// evaluates at most once, however many deltas it folded.
   std::uint64_t eval_every = 8;
 };
 
@@ -103,8 +105,14 @@ struct TrainResult {
   double final_accuracy = -1.0;
 
   std::uint64_t rounds = 0;          ///< server rounds (min worker clock)
-  std::uint64_t versions = 0;        ///< parameter versions published
+  /// Parameter versions the server produced: one per BSP round, one per
+  /// folded TAP/SSP delta. Params frames go out once per drain with the
+  /// newest version, so in TAP and SSP not every version is published.
+  std::uint64_t versions = 0;
   std::uint64_t deltas_applied = 0;  ///< delta frames folded into x
+  /// In-run server evaluations (the eval_every cadence), not counting the
+  /// final evaluation of `x`; 0 on worker ranks.
+  std::uint64_t evaluations = 0;
   std::uint64_t examples_processed = 0;  ///< Σ batch sizes folded in
   double examples_per_sec = 0.0;
   /// Completed passes over the (sharded) dataset: min worker clock

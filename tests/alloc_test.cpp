@@ -357,9 +357,10 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
   // single-threaded over inproc: every worker pump samples a minibatch,
   // computes the scaled delta into construction-sized scratch, ships it
   // as a pooled partial frame; every server pump drains, folds the delta
-  // into the model, replies with a pooled full-params frame, and every
-  // eval_every deltas runs the full-train loss/accuracy sweep. Once the
-  // pools, inboxes and scratch are warm, NONE of that may allocate.
+  // into the model, replies once with a pooled full-params frame, and at
+  // the end of a drain eval_every deltas after the last evaluation runs
+  // the full-train loss/accuracy sweep. Once the pools, inboxes and
+  // scratch are warm, NONE of that may allocate.
   problems::LogisticConfig dcfg;
   dcfg.samples = 64;
   dcfg.features = 16;
@@ -401,6 +402,7 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
 
   co_drive(200);  // warm-up: frame pools, inboxes, eval scratch
 
+  const std::uint64_t evals_before = server.evaluations();
   const std::uint64_t before = allocations();
   co_drive(400);
   const std::uint64_t during = allocations() - before;
@@ -409,6 +411,8 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
   EXPECT_FALSE(worker.finished());
   EXPECT_GE(server.deltas_applied(), 400u);
   EXPECT_GE(server.last_accuracy(), 0.0) << "eval never ran in the window";
+  EXPECT_GT(server.evaluations(), evals_before)
+      << "eval never ran in the window";
 }
 
 TEST(AllocationRegression, ThreadWorkspaceConvenienceWarmsUpToo) {

@@ -3,7 +3,9 @@
 // evaluation against a row-by-row reference at every SIMD level, the
 // delta-frame wire round trip, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
-// synthetic logistic set, the per-rank run_training_node entry, the
+// synthetic logistic set, the TAP server's per-drain publication and
+// evaluation, the TAP worker's window and the resent dropped reply, the
+// per-rank run_training_node entry, the
 // worker's batch-size check, and thread mode: its merge of the W + 1
 // rank results, and rethrowing a role's fault.
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "asyncit/linalg/vector_ops.hpp"
 #include "asyncit/problems/synthetic.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/support/timer.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/train/sgd.hpp"
 #include "asyncit/train/train.hpp"
@@ -84,6 +87,45 @@ class FailingEndpoint final : public transport::Endpoint {
   std::uint64_t dropped() const override { return inner_.dropped(); }
   std::uint64_t delivered() const override { return inner_.delivered(); }
   net::DelayHistogram delays() const override { return inner_.delays(); }
+
+ private:
+  transport::Endpoint& inner_;
+};
+
+/// Delegates to an inner endpoint but drops the next `drop_values` value
+/// frames it sends, as a lossy link does: the receipt says the frame did
+/// not leave.
+class LossyEndpoint final : public transport::Endpoint {
+ public:
+  explicit LossyEndpoint(transport::Endpoint& inner) : inner_(inner) {}
+  std::uint32_t rank() const override { return inner_.rank(); }
+  transport::SendReceipt send(std::uint32_t dst,
+                              const transport::MessageHeader& header,
+                              std::span<const double> value, double now,
+                              bool allow_drop) override {
+    if (header.kind == net::MsgKind::kValue && drop_values > 0) {
+      --drop_values;
+      return {false, now, now};
+    }
+    return inner_.send(dst, header, value, now, allow_drop);
+  }
+  std::size_t receive(double now, std::vector<net::Message>& out) override {
+    return inner_.receive(now, out);
+  }
+  void recycle(std::vector<net::Message>& consumed) override {
+    inner_.recycle(consumed);
+  }
+  std::uint64_t activity() const override { return inner_.activity(); }
+  void wait_for_activity(std::uint64_t seen, double timeout) override {
+    inner_.wait_for_activity(seen, timeout);
+  }
+  double next_delivery() const override { return inner_.next_delivery(); }
+  std::uint64_t sent() const override { return inner_.sent(); }
+  std::uint64_t dropped() const override { return inner_.dropped(); }
+  std::uint64_t delivered() const override { return inner_.delivered(); }
+  net::DelayHistogram delays() const override { return inner_.delays(); }
+
+  std::uint64_t drop_values = 0;
 
  private:
   transport::Endpoint& inner_;
@@ -363,7 +405,143 @@ TEST(TrainTap, SurvivesLossyChaosDelivery) {
       train::run_training(data, la::zeros(data.features()), options);
   EXPECT_TRUE(r.converged);
   EXPECT_GE(r.final_accuracy, 0.95);
-  EXPECT_GT(r.messages_dropped, 0u);
+
+  // A target-stopped run may end before any frame is drawn for loss, so
+  // drops are asserted on a run whose budget fixes its frame count: 200
+  // epochs of 5 batches per 80-row shard, 1,000 droppable deltas per
+  // worker (P(no drop) = 0.95^3000).
+  options.sgd.target_accuracy = 0.0;
+  const train::TrainResult budget =
+      train::run_training(data, la::zeros(data.features()), options);
+  ASSERT_EQ(budget.steps_per_worker.size(), options.workers);
+  for (const std::uint64_t steps : budget.steps_per_worker)
+    EXPECT_EQ(steps, 1000u);
+  EXPECT_GT(budget.messages_dropped, 0u);
+}
+
+TEST(TrainTap, ServerFoldsPerDeltaAndPublishesAndEvaluatesPerDrain) {
+  // The ranks are driven co-operatively on one thread over zero-latency
+  // inproc links, so one server pump drains every delta the workers
+  // sent before it.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.workers = 2;
+  options.sgd.max_epochs = 1000000;
+  options.sgd.max_seconds = 1e9;
+  options.sgd.target_accuracy = 0.0;
+  options.sgd.eval_every = 4;
+  WallTimer timer;
+  train::PsgdContext ctx;
+  ctx.data = &data;
+  ctx.options = &options;
+  ctx.clock = &timer;
+  const la::Vector x0 = la::zeros(data.features());
+
+  // Params frames waiting at `rank`, drained by hand.
+  std::vector<net::Message> inbox;
+  auto drain = [&](transport::InprocTransport& tx, std::uint32_t rank) {
+    inbox.clear();
+    tx.endpoint(rank).receive(timer.seconds(), inbox);
+    return inbox;
+  };
+
+  {
+    transport::InprocTransport tx(3, net::DeliveryPolicy{}, options.seed);
+    train::PsgdServer server(ctx, x0, tx.endpoint(0));
+    train::PsgdWorker w0(ctx, 0, x0, tx.endpoint(1));
+    train::PsgdWorker w1(ctx, 1, x0, tx.endpoint(2));
+    for (int i = 0; i < 5; ++i) w0.pump();
+    for (int i = 0; i < 5; ++i) w1.pump();
+    server.pump();
+    EXPECT_EQ(server.deltas_applied(), 10u);
+    EXPECT_EQ(server.versions(), 10u);
+
+    // One params frame per worker, carrying the newest version.
+    for (const std::uint32_t rank : {1u, 2u}) {
+      const std::vector<net::Message> got = drain(tx, rank);
+      ASSERT_FALSE(got.empty()) << "rank " << rank;
+      EXPECT_EQ(got.size(), 1u) << "rank " << rank;
+      EXPECT_EQ(got[0].kind, net::MsgKind::kValue);
+      EXPECT_EQ(got[0].tag, server.versions()) << "rank " << rank;
+    }
+
+    // One evaluation, of the model after the whole drain: 10 deltas at
+    // eval_every 4 would have evaluated twice, each mid-drain.
+    EXPECT_EQ(server.evaluations(), 1u);
+    la::Vector margins(data.samples());
+    const train::Eval eval = train::dataset_eval(data, server.model(), margins);
+    EXPECT_EQ(server.last_accuracy(), eval.accuracy);
+    EXPECT_EQ(server.last_loss(), eval.loss);
+  }
+
+  {
+    // Worker 0 runs a one-step budget: its delta and its kStop reach the
+    // server in the same drain, so only worker 1 is replied to.
+    options.sgd.max_epochs = 1;
+    options.sgd.batch_size = data.shard(0, 2).size();
+    transport::InprocTransport tx(3, net::DeliveryPolicy{}, options.seed);
+    train::PsgdServer server(ctx, x0, tx.endpoint(0));
+    train::PsgdWorker w0(ctx, 0, x0, tx.endpoint(1));
+    train::PsgdWorker w1(ctx, 1, x0, tx.endpoint(2));
+    ASSERT_EQ(w0.step_budget(), 1u);
+    w0.pump();  // the delta
+    w0.pump();  // the budget is spent: kStop
+    ASSERT_TRUE(w0.finished());
+    w1.pump();
+    server.pump();
+    EXPECT_EQ(server.deltas_applied(), 2u);
+    EXPECT_EQ(server.workers_stopped(), 1u);
+    EXPECT_TRUE(drain(tx, 1).empty());
+    EXPECT_EQ(drain(tx, 2).size(), 1u);
+  }
+}
+
+TEST(TrainTap, WorkerWaitsAtItsWindowAndADroppedReplyIsResent) {
+  // One worker and the server, driven by hand on one thread over a
+  // zero-latency inproc link.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.workers = 1;
+  options.sgd.max_epochs = 1000000;
+  options.sgd.max_seconds = 1e9;
+  options.sgd.target_accuracy = 0.0;
+  WallTimer timer;
+  train::PsgdContext ctx;
+  ctx.data = &data;
+  ctx.options = &options;
+  ctx.clock = &timer;
+  const la::Vector x0 = la::zeros(data.features());
+  constexpr std::uint64_t kWindow = train::PsgdWorker::kTapWindow;
+
+  transport::InprocTransport tx(2, net::DeliveryPolicy{}, options.seed);
+  LossyEndpoint server_ep(tx.endpoint(0));
+  LossyEndpoint worker_ep(tx.endpoint(1));
+  train::PsgdServer server(ctx, x0, server_ep);
+  train::PsgdWorker worker(ctx, 0, x0, worker_ep);
+
+  // Deltas the link dropped reach no server, so they do not count
+  // toward the window.
+  worker_ep.drop_values = 10;
+  for (std::uint64_t i = 0; i < kWindow + 10; ++i) worker.pump();
+  EXPECT_EQ(worker.steps(), kWindow + 10);
+  // At the window the worker waits for a params frame.
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(worker.pump());
+  EXPECT_EQ(worker.steps(), kWindow + 10);
+
+  // The server folds the deltas that left, but the link drops its reply.
+  server_ep.drop_values = 1;
+  server.pump();
+  EXPECT_EQ(server.deltas_applied(), kWindow);
+  EXPECT_FALSE(worker.pump());
+  EXPECT_EQ(worker.steps(), kWindow + 10);
+
+  // The reply stays owed, goes out after the next drain, and frees the
+  // worker.
+  server.pump();
+  EXPECT_TRUE(worker.pump());
+  EXPECT_EQ(worker.steps(), kWindow + 11);
 }
 
 TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {
@@ -373,9 +551,9 @@ TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {
   constexpr std::size_t kWorkers = 3;
   train::TrainOptions options = base_options(train::Discipline::kTap);
   options.workers = kWorkers;
-  // TAP workers never gate, so a finite step budget can drain before the
-  // server's stop frame arrives; make the budget unreachable so the stop
-  // frame is what ends every worker.
+  // TAP workers gate on no clock, so a finite step budget can drain
+  // before the server's stop frame arrives; make the budget unreachable
+  // so the stop frame is what ends every worker.
   options.sgd.max_epochs = 1000000;
 
   const train::Dataset data = train::make_synthetic_dataset(cfg, 7);
