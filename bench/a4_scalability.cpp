@@ -51,7 +51,6 @@ int main() {
     opt.tol = 1e-8;
     opt.x_star = x_star;
     opt.max_steps = 4000000;
-    opt.record_trace = false;
     auto lat1 = sim::make_uniform_latency(0.05, 0.15);
     auto a = sim::run_async_sim(jac, la::zeros(128), fleet(procs), *lat1,
                                 opt);

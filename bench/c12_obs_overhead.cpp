@@ -63,7 +63,6 @@ void enable_level(obs::TraceLevel level) {
   obs::TraceConfig cfg;
   cfg.level = level;
   cfg.ring_capacity = 4096;
-  cfg.rank = 0;
   obs::TraceRecorder::instance().enable(cfg);
 }
 

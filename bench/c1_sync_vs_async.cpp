@@ -52,7 +52,6 @@ int main() {
     opt.tol = 1e-8;
     opt.x_star = x_star;
     opt.max_steps = 2000000;
-    opt.record_trace = false;
     auto lat1 = sim::make_uniform_latency(0.05, 0.15);
     auto sync_r = sim::run_sync_sim(jac, la::zeros(64),
                                     straggler_fleet(8, slow), *lat1, opt);

@@ -50,7 +50,6 @@ int main() {
       opt.inner_steps = inner;
       opt.publish_partials = flexible;
       opt.max_steps = 2000000;
-      opt.record_trace = false;
       opt.seed = 5;
       return sim::run_async_sim(bf, la::zeros(32), std::move(compute),
                                 *latency, opt);

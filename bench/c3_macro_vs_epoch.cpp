@@ -75,7 +75,6 @@ int main() {
     opt.fifo = sc.fifo;
     opt.overwrite = sc.overwrite;
     opt.recording = model::LabelRecording::kFull;
-    opt.record_trace = false;
     opt.seed = 13;
     auto r = sim::run_async_sim(jac, la::zeros(8), std::move(compute),
                                 *latency, opt);

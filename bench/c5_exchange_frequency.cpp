@@ -49,7 +49,6 @@ int main() {
       opt.inner_steps = every;
       opt.publish_partials = flexible;
       opt.max_steps = 3000000;
-      opt.record_trace = false;
       opt.seed = 9;
       return sim::run_async_sim(*oper, la::zeros(prob.dim()),
                                 std::move(compute), *latency, opt);

@@ -63,7 +63,6 @@ int main() {
     opt.tol = 1e-7;
     opt.x_star = p_ref;
     opt.max_steps = 500000;
-    opt.record_trace = false;
     auto lat1 = sim::make_uniform_latency(0.05, 0.2);
     auto async_r = sim::run_async_sim(relax, la::zeros(net.num_nodes()),
                                       fleet(), *lat1, opt);

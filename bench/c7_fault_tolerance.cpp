@@ -60,7 +60,6 @@ int main() {
     opt.x_star = x_star;
     opt.drop_prob = p;
     opt.max_steps = 2000000;
-    opt.record_trace = false;
     auto lat1 = sim::make_uniform_latency(0.1, 0.3);
     auto async_r = sim::run_async_sim(jac, la::zeros(32), fleet(), *lat1,
                                       opt);

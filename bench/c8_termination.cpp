@@ -47,7 +47,6 @@ int main() {
       oracle_opt.tol = 1e-9;
       oracle_opt.x_star = x_star;
       oracle_opt.max_steps = 1000000;
-      oracle_opt.record_trace = false;
       oracle_opt.seed = 17;
       auto oracle_run = sim::run_async_sim(jac, la::zeros(32),
                                            std::move(fleet1), *lat1,
@@ -65,7 +64,6 @@ int main() {
       opt.local_eps = 1e-10;
       opt.scan_period = period;
       opt.max_steps = 1000000;
-      opt.record_trace = false;
       opt.seed = 17;
       auto r = sim::run_async_sim(jac, la::zeros(32), std::move(fleet2),
                                   *lat2, opt);

@@ -33,7 +33,6 @@ int main() {
   opt.max_steps = 4000;
   opt.stop_on_oracle = false;
   opt.recording = model::LabelRecording::kFull;
-  opt.record_trace = false;
   auto result = sim::run_async_sim(jac, la::zeros(2), std::move(compute),
                                    *latency, opt);
 

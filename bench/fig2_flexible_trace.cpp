@@ -37,6 +37,7 @@ int main() {
   opt.publish_partials = true;
   opt.recording = model::LabelRecording::kFull;
   opt.seed = 3;
+  opt.record_trace = true;  // the Gantt chart below
   auto result = sim::run_async_sim(jac, la::zeros(2), std::move(compute),
                                    *latency, opt);
 

@@ -3,9 +3,11 @@
 // (SSP), and barrier-synchronized (BSP) — on real threads exchanging
 // tagged block values over latency/reordering channels, then repeat the
 // asynchronous run over REAL TCP loopback sockets (the same solve, a
-// genuinely serialized wire in between), and finally render the
-// asynchronous run's measured schedule as a Gantt chart (the wall-clock
-// analogue of the paper's Figure 1).
+// genuinely serialized wire in between), and finally trace a short
+// asynchronous run and draw its measured schedule from the obs event
+// rings: one Gantt lane per rank, built from the block-update spans each
+// rank recorded (the wall-clock analogue of the paper's Figure 1), with
+// each link's measured delay p50/p99 below it.
 //
 //   build/examples/message_passing
 //
@@ -17,7 +19,9 @@
 // which spawns one build/tools/asyncit_node per rank on free loopback
 // ports (add --chaos --min-latency 5e-4 --max-latency 3e-3 to inject
 // this example's delay model over the real sockets).
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "asyncit/asyncit.hpp"
 
@@ -92,34 +96,47 @@ int main() {
                 over_tcp.delays.quantile(0.5) * 1e3);
   }
 
-  // 4. Record a short asynchronous run and draw its measured schedule.
-  //    Updating phases are inflated (large repetition factors, same 4x
-  //    ratio) so each phase spans a visible fraction of the chart, and
-  //    the wall-clock times are rescaled to milliseconds for rendering.
+  // 4. Trace a short asynchronous run and draw its measured schedule.
+  //    Every event names the rank that recorded it, so each rank's lane
+  //    is its block-update spans (an event ends its span and carries the
+  //    span's length in v). Updating phases are inflated (large
+  //    repetition factors, same 4x ratio) so each spans a visible
+  //    fraction of the chart; times are in milliseconds since the run
+  //    began. Messages are summarized per link, not drawn: thousands of
+  //    arrows do not fit a terminal.
   net::MpOptions opt = options_for(net::Mode::kAsync);
-  opt.obs.record_trace = true;
+  opt.obs.trace_level = obs::TraceLevel::kFull;
+  opt.obs.trace_ring_capacity = 1 << 15;  // the whole window, no wraps
   opt.worker_slowdown = {8000.0, 2000.0, 2000.0, 2000.0};
   opt.solve.max_seconds = 0.05;  // a 50 ms observation window
   opt.solve.x_star.reset();
-  auto traced = net::run_message_passing(jacobi, la::zeros(128), opt);
+  const auto traced = net::run_message_passing(jacobi, la::zeros(128), opt);
 
-  trace::EventLog ms_log;  // same schedule, times in milliseconds
-  for (trace::PhaseEvent e : traced.log.phases()) {
-    e.t_start *= 1e3;
-    e.t_end *= 1e3;
-    ms_log.add_phase(e);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+  trace::EventLog schedule;
+  std::vector<std::size_t> lane_phases(opt.workers, 0);
+  for (const obs::Event& e : events) {
+    if (e.type != obs::EventType::kBlockUpdate || e.sub != 0) continue;
+    const double t_end = double(e.t_ns) * 1e-6;
+    schedule.add_phase({e.rank, e.a, t_end - e.v * 1e3, t_end, e.b});
+    ++lane_phases.at(e.rank);
   }
-  for (trace::MessageEvent e : traced.log.messages()) {
-    e.t_send *= 1e3;
-    e.t_arrive *= 1e3;
-    ms_log.add_message(e);
-  }
-
   trace::GanttOptions gopt;
   gopt.width = 90;
-  gopt.max_messages = 12;
   std::printf("\nmeasured schedule of the asynchronous run, time in ms "
-              "(rectangles: updating phases; arrows: messages):\n\n%s\n",
-              trace::render_gantt(ms_log, gopt).c_str());
+              "(one lane per rank; rectangles: updating phases labelled "
+              "with the rank's own update count):\n\n%s",
+              trace::render_gantt(schedule, gopt).c_str());
+  const bool every_rank = std::find(lane_phases.begin(), lane_phases.end(),
+                                    0u) == lane_phases.end();
+  std::printf("every rank has a lane:  %s  \n", every_rank ? "yes" : "NO");
+
+  std::printf("\nmeasured link delays (ms):\n");
+  for (const net::MpResult::LinkDelay& link : traced.link_delays)
+    std::printf("  P%u -> P%u  %5llu frames  p50 %.2f  p99 %.2f\n", link.src,
+                link.dst,
+                static_cast<unsigned long long>(link.delays.count()),
+                link.delays.p50() * 1e3, link.delays.p99() * 1e3);
   return 0;
 }

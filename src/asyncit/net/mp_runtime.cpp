@@ -162,22 +162,6 @@ MpResult run_message_passing(const op::BlockOperator& op,
                 partition.block_span(std::span<double>(result.x), b).begin());
     }
   }
-
-  // The Gantt log (obs.record_trace): every rank's events, one timeline.
-  std::vector<trace::PhaseEvent> phases;
-  std::vector<trace::MessageEvent> messages;
-  for (const MpResult& r : ranks) {
-    phases.insert(phases.end(), r.log.phases().begin(), r.log.phases().end());
-    messages.insert(messages.end(), r.log.messages().begin(),
-                    r.log.messages().end());
-  }
-  std::sort(phases.begin(), phases.end(), [](const auto& a, const auto& b) {
-    return a.t_start < b.t_start;
-  });
-  std::sort(messages.begin(), messages.end(),
-            [](const auto& a, const auto& b) { return a.t_send < b.t_send; });
-  for (const auto& e : phases) result.log.add_phase(e);
-  for (const auto& e : messages) result.log.add_message(e);
   if (options.solve.x_star.has_value()) {
     result.final_error =
         la::WeightedMaxNorm(partition).distance(result.x,

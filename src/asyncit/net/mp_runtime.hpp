@@ -45,7 +45,6 @@
 #include "asyncit/obs/steering.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/operator.hpp"
-#include "asyncit/trace/event_log.hpp"
 
 namespace asyncit::transport {
 class Transport;
@@ -138,11 +137,10 @@ struct WireOptions {
   std::uint32_t refresh_every = 16;
 };
 
-/// Observability (obs/, DESIGN.md §8) + the legacy Gantt EventLog.
+/// Observability (obs/, DESIGN.md §8). The event rings are the one trace
+/// of a run: each event names its rank, so per-rank schedules are read
+/// from a ring snapshot.
 struct ObsOptions {
-  bool record_trace = false;          ///< fill the EventLog (Gantt)
-  std::size_t max_trace_events = 20000;
-
   /// Event-tracing level for this run. kOff leaves the global recorder
   /// untouched; kMetrics/kFull enable it at run entry (resetting rings
   /// and the metrics registry) and disable it at exit, leaving the
@@ -278,8 +276,6 @@ struct MpResult {
   /// off, decisions is 0 and the exit bound is solve.staleness.
   std::uint64_t steering_decisions = 0;
   std::uint64_t staleness_at_exit = 0;
-
-  trace::EventLog log;
 };
 
 /// Runs P = options.workers ranks, one thread each, until every rank has

@@ -646,4 +646,26 @@ bool load_node_config(const std::string& path, NodeConfig& out,
   return parse_node_config(in, path, out, error);
 }
 
+MpOptions solve_options(const NodeConfig& cfg) {
+  MpOptions opt;
+  opt.workers = cfg.world;
+  opt.seed = cfg.seed;
+  opt.solve.mode = cfg.mode;
+  opt.solve.staleness = cfg.staleness;
+  opt.solve.adaptive = cfg.adaptive;
+  opt.solve.inner_steps = cfg.inner_steps;
+  opt.solve.publish_partials = cfg.publish_partials;
+  opt.solve.overwrite = cfg.overwrite;
+  opt.solve.tol = cfg.tol;
+  opt.solve.max_updates = cfg.max_updates;
+  opt.solve.max_seconds = cfg.max_seconds;  // virtual under transport sim
+  opt.solve.check_every = cfg.check_every;
+  opt.wire = {cfg.wire_delta, cfg.wire_topk, cfg.wire_quant_bits,
+              cfg.wire_refresh_every};
+  opt.obs.trace_level = cfg.trace;
+  opt.obs.audit = cfg.audit;
+  opt.membership = cfg.membership;
+  return opt;
+}
+
 }  // namespace asyncit::net

@@ -140,4 +140,9 @@ bool parse_node_config(std::istream& in, const std::string& name,
 bool load_node_config(const std::string& path, NodeConfig& out,
                       std::string& error);
 
+/// The solve workload's run options: every solve, wire, membership and
+/// observability key of `cfg` on net::MpOptions — the one mapping
+/// asyncit_node and asyncit_sim share. The caller sets solve.x_star.
+MpOptions solve_options(const NodeConfig& cfg);
+
 }  // namespace asyncit::net

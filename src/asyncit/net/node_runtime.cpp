@@ -30,12 +30,13 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   ASYNCIT_CHECK(options.solve.inner_steps >= 1);
   ASYNCIT_CHECK(options.solve.check_every >= 1);
 
-  // Observability: arm the global recorder for this rank's run. The
-  // caller (tools/asyncit_node) snapshots/exports after return; the
-  // recorder's realtime anchor is what trace_merge.py aligns on.
+  // Observability: this thread's events name this rank, and the global
+  // recorder is armed for the run. The caller (tools/asyncit_node)
+  // snapshots/exports after return; the recorder's realtime anchor is
+  // what trace_merge.py aligns on.
+  const obs::ScopedRank trace_rank(rank);
   obs::ScopedTrace trace(options.obs.trace_level,
-                         options.obs.trace_ring_capacity,
-                         static_cast<std::uint16_t>(rank));
+                         options.obs.trace_ring_capacity);
 
   const auto owned = la::assign_blocks_contiguous(m, world);
   PeerContext ctx;
@@ -102,7 +103,6 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   }
   if (peer.auditor() != nullptr)
     result.admissibility.push_back(peer.auditor()->report());
-  result.log = peer.log();  // empty unless obs.record_trace
   if (options.solve.x_star.has_value()) {
     result.final_error = peer.oracle_error();
     result.converged = result.final_error < options.solve.tol;

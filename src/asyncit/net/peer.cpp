@@ -109,9 +109,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
   } else {
     plan_publication();
   }
-  if (ctx_.options->obs.record_trace)
-    trace_budget_ =
-        ctx_.options->obs.max_trace_events / std::max<std::size_t>(1, ctx_.options->workers);
   if (ctx_.options->wire.delta) {
     // One baseline per (destination, block). The `last` vectors size
     // themselves to the block width on first use, so an idle link costs
@@ -413,7 +410,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
       ++wire_frames_codec_;
     }
     const transport::SendReceipt receipt =
-        endpoint_->send(dst, header, payload, t, allow_drop);
+        transport::send_traced(*endpoint_, dst, header, payload, t, allow_drop);
     const std::uint64_t sent =
         transport::wire_frame_bytes(payload.size(), header.quant_bits);
     bytes_sent_raw_ += transport::frame_bytes(value.size());
@@ -440,20 +437,10 @@ void Peer::send_block(la::BlockId b, bool partial) {
                     slot->last.begin() + header.offset);
       }
     }
-    if (obs::tracing_full()) {
-      if (receipt.sent)
-        obs::record(obs::EventType::kFrameSend,
-                    static_cast<std::uint8_t>(header.kind), dst, tag,
-                    double(sent));
-      else
-        obs::record(obs::EventType::kFrameDrop,
-                    static_cast<std::uint8_t>(header.kind), dst, tag, 0.0);
-    }
-    if (trace_budget_ > 0) {
-      --trace_budget_;
-      log_.add_message({id_, dst, b, partial, !receipt.sent, receipt.t_send,
-                        receipt.deliver_at, tag});
-    }
+    if (receipt.sent)
+      obs::record(obs::EventType::kFrameSend,
+                  static_cast<std::uint8_t>(header.kind), dst, tag,
+                  double(sent));
   };
   for (const std::uint32_t dst : readers_of(b))
     if (sends_to(dst)) send_one(dst);
@@ -558,7 +545,9 @@ void Peer::send_stop(std::uint32_t dst, la::BlockId b, bool final,
     value = ctx_.op->partition().block_span(std::span<const double>(view_.x),
                                             b);
   }
-  if (!endpoint_->send(dst, header, value, t, /*allow_drop=*/false).sent)
+  if (!transport::send_traced(*endpoint_, dst, header, value, t,
+                              /*allow_drop=*/false)
+           .sent)
     unsent_stops_.push_back({dst, b, final});
 }
 
@@ -631,10 +620,12 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
     header.round = round_;
     const auto value =
         partition.block_span(std::span<const double>(view_.x), b);
-    endpoint_->send(dst, header, value, t, /*allow_drop=*/false);
-    obs::record(obs::EventType::kFrameSend,
-                static_cast<std::uint8_t>(header.kind), dst, header.tag,
-                double(value.size() * sizeof(double)));
+    if (transport::send_traced(*endpoint_, dst, header, value, t,
+                               /*allow_drop=*/false)
+            .sent)
+      obs::record(obs::EventType::kFrameSend,
+                  static_cast<std::uint8_t>(header.kind), dst, header.tag,
+                  double(transport::frame_bytes(value.size())));
     ++snapshot_blocks_sent_;
   }
 }
@@ -655,7 +646,8 @@ void Peer::service_membership() {
       // allow_drop=true: the DEFAULT DeliveryPolicy spares control
       // frames anyway (drop_control=false); flipping the flag turns the
       // chaos loss model into a failure-detector stress test.
-      endpoint_->send(f.dst, header, f.payload, t, /*allow_drop=*/true);
+      transport::send_traced(*endpoint_, f.dst, header, f.payload, t,
+                             /*allow_drop=*/true);
     }
     agent->outbox().clear();
   }
@@ -710,6 +702,8 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
               view_.x.begin() + static_cast<std::ptrdiff_t>(r.begin));
     if (flexible && t + 1 < inner) {
       send_block(b, /*partial=*/true);
+      obs::record(obs::EventType::kBlockUpdate, 1,
+                  static_cast<std::uint32_t>(b), local_step_ + 1, 0.0);
       receive();  // incorporate mid-phase arrivals (Definition 3)
     }
   }
@@ -719,8 +713,8 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
         std::max(sweep_displacement_, la::dist2(phase_out_, phase_prev_));
 
   ++local_step_;
-  obs::record(obs::EventType::kBlockUpdate, flexible ? 1 : 0,
-              static_cast<std::uint32_t>(b), local_step_, now() - t_start);
+  obs::record(obs::EventType::kBlockUpdate, 0, static_cast<std::uint32_t>(b),
+              local_step_, now() - t_start);
   if (auditor_ != nullptr) {
     // Audit bridge: own step j updates S_j = {b} ∪ {blocks a remote
     // incorporation changed since step j-1}; every component was last
@@ -748,10 +742,6 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
       steer_->decide(static_cast<double>(auditor_->d_bound()) / owned_n,
                      obs::SteeringDomain::kNetSsp);
     }
-  }
-  if (trace_budget_ > 0) {
-    --trace_budget_;
-    log_.add_phase({id_, b, t_start, now(), local_step_});
   }
 }
 

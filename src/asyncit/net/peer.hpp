@@ -65,7 +65,6 @@
 #include "asyncit/operators/operator.hpp"
 #include "asyncit/runtime/pacing.hpp"
 #include "asyncit/support/timer.hpp"
-#include "asyncit/trace/event_log.hpp"
 #include "asyncit/transport/transport.hpp"
 
 namespace asyncit::net {
@@ -189,7 +188,6 @@ class Peer {
     return wire_frames_heartbeat_;
   }
   std::uint64_t wire_frames_codec() const { return wire_frames_codec_; }
-  const trace::EventLog& log() const { return log_; }
   /// Measured drain delay per source rank (always on; index = src).
   const std::vector<DelayHistogram>& link_delays() const {
     return link_delays_;
@@ -388,9 +386,6 @@ class Peer {
   /// not-yet-complete round.
   std::vector<std::uint64_t> complete_rounds_;
   std::vector<std::unordered_map<std::uint64_t, std::size_t>> arrivals_;
-
-  trace::EventLog log_;
-  std::size_t trace_budget_ = 0;      ///< remaining events this peer may log
 
   // ---- observability (obs/) ----
   std::vector<DelayHistogram> link_delays_;  ///< by source rank

@@ -9,19 +9,29 @@
 // word writes and zero steady-state allocations.
 //
 // Field conventions per type (a/b/v are the payload words; `sub` is a
-// per-type discriminator; `rank` is the recording world rank):
+// per-type discriminator; `rank` is the world rank whose code recorded
+// the event — obs::ScopedRank, DESIGN.md §8):
 //
-//   kBlockUpdate     a=block        b=tag (production step)
-//                    sub=0 full phase, 1 partial (flexible communication)
-//                    v=phase duration seconds
+//   kBlockUpdate     a=block  b=the rank's own update count, this update
+//                    included (net::Peer and both rt:: async executors)
+//                    sub=0 a completed update: v=phase duration seconds
+//                    sub=1 a mid-phase partial publish (flexible
+//                          communication) of that update: v=0
+//                    rt::run_sync_threads records one sub=0 event per
+//                    round instead: a=number of blocks, b=round,
+//                    v=round duration seconds
 //   kFrameSend       a=dst          b=tag  sub=MsgKind
-//                    v=payload bytes (doubles * 8)
+//                    v=wire bytes of the frame
 //   kFrameRecv       a=src          b=tag  sub=MsgKind
 //                    v=measured delay seconds (post/arrival -> drain)
 //   kFrameReject     a=src          b=block  sub=MsgKind  v=0
 //                    (sub=0xFF: wire-invalid frame at a transport reader)
-//   kFrameDrop       a=dst          b=queue depth at drop  sub=MsgKind
-//                    v=0 (loss model / dead link / elastic overflow)
+//   kFrameDrop       a=dst          b=tag  sub=MsgKind  v=0
+//                    One per dropped frame: the sender records every
+//                    drop its SendReceipt reports (loss model, closed
+//                    TCP link; transport::send_traced), the TCP fabric
+//                    only frames it discards after a receipt said sent
+//                    (dead elastic link, elastic queue overflow)
 //   kInversion       a=block        b=tag lag (newest seen - arrived)
 //                    sub=1 when the stale value was filtered  v=0
 //   kMembership      a=subject rank b=incarnation
@@ -29,7 +39,11 @@
 //   kProbe           a=target       b=sequence  sub=MsgKind (kPing /
 //                    kPingReq / kAck)  v=0
 //   kStopDecision    a=StopReason   b=own updates at decision  v=seconds
-//   kQueueDepth      a=link peer    b=depth  sub=QueueKind  v=bytes
+//   kQueueDepth      b=depth  sub=QueueKind
+//                    kTcpWriter: a=dst, v=bytes queued
+//                    kInbox: a=own rank, b=frames drained, v=0
+//                    kChaosHeld: a=own rank, b=frames still held,
+//                    v=frames released
 //   kRedial          a=dst          b=attempt outcome (1 ok, 0 fail)
 //                    v=seconds (run clock at the attempt)
 //   kMarker          free-form breadcrumb (watchdog arm/disarm, node

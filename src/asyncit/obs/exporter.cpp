@@ -60,16 +60,25 @@ std::size_t write_chrome_trace(std::ostream& os, std::vector<Event> events,
     first = false;
   };
 
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << meta.rank
-     << ",\"tid\":0,\"args\":{\"name\":\"";
-  append_escaped(os, meta.label.empty() ? "asyncit" : meta.label);
-  os << "\"}}";
-  for (int lane = 0; lane <= 4; ++lane) {
+  // One named process per rank present (meta.rank's even when empty).
+  std::vector<std::uint16_t> ranks{meta.rank};
+  for (const Event& e : events) ranks.push_back(e.rank);
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  const std::string label = meta.label.empty() ? "asyncit" : meta.label;
+  for (const std::uint16_t rank : ranks) {
     sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << meta.rank
-       << ",\"tid\":" << lane << ",\"args\":{\"name\":\"" << lane_name(lane)
-       << "\"}}";
+    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << rank
+       << ",\"tid\":0,\"args\":{\"name\":\"";
+    append_escaped(os, ranks.size() == 1 ? label
+                                         : label + " r" + std::to_string(rank));
+    os << "\"}}";
+    for (int lane = 0; lane <= 4; ++lane) {
+      sep();
+      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << rank
+         << ",\"tid\":" << lane << ",\"args\":{\"name\":\""
+         << lane_name(lane) << "\"}}";
+    }
   }
 
   std::size_t emitted = 0;
@@ -83,7 +92,7 @@ std::size_t write_chrome_trace(std::ostream& os, std::vector<Event> events,
       os << "{\"name\":\"update b" << e.a << "\",\"ph\":\"X\",\"ts\":"
          << std::max(0.0, ts_us - dur_us) << ",\"dur\":" << dur_us
          << ",\"pid\":" << e.rank << ",\"tid\":" << lane
-         << ",\"args\":{\"block\":" << e.a << ",\"tag\":" << e.b
+         << ",\"args\":{\"block\":" << e.a << ",\"step\":" << e.b
          << ",\"partial\":" << unsigned(e.sub) << "}}";
     } else if (e.type == EventType::kQueueDepth) {
       os << "{\"name\":\"queue q" << unsigned(e.sub) << " peer" << e.a

@@ -9,12 +9,13 @@
 //    ("i") with the decoded payload in "args";
 //  * queue-depth samples become counter ("C") tracks per link.
 //
-// pid = world rank, tid = a per-(rank, source thread) lane, so a merged
-// multi-rank trace shows one process group per rank. The document also
-// carries "otherData" with the rank, the recorder's CLOCK_REALTIME
-// enable anchor (`epoch_realtime_ns`) and drop counters — that anchor
-// is what tools/trace_merge.py uses to shift per-rank monotonic
-// timelines onto one cluster clock.
+// pid = the rank that recorded the event, tid = a per-event-family lane.
+// The document names one process per rank present, so an in-process
+// multi-rank snapshot and a merged multi-process trace both show one
+// process group per rank. It also carries "otherData" with the rank,
+// the recorder's CLOCK_REALTIME enable anchor (`epoch_realtime_ns`) and
+// drop counters — that anchor is what tools/trace_merge.py uses to
+// shift per-rank monotonic timelines onto one cluster clock.
 #pragma once
 
 #include <cstdint>

@@ -84,6 +84,9 @@ std::uint64_t steady_now_ns() {
 
 std::atomic<TraceClockFn> g_clock{nullptr};
 
+/// The rank this thread's events name (ScopedRank).
+thread_local std::uint16_t t_rank = 0;
+
 /// The injectable raw source: steady_clock unless set_trace_clock()
 /// installed something (virtual time under simnet).
 std::uint64_t raw_now_ns() {
@@ -186,6 +189,7 @@ class ThreadRing {
     dropped_.store(0, std::memory_order_relaxed);
   }
 
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t recorded() const {
     return head_.load(std::memory_order_relaxed);
   }
@@ -208,7 +212,8 @@ struct TraceRecorder::Impl {
   std::mutex mu;  ///< guards registry/free_list (claim/release/reset only)
   std::vector<detail::ThreadRing*> rings;  ///< append-only, leaked at exit
   std::vector<detail::ThreadRing*> free_list;
-  std::size_t ring_capacity = 4096;
+  /// The armed run's per-thread capacity (read by writers: atomic).
+  std::atomic<std::size_t> ring_capacity{4096};
 };
 
 /// Thread-local ring claim. The destructor returns the ring to the
@@ -216,10 +221,24 @@ struct TraceRecorder::Impl {
 /// events stay in place and remain part of the run's history).
 struct TlsRingHandle {
   detail::ThreadRing* ring = nullptr;
+  /// This thread's ring, claimed on first use and re-claimed when the
+  /// armed run asks for more capacity than it has — the writer path's
+  /// only heap activity.
+  detail::ThreadRing* get(TraceRecorder& recorder) {
+    if (ring == nullptr ||
+        ring->capacity() <
+            recorder.impl_->ring_capacity.load(std::memory_order_relaxed))
+      ring = recorder.claim_ring(ring);
+    return ring;
+  }
   ~TlsRingHandle() {
     if (ring) TraceRecorder::instance().release_ring(ring);
   }
 };
+
+namespace {
+thread_local TlsRingHandle t_ring;
+}  // namespace
 
 TraceRecorder& TraceRecorder::instance() {
   static TraceRecorder* recorder = new TraceRecorder();  // leaked: outlives
@@ -231,9 +250,8 @@ TraceRecorder::~TraceRecorder() = default;
 
 void TraceRecorder::enable(const TraceConfig& config) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->ring_capacity = config.ring_capacity;
+  impl_->ring_capacity.store(config.ring_capacity, std::memory_order_relaxed);
   for (detail::ThreadRing* ring : impl_->rings) ring->reset();
-  rank_ = config.rank;
   t0_steady_ns_ = detail::raw_now_ns();
   epoch_realtime_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -260,15 +278,20 @@ TraceClockFn trace_clock() {
   return detail::g_clock.load(std::memory_order_relaxed);
 }
 
+ScopedRank::ScopedRank(std::uint32_t rank) : prev_(detail::t_rank) {
+  detail::t_rank = static_cast<std::uint16_t>(rank);
+}
+
+ScopedRank::~ScopedRank() { detail::t_rank = prev_; }
+
 ScopedTrace::ScopedTrace(TraceLevel level, std::size_t ring_capacity,
-                         std::uint16_t rank, TraceClockFn clock)
+                         TraceClockFn clock)
     : armed_(level != TraceLevel::kOff), prev_clock_(trace_clock()) {
   if (!armed_) return;
   if (clock != nullptr) set_trace_clock(clock);
   TraceConfig tc;
   tc.level = level;
   tc.ring_capacity = ring_capacity;
-  tc.rank = rank;
   TraceRecorder::instance().enable(tc);
   MetricsRegistry::instance().reset();
 }
@@ -290,15 +313,20 @@ void ScopedTrace::stop(std::uint64_t& recorded, std::uint64_t& dropped) {
   dropped = stats.dropped;
 }
 
-detail::ThreadRing* TraceRecorder::claim_ring() {
+detail::ThreadRing* TraceRecorder::claim_ring(detail::ThreadRing* held) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (!impl_->free_list.empty()) {
-    detail::ThreadRing* ring = impl_->free_list.back();
-    impl_->free_list.pop_back();
-    return ring;
-  }
-  auto* ring = new detail::ThreadRing(impl_->ring_capacity);
-  impl_->rings.push_back(ring);
+  std::vector<detail::ThreadRing*>& free = impl_->free_list;
+  if (held != nullptr) free.push_back(held);
+  // A free ring smaller than the armed run asks for stays free.
+  const std::size_t capacity =
+      impl_->ring_capacity.load(std::memory_order_relaxed);
+  const auto fit = std::find_if(free.begin(), free.end(), [&](auto* ring) {
+    return ring->capacity() >= capacity;
+  });
+  if (fit == free.end())
+    return impl_->rings.emplace_back(new detail::ThreadRing(capacity));
+  detail::ThreadRing* ring = *fit;
+  free.erase(fit);
   return ring;
 }
 
@@ -309,19 +337,16 @@ void TraceRecorder::release_ring(detail::ThreadRing* ring) {
 
 void TraceRecorder::push(EventType type, std::uint8_t sub, std::uint32_t a,
                          std::uint64_t b, double v) {
-  thread_local TlsRingHandle tls;
-  if (tls.ring == nullptr) tls.ring = claim_ring();  // sole alloc site
-  tls.ring->push(now_ns(), type, sub, rank_, a, b, v);
+  t_ring.get(*this)->push(now_ns(), type, sub, detail::t_rank, a, b, v);
 }
 
 void TraceRecorder::push_phase_end(EventType type, std::uint8_t sub,
                                    std::uint32_t a, std::uint64_t b,
                                    std::uint64_t t0_ns) {
-  thread_local TlsRingHandle tls;
-  if (tls.ring == nullptr) tls.ring = claim_ring();
+  detail::ThreadRing* ring = t_ring.get(*this);
   const std::uint64_t now = now_ns();
-  tls.ring->push(now, type, sub, rank_, a, b,
-                 static_cast<double>(now - t0_ns) * 1e-9);
+  ring->push(now, type, sub, detail::t_rank, a, b,
+             static_cast<double>(now - t0_ns) * 1e-9);
 }
 
 std::size_t TraceRecorder::snapshot(std::vector<Event>* out) {

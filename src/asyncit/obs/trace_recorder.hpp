@@ -1,11 +1,13 @@
 // Alloc-free, lock-free event tracing (DESIGN.md §8).
 //
 // One process-wide TraceRecorder owns a registry of per-thread ring
-// buffers. A thread's first record() claims a ring (allocating it, or
-// reusing one released by a finished thread) — that claim is the ONLY
-// heap activity; every subsequent record() is four relaxed atomic word
-// stores plus one release bump of the ring head. alloc_test pins this:
-// after warm-up, a full-tracing messaging round trip allocates nothing.
+// buffers. A thread's first record() claims a ring of at least the armed
+// run's capacity (allocating it, or reusing one released by a finished
+// thread; a thread whose ring is smaller than a later run asks for
+// claims again) — that claim is the ONLY heap activity; every subsequent
+// record() is four relaxed atomic word stores plus one release bump of
+// the ring head. alloc_test pins this: after warm-up, a full-tracing
+// messaging round trip allocates nothing.
 //
 // Concurrency contract:
 //  * exactly one writer per ring (the owning thread); rings are never
@@ -21,6 +23,11 @@
 //    + free-list), so a long-lived service thread (e.g. a TCP writer)
 //    holding its ring across run boundaries never dereferences freed
 //    memory.
+//
+// Ranks: every event names the rank whose code recorded it — the
+// thread's ScopedRank, set by whatever runs a rank (net::run_node,
+// train::run_training_node, rt:: workers, TCP service threads, and
+// simnet's engine around each fiber dispatch); rank 0 when none is set.
 //
 // Clocks: events are stamped with nanoseconds since enable() read from an
 // injectable raw source — steady (monotonic) by default, or whatever
@@ -56,8 +63,6 @@ struct TraceConfig {
   /// Per-thread ring capacity in events; rounded up to a power of two.
   /// 4096 events * 32 B = 128 KiB per instrumented thread.
   std::size_t ring_capacity = 4096;
-  /// World rank stamped into every event (0 for in-process runs).
-  std::uint16_t rank = 0;
 };
 
 /// Raw timestamp source for event stamping: absolute nanoseconds on any
@@ -105,7 +110,6 @@ class TraceRecorder {
     return static_cast<TraceLevel>(
         detail::g_level.load(std::memory_order_relaxed));
   }
-  std::uint16_t rank() const { return rank_; }
 
   /// Monotonic nanoseconds since enable().
   std::uint64_t now_ns() const;
@@ -142,28 +146,43 @@ class TraceRecorder {
   ~TraceRecorder();
 
   friend struct TlsRingHandle;
-  detail::ThreadRing* claim_ring();
+  /// A ring of at least the armed capacity; `held` (if any) goes back to
+  /// the free list first.
+  detail::ThreadRing* claim_ring(detail::ThreadRing* held);
   void release_ring(detail::ThreadRing* ring);
 
   struct Impl;
   Impl* impl_;  ///< raw: the singleton lives until process exit
 
-  std::uint16_t rank_ = 0;
   std::uint64_t t0_steady_ns_ = 0;
   std::uint64_t epoch_realtime_ns_ = 0;
+};
+
+/// Stamps the calling thread's events with `rank` until scope exit,
+/// then restores the rank it replaced. The code that runs one rank opens
+/// one for its body; the recorder holds no rank of its own.
+class ScopedRank {
+ public:
+  explicit ScopedRank(std::uint32_t rank);
+  ~ScopedRank();
+  ScopedRank(const ScopedRank&) = delete;
+  ScopedRank& operator=(const ScopedRank&) = delete;
+
+ private:
+  std::uint16_t prev_;
 };
 
 /// Arms the process-global recorder for one run and disarms it on scope
 /// exit. At kOff it does nothing, so callers that manage the recorder
 /// themselves (benches, a world hosting many ranks) pass kOff down to
 /// the runs they host. Otherwise it installs `clock` (nullptr keeps the
-/// current source), enables the recorder for `rank`, resets the metrics
-/// registry, and on exit disables the recorder and restores the
-/// previous clock — rings keep their events for the caller's snapshot.
+/// current source), enables the recorder, resets the metrics registry,
+/// and on exit disables the recorder and restores the previous clock —
+/// rings keep their events for the caller's snapshot.
 class ScopedTrace {
  public:
   ScopedTrace(TraceLevel level, std::size_t ring_capacity,
-              std::uint16_t rank = 0, TraceClockFn clock = nullptr);
+              TraceClockFn clock = nullptr);
   ~ScopedTrace();
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;

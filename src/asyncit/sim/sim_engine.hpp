@@ -75,7 +75,7 @@ struct SimOptions {
   la::Vector norm_weights;       ///< weighted max norm (empty = unit)
   model::Step record_error_every = 1;
 
-  bool record_trace = true;      ///< fill the EventLog (Gantt)
+  bool record_trace = false;     ///< fill the EventLog (Gantt)
   std::size_t max_trace_events = 20000;
 
   std::uint64_t seed = 1;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/support/check.hpp"
 
 namespace asyncit::simnet {
@@ -100,7 +101,10 @@ void SimEngine::run() {
       }
     }
     current_ = ev.task;
-    task.fiber->resume();
+    {
+      const obs::ScopedRank trace_rank(task.rank);  // its events name it
+      task.fiber->resume();
+    }
     current_ = kNoTask;
   }
   // Every live fiber keeps one pending event (advance/wait_until always

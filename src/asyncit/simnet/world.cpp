@@ -59,7 +59,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
 
   SimClock clock(&engine);
   obs::ScopedTrace trace(options.mp.obs.trace_level,
-                         options.mp.obs.trace_ring_capacity, 0,
+                         options.mp.obs.trace_ring_capacity,
                          &sim_trace_clock);
 
   WorldResult result;
@@ -109,7 +109,7 @@ TrainWorldResult run_train_world(const train::Dataset& data,
 
   SimClock clock(&engine);
   obs::ScopedTrace trace(options.train.obs.trace_level,
-                         options.train.obs.trace_ring_capacity, 0,
+                         options.train.obs.trace_ring_capacity,
                          &sim_trace_clock);
 
   TrainWorldResult result;

@@ -14,7 +14,9 @@
 //   obs    per-rank trace arming is forced off; the world arms the ONE
 //          process-global TraceRecorder here, with set_trace_clock()
 //          routing event timestamps through the active engine — traces
-//          and the admissibility auditor see virtual nanoseconds.
+//          and the admissibility auditor see virtual nanoseconds — and
+//          the engine stamps every dispatch with its fiber's rank, so
+//          each event names the rank that recorded it.
 //   memory per-source link_delays histograms are forced off (O(world^2)
 //          DelayHistograms would dwarf the actual solver state at 1000
 //          ranks); endpoint-level delay aggregates remain.

@@ -83,7 +83,9 @@ bool PsgdServer::send_params(std::uint32_t dst) {
   // the live adaptive bound to the workers' self-gate (0 = steering off).
   if (steer_) h.offset = static_cast<std::uint32_t>(steer_->bound());
   const bool tap = ctx_.options->sgd.discipline == Discipline::kTap;
-  return endpoint_->send(dst, h, x_, now(), /*allow_drop=*/tap).sent;
+  return transport::send_traced(*endpoint_, dst, h, x_, now(),
+                                /*allow_drop=*/tap)
+      .sent;
 }
 
 void PsgdServer::broadcast_params() {
@@ -265,8 +267,8 @@ void PsgdServer::finish(bool broadcast_stop) {
     const double t = now();
     for (std::size_t w = 0; w < W; ++w)
       if (!worker_stopped_[w])
-        endpoint_->send(static_cast<std::uint32_t>(w + 1), h, {}, t,
-                        /*allow_drop=*/false);
+        transport::send_traced(*endpoint_, static_cast<std::uint32_t>(w + 1),
+                               h, {}, t, /*allow_drop=*/false);
     stop_broadcast_ = true;
   }
   finished_ = true;
@@ -388,8 +390,8 @@ void PsgdWorker::step() {
   h.partial = true;
   h.offset = span.offset;
   const bool tap = sgd.discipline == Discipline::kTap;
-  const transport::SendReceipt receipt = endpoint_->send(
-      0, h,
+  const transport::SendReceipt receipt = transport::send_traced(
+      *endpoint_, 0, h,
       std::span<const double>(delta_.data() + span.offset, span.count),
       now(), /*allow_drop=*/tap);
   // A delta the link dropped never reaches the server, so no reply will
@@ -414,7 +416,7 @@ void PsgdWorker::finish(bool notify_server) {
   if (notify_server) {
     transport::MessageHeader h;
     h.kind = net::MsgKind::kStop;
-    endpoint_->send(0, h, {}, now(), /*allow_drop=*/false);
+    transport::send_traced(*endpoint_, 0, h, {}, now(), /*allow_drop=*/false);
   }
   finished_ = true;
 }

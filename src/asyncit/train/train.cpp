@@ -108,8 +108,11 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
   // waiting out its wall budget for workers that never start.
   ASYNCIT_CHECK_MSG(options.sgd.batch_size >= 1, "batch_size must be >= 1");
 
+  // Every event this thread records names this rank; the recorder is
+  // armed here only when no thread-mode run or simnet world armed it.
+  const obs::ScopedRank trace_rank(rank);
   obs::ScopedTrace trace(options.obs.trace_level,
-                        options.obs.trace_ring_capacity);
+                         options.obs.trace_ring_capacity);
 
   PsgdContext ctx;
   ctx.data = &data;

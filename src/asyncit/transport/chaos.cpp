@@ -48,14 +48,8 @@ SendReceipt ChaosEndpoint::send(std::uint32_t dst,
   ASYNCIT_CHECK(dst < links_.size());
   const net::LinkDraw draw = links_[dst].draw(spec_, header.kind, allow_drop);
   const double deliver_at = now + draw.variate;
-  if (!draw.sent) {
-    // The loss model decided here (sender-side draw): the trace's
-    // injected-drop signature, distinct from dead-link TCP drops.
-    obs::record(obs::EventType::kFrameDrop,
-                static_cast<std::uint8_t>(header.kind), dst, 0,
-                deliver_at - now);
-    return {false, now, deliver_at};
-  }
+  // A drop decided here is the sender's to trace: the receipt reports it.
+  if (!draw.sent) return {false, now, deliver_at};
   MessageHeader h = header;
   h.injected_delay = deliver_at - now;  // this link's latency draw
   // Drops were decided here; the inner backend must not drop again.

@@ -75,6 +75,16 @@ sockaddr_in resolve_ipv4(const std::string& host, std::uint16_t port) {
   return sa;
 }
 
+/// Traces the discard of a frame whose receipt already said sent.
+void trace_discard(std::uint32_t dst, std::span<const std::uint8_t> frame) {
+  if (!obs::tracing_full()) return;
+  net::Message m;  // a rare path: decoding the whole frame is fine
+  std::size_t consumed = 0;
+  decode_frame(frame, consumed, m);
+  obs::record(obs::EventType::kFrameDrop, static_cast<std::uint8_t>(m.kind),
+              dst, m.tag, 0.0);
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- TcpEndpoint
@@ -442,6 +452,7 @@ bool TcpTransport::Impl::read_exact(int fd, std::uint8_t* out,
 }
 
 void TcpTransport::Impl::accept_loop(TcpEndpoint* ep) {
+  const obs::ScopedRank trace_rank(ep->rank_);
   // Static mesh: exit once every expected hello arrived. Elastic: run
   // for the transport's lifetime — late joiners and crash-rejoins dial
   // in whenever they come up.
@@ -516,6 +527,7 @@ void TcpTransport::Impl::accept_loop(TcpEndpoint* ep) {
 
 void TcpTransport::Impl::reader_loop(TcpEndpoint* ep,
                                      TcpEndpoint::InLink* link) {
+  const obs::ScopedRank trace_rank(ep->rank_);
   std::vector<std::uint8_t> buf;
   buf.reserve(1 << 16);
   std::uint8_t tmp[16384];
@@ -603,6 +615,7 @@ bool TcpTransport::Impl::write_all(TcpEndpoint::OutLink* link,
 
 void TcpTransport::Impl::writer_loop(TcpEndpoint* ep,
                                      TcpEndpoint::OutLink* link) {
+  const obs::ScopedRank trace_rank(ep->rank_);
   std::vector<std::vector<std::uint8_t>> batch;
   for (;;) {
     {
@@ -638,8 +651,7 @@ void TcpTransport::Impl::writer_loop(TcpEndpoint* ep,
       } else {
         link->tx_dropped.fetch_add(1, std::memory_order_relaxed);
         if (obs::tracing_on()) m_tx_drops->add();
-        obs::record(obs::EventType::kFrameDrop, 0, link->dst, batch.size(),
-                    0.0);
+        trace_discard(link->dst, frame);
       }
       ep->frame_pool_.recycle(std::move(frame));
     }
@@ -701,9 +713,7 @@ SendReceipt TcpEndpoint::send(std::uint32_t dst, const MessageHeader& header,
   // destination may be rejoining) and discards what it cannot deliver.
   if (!elastic && link->closed.load(std::memory_order_relaxed)) {
     ++dropped_;
-    obs::record(obs::EventType::kFrameDrop,
-                static_cast<std::uint8_t>(header.kind), dst, 0, 0.0);
-    return {false, now, now};
+    return {false, now, now};  // the sender traces the drop
   }
   // A block broadcast encodes once PER DESTINATION even though the bytes
   // are identical: sharing one frame across link queues would need a
@@ -717,10 +727,10 @@ SendReceipt TcpEndpoint::send(std::uint32_t dst, const MessageHeader& header,
     if (elastic && link->queue.size() >= kMaxElasticQueue) {
       // Bounded queue toward an unreachable destination: the OLDEST
       // frame is the least valuable (a fresher value supersedes it).
+      trace_discard(dst, link->queue.front());
       frame_pool_.recycle(std::move(link->queue.front()));
       link->queue.erase(link->queue.begin());
       ++dropped_;
-      obs::record(obs::EventType::kFrameDrop, 0, dst, kMaxElasticQueue, 0.0);
     }
     link->queue.push_back(std::move(frame));
   }

@@ -37,19 +37,21 @@
 #include <vector>
 
 #include "asyncit/net/channel.hpp"
+#include "asyncit/obs/trace_recorder.hpp"
 
 namespace asyncit::transport {
 
 /// Sender-side description of an outgoing message (net/channel.hpp).
 using MessageHeader = net::MessageHeader;
 
-/// What happened to one send, for trace logging. `deliver_at` is the
-/// scheduled (inproc/chaos) or nominal (tcp: == t_send) delivery time.
+/// What happened to one send. `deliver_at` is the scheduled
+/// (inproc/chaos) or nominal (tcp: == t_send) delivery time.
 struct SendReceipt {
-  bool sent = false;  ///< false: dropped by the link's loss model
+  bool sent = false;  ///< false: dropped (loss model, closed link)
   double t_send = 0.0;
   double deliver_at = 0.0;
 };
+
 
 class Endpoint {
  public:
@@ -96,6 +98,20 @@ class Endpoint {
   /// header for what interval is measured).
   virtual net::DelayHistogram delays() const = 0;
 };
+
+/// Endpoint::send that traces a kFrameDrop when the receipt reports the
+/// frame lost. Senders send through it and a fabric traces only discards
+/// no receipt can report, so each dropped frame is traced once.
+inline SendReceipt send_traced(Endpoint& ep, std::uint32_t dst,
+                               const MessageHeader& header,
+                               std::span<const double> value, double now,
+                               bool allow_drop) {
+  const SendReceipt receipt = ep.send(dst, header, value, now, allow_drop);
+  if (!receipt.sent)
+    obs::record(obs::EventType::kFrameDrop,
+                static_cast<std::uint8_t>(header.kind), dst, header.tag, 0.0);
+  return receipt;
+}
 
 class Transport {
  public:

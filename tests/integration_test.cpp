@@ -56,7 +56,6 @@ TEST_F(CrossExecutor, ModelEngineSimAndThreadsAgree) {
   sopt.tol = 1e-9;
   sopt.x_star = x_star_;
   sopt.max_steps = 400000;
-  sopt.record_trace = false;
   auto sm = sim::run_async_sim(*jacobi_, la::zeros(48), std::move(fleet),
                                *latency, sopt);
   ASSERT_TRUE(sm.converged);
@@ -119,7 +118,6 @@ TEST_F(CrossExecutor, LassoAcrossExecutors) {
   sopt.inner_steps = 2;
   sopt.publish_partials = true;
   sopt.max_steps = 400000;
-  sopt.record_trace = false;
   auto sm = sim::run_async_sim(bf, la::zeros(48), std::move(fleet),
                                *latency, sopt);
   ASSERT_TRUE(sm.converged);
@@ -188,7 +186,6 @@ TEST(FullFeature, EverythingAtOnceHoldsAllInvariants) {
   opt.drop_prob = 0.02;
   opt.max_steps = 2000000;
   opt.recording = model::LabelRecording::kFull;
-  opt.record_trace = false;
   auto r = sim::run_async_sim(bf, la::zeros(32), std::move(fleet),
                               *latency, opt);
 
@@ -252,7 +249,6 @@ TEST(ObstacleSim, ExchangeFrequencyRunConverges) {
   opt.inner_steps = 4;
   opt.publish_partials = true;
   opt.max_steps = 2000000;
-  opt.record_trace = false;
   auto r = sim::run_async_sim(*oper, la::zeros(prob.dim()),
                               std::move(fleet), *latency, opt);
   ASSERT_TRUE(r.converged);

@@ -25,6 +25,7 @@
 #include "asyncit/problems/quadratic.hpp"
 #include "asyncit/runtime/executors.hpp"
 #include "asyncit/support/check.hpp"
+#include "trace_counts.hpp"
 
 namespace asyncit::net {
 namespace {
@@ -415,16 +416,18 @@ TEST_F(MpRuntimeFixture, DisplacementStoppingWithoutOracle) {
   EXPECT_LT(la::dist_inf(result.x, x_star_), 1e-7);
 }
 
-TEST_F(MpRuntimeFixture, RecordsTraceEvents) {
+TEST_F(MpRuntimeFixture, EveryUpdateEventNamesItsRank) {
+  // The obs rings are the one trace of a thread-mode run: counted per
+  // stamped rank, the block-update events are each rank's own updates.
   MpOptions opt = base_options();
-  opt.obs.record_trace = true;
-  auto result = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
-                                         opt);
+  opt.obs.trace_level = obs::TraceLevel::kFull;
+  opt.obs.trace_ring_capacity = 1 << 16;
+  const auto result = net::run_message_passing(*jacobi_,
+                                               la::zeros(sys_.dim()), opt);
   ASSERT_TRUE(result.converged);
-  EXPECT_GT(result.log.phases().size(), 0u);
-  EXPECT_GT(result.log.messages().size(), 0u);
-  EXPECT_LE(result.log.phases().size() + result.log.messages().size(),
-            opt.obs.max_trace_events);
+  ASSERT_EQ(result.obs_events_dropped, 0u) << "a ring wrapped";
+  EXPECT_EQ(count_per_rank(obs::EventType::kBlockUpdate, 0),
+            result.updates_per_worker);
 }
 
 // ------------------------------------------------------- the stop rule

@@ -46,6 +46,59 @@ TEST(NodeConfig, MinimalTrainConfigParsesAndFoldsSharedKeys) {
   EXPECT_DOUBLE_EQ(cfg.sgd.max_seconds, 12.0);
 }
 
+TEST(NodeConfig, SolveOptionsCarryEverySolveKey) {
+  // Every solve, wire, membership and observability key set off its
+  // default must reach the options both tools run with.
+  NodeConfig cfg;
+  std::string error;
+  ASSERT_TRUE(parse(kTcp +
+                        "seed 7\nmode ssp\nstaleness 5\ninner_steps 3\n"
+                        "publish_partials 1\noverwrite newest_tag\n"
+                        "tol 1e-6\nmax_seconds 9\nmax_updates 1234\n"
+                        "check_every 4\nwire_delta 1\nwire_topk 12\n"
+                        "wire_quant_bits 8\nwire_refresh_every 5\n"
+                        "trace full\naudit 1\nadaptive 1\nadaptive_min 2\n"
+                        "adaptive_max 6\nadaptive_gain 0.5\n"
+                        "adaptive_hold 4\nadaptive_every 16\n"
+                        "ping_period 0.07\n",
+                    cfg, error))
+      << error;
+  const MpOptions opt = solve_options(cfg);
+  EXPECT_EQ(opt.workers, 2u);
+  EXPECT_EQ(opt.seed, 7u);
+  EXPECT_EQ(opt.solve.mode, Mode::kSsp);
+  EXPECT_EQ(opt.solve.staleness, 5u);
+  EXPECT_EQ(opt.solve.inner_steps, 3u);
+  EXPECT_TRUE(opt.solve.publish_partials);
+  EXPECT_EQ(opt.solve.overwrite, OverwritePolicy::kNewestTagWins);
+  EXPECT_DOUBLE_EQ(opt.solve.tol, 1e-6);
+  EXPECT_DOUBLE_EQ(opt.solve.max_seconds, 9.0);
+  EXPECT_EQ(opt.solve.max_updates, 1234u);
+  EXPECT_EQ(opt.solve.check_every, 4u);
+  EXPECT_FALSE(opt.solve.x_star.has_value());  // the caller's to set
+  EXPECT_TRUE(opt.wire.delta);
+  EXPECT_EQ(opt.wire.topk, 12u);
+  EXPECT_EQ(opt.wire.quant_bits, 8u);
+  EXPECT_EQ(opt.wire.refresh_every, 5u);
+  EXPECT_EQ(opt.obs.trace_level, obs::TraceLevel::kFull);
+  EXPECT_TRUE(opt.obs.audit);
+  EXPECT_TRUE(opt.solve.adaptive.enabled);
+  EXPECT_EQ(opt.solve.adaptive.min_bound, 2u);
+  EXPECT_EQ(opt.solve.adaptive.max_bound, 6u);
+  EXPECT_DOUBLE_EQ(opt.solve.adaptive.gain, 0.5);
+  EXPECT_EQ(opt.solve.adaptive.hold, 4u);
+  EXPECT_EQ(opt.solve.adaptive.decide_every, 16u);
+  EXPECT_DOUBLE_EQ(opt.membership.ping_period, 0.07);
+  EXPECT_FALSE(opt.membership.enabled);
+
+  // Membership needs mode async, so it gets a config of its own.
+  NodeConfig elastic;
+  ASSERT_TRUE(parse(kTcp + "membership 1\n", elastic, error)) << error;
+  EXPECT_TRUE(solve_options(elastic).membership.enabled);
+  EXPECT_EQ(solve_options(elastic).membership.initial_alive,
+            (std::vector<std::uint32_t>{0, 1}));
+}
+
 TEST(NodeConfig, UnknownKeysAndMalformedValuesNameTheirLine) {
   struct Case {
     std::string text;

@@ -45,7 +45,6 @@ void enable_full() {
   obs::TraceConfig tc;
   tc.level = obs::TraceLevel::kFull;
   tc.ring_capacity = kCap;
-  tc.rank = 0;
   obs::TraceRecorder::instance().enable(tc);
 }
 
@@ -247,6 +246,78 @@ TEST(Exporter, WritesWellFormedChromeTraceJson) {
         << "exporter output is not valid JSON";
     std::remove(path.c_str());
   }
+  obs::TraceRecorder::instance().disable();
+}
+
+TEST(Exporter, NamesOneProcessPerRankPresent) {
+  // Each thread records under the rank it set, the rank it replaced
+  // comes back at scope exit, and an in-process multi-rank snapshot
+  // names one Perfetto process per rank.
+  enable_full();
+  std::vector<std::thread> ranks;
+  for (std::uint32_t r = 1; r <= 3; ++r)
+    ranks.emplace_back([r] {
+      const obs::ScopedRank rank(r);
+      obs::record(obs::EventType::kMarker, 0, 0, 0, 0.0);
+    });
+  for (std::thread& t : ranks) t.join();
+  {
+    const obs::ScopedRank rank(2);
+    obs::record(obs::EventType::kMarker, 0, 0, 0, 0.0);
+  }
+  obs::record(obs::EventType::kMarker, 0, 0, 0, 0.0);  // rank 0 again
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+  ASSERT_EQ(events.size(), 5u);
+  std::map<std::uint16_t, int> per_rank;
+  for (const obs::Event& e : events) ++per_rank[e.rank];
+  EXPECT_EQ(per_rank, (std::map<std::uint16_t, int>{{0, 1}, {1, 1}, {2, 2},
+                                                    {3, 1}}));
+
+  std::ostringstream os;
+  obs::write_chrome_trace(os, events, obs::ExportMeta{});
+  const std::string doc = os.str();
+  for (int r = 0; r <= 4; ++r) {
+    const std::string name =
+        "\"process_name\",\"ph\":\"M\",\"pid\":" + std::to_string(r) + ",";
+    std::size_t found = 0;
+    for (std::size_t at = doc.find(name); at != std::string::npos;
+         at = doc.find(name, at + 1))
+      ++found;
+    EXPECT_EQ(found, r <= 3 ? 1u : 0u) << "pid " << r;
+  }
+  EXPECT_NE(doc.find("\"asyncit r3\""), std::string::npos);
+  obs::TraceRecorder::instance().disable();
+}
+
+TEST(Exporter, TraceMergeRejectsAnotherRanksEvents) {
+  if (!python3_available()) GTEST_SKIP() << "python3 not on PATH";
+  // A rank's file holds only that rank's events: one stamped with
+  // another rank means a process recorded under the wrong identity.
+  enable_full();
+  obs::record(obs::EventType::kMarker, 1, 0, 0, 0.0);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+  ASSERT_EQ(events.size(), 1u);
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "gate_rank_1.trace.json";
+  const std::string merged = dir + "gate_merged.trace.json";
+  const std::string cmd = std::string("python3 ") + ASYNCIT_SOURCE_DIR +
+                          "/tools/trace_merge.py --out " + merged + " " +
+                          path + " >/dev/null 2>&1";
+  obs::ExportMeta meta;
+  meta.rank = 1;
+  for (const std::uint16_t stamped : {0, 1}) {
+    events[0].rank = stamped;
+    {
+      std::ofstream f(path);
+      obs::write_chrome_trace(f, events, meta);
+    }
+    EXPECT_EQ(std::system(cmd.c_str()) == 0, stamped == 1)
+        << "rank 1 file with an event stamped " << stamped;
+  }
+  std::remove(path.c_str());
+  std::remove(merged.c_str());
   obs::TraceRecorder::instance().disable();
 }
 

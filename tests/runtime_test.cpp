@@ -191,16 +191,22 @@ TEST(RuntimeProxGrad, AsyncSolvesLassoOperator) {
 TEST_F(RuntimeFixture, DisplacementStoppingWorksWithoutOracle) {
   // The [15]-style practical rule: no x_star, stop when every block's
   // last update moved less than displacement_tol. For a contraction with
-  // factor alpha this certifies closeness ~ tol/(1-alpha).
-  RuntimeOptions opt;
-  opt.workers = 2;
-  opt.displacement_tol = 1e-10;
-  opt.max_seconds = 30.0;
-  opt.max_updates = 100000000;
-  auto result = run_async_threads(*jacobi_, la::zeros(sys_.dim()), opt);
-  // stopped by the rule (not by budget): and genuinely near the solution
-  EXPECT_LT(result.total_updates, 100000000u);
-  EXPECT_LT(la::dist_inf(result.x, x_star_), 1e-7);
+  // factor alpha this certifies closeness ~ tol/(1-alpha). Worker 0
+  // checks it on a snapshot under either read consistency.
+  for (const bool consistent : {false, true}) {
+    RuntimeOptions opt;
+    opt.workers = 2;
+    opt.consistent_reads = consistent;
+    opt.displacement_tol = 1e-10;
+    opt.max_seconds = 30.0;
+    opt.max_updates = 100000000;
+    auto result = run_async_threads(*jacobi_, la::zeros(sys_.dim()), opt);
+    // stopped by the rule (not by budget): and genuinely near the solution
+    SCOPED_TRACE(consistent ? "seqlock reads" : "Hogwild reads");
+    EXPECT_LT(result.total_updates, 100000000u);
+    EXPECT_LT(result.wall_seconds, opt.max_seconds);
+    EXPECT_LT(la::dist_inf(result.x, x_star_), 1e-7);
+  }
 }
 
 TEST(RuntimeValidation, RejectsMoreWorkersThanBlocks) {

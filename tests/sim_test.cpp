@@ -299,6 +299,7 @@ TEST_F(SimFixture, EventLogRecordsPhasesAndMessages) {
   opt.x_star = x_star_;
   opt.max_steps = 100;
   opt.stop_on_oracle = false;
+  opt.record_trace = true;
   auto result = run_async_sim(*jacobi_, la::zeros(sys_.dim()),
                               homogeneous(2, 1.0), *latency, opt);
   EXPECT_GT(result.log.phases().size(), 0u);

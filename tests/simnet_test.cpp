@@ -32,6 +32,7 @@
 #include "asyncit/train/train.hpp"
 #include "asyncit/transport/chaos.hpp"
 #include "asyncit/transport/inproc.hpp"
+#include "trace_counts.hpp"
 
 namespace asyncit::simnet {
 namespace {
@@ -433,6 +434,24 @@ TEST_F(SimWorldFixture, ChaosOverSimRunsTheDelayModelInVirtualTime) {
     EXPECT_GE(rank.delays.min(), o.chaos_policy.min_latency);
     ASSERT_EQ(rank.admissibility.size(), 1u);
   }
+}
+
+TEST_F(SimWorldFixture, EveryUpdateEventNamesItsRank) {
+  // The ranks of a world share one OS thread, and the engine stamps each
+  // dispatch with its fiber's rank: counted per rank, the block-update
+  // events are each rank's own updates. Tracing changes nothing the
+  // world does.
+  WorldOptions o = base_world(4);
+  const WorldResult untraced = run_world(*jacobi_, la::zeros(sys_.dim()), o);
+  o.mp.obs.trace_level = obs::TraceLevel::kFull;
+  const WorldResult r = run_world(*jacobi_, la::zeros(sys_.dim()), o);
+  ASSERT_TRUE(r.all_converged) << "residual " << r.final_residual;
+  ASSERT_EQ(r.obs_events_dropped, 0u) << "a ring wrapped";
+  std::vector<std::uint64_t> updates;
+  for (const net::MpResult& rank : r.ranks)
+    updates.push_back(rank.total_updates);
+  EXPECT_EQ(count_per_rank(obs::EventType::kBlockUpdate, 0), updates);
+  EXPECT_EQ(r.log_hash, untraced.log_hash);
 }
 
 TEST_F(SimWorldFixture, SixtyFourRanksReplayByteIdentically) {

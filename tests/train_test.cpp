@@ -28,6 +28,7 @@
 #include "asyncit/train/train.hpp"
 #include "asyncit/transport/inproc.hpp"
 #include "asyncit/transport/wire.hpp"
+#include "trace_counts.hpp"
 
 namespace {
 
@@ -647,6 +648,24 @@ TEST(TrainThreads, MergedResultSumsEveryRankOverACallerTransport) {
   const train::Eval eval = train::dataset_eval(data, r.x, margins);
   EXPECT_EQ(r.final_accuracy, eval.accuracy);
   EXPECT_EQ(r.final_loss, eval.loss);
+}
+
+TEST(TrainThreads, EveryStepEventNamesItsWorkerRank) {
+  // Worker w runs as rank w + 1 and records one kTrainStep sub-0 event
+  // per minibatch step: counted per stamped rank, those are its steps.
+  // The server (rank 0) records none.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.obs.trace_level = obs::TraceLevel::kFull;
+  options.obs.trace_ring_capacity = 1 << 16;
+  const train::TrainResult r =
+      train::run_training(data, la::zeros(data.features()), options);
+  ASSERT_EQ(r.obs_events_dropped, 0u) << "a ring wrapped";
+  std::vector<std::uint64_t> steps{0};
+  steps.insert(steps.end(), r.steps_per_worker.begin(),
+               r.steps_per_worker.end());
+  EXPECT_EQ(count_per_rank(obs::EventType::kTrainStep, 0), steps);
 }
 
 TEST(TrainThreads, RoleExceptionIsRethrownAfterEveryThreadJoins) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <thread>
 
 #include "asyncit/net/mp_runtime.hpp"
@@ -32,6 +33,7 @@
 #include "asyncit/transport/pool.hpp"
 #include "asyncit/transport/tcp.hpp"
 #include "asyncit/transport/wire.hpp"
+#include "trace_counts.hpp"
 
 namespace asyncit::transport {
 namespace {
@@ -1254,6 +1256,36 @@ TEST_F(BackendParityFixture, ChaosOverTcpRunsTheDelayModelOnRealSockets) {
   // Every measured delay includes the injected hold: the floor of the
   // delay model survives the real socket path.
   EXPECT_GE(r.delays.min(), policy.min_latency);
+}
+
+TEST_F(BackendParityFixture, EveryDroppedFrameIsTracedOnce) {
+  // The sender traces each drop its receipt reports and the chaos
+  // decorator traces none, so the kFrameDrop events are the dropped
+  // frames over the plain mailboxes and under the decorator alike.
+  net::MpOptions opt = base_options();
+  opt.obs.trace_level = obs::TraceLevel::kFull;
+  opt.obs.trace_ring_capacity = 1 << 16;
+  opt.chaos.delivery.drop_prob = 0.2;
+  auto drops_traced = [] {
+    const std::vector<std::uint64_t> per_rank =
+        count_per_rank(obs::EventType::kFrameDrop);
+    return std::accumulate(per_rank.begin(), per_rank.end(),
+                           std::uint64_t{0});
+  };
+
+  const auto inproc =
+      net::run_message_passing(*jacobi_, la::zeros(sys_.dim()), opt);
+  ASSERT_EQ(inproc.obs_events_dropped, 0u) << "a ring wrapped";
+  EXPECT_GT(inproc.messages_dropped, 0u);
+  EXPECT_EQ(drops_traced(), inproc.messages_dropped);
+
+  InprocTransport mailboxes(opt.workers, net::DeliveryPolicy{}, opt.seed);
+  ChaosTransport chaos(mailboxes, opt.chaos.delivery, opt.seed);
+  const auto decorated =
+      net::run_message_passing(*jacobi_, la::zeros(sys_.dim()), opt, chaos);
+  ASSERT_EQ(decorated.obs_events_dropped, 0u) << "a ring wrapped";
+  EXPECT_GT(decorated.messages_dropped, 0u);
+  EXPECT_EQ(drops_traced(), decorated.messages_dropped);
 }
 
 // ------------------------------------------------------- node runtime

@@ -146,27 +146,8 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
 
   print_start_marker(rank);
 
-  net::MpOptions opt;
-  opt.workers = cfg.world;
-  opt.solve.mode = cfg.mode;
-  opt.solve.staleness = cfg.staleness;
-  opt.solve.inner_steps = cfg.inner_steps;
-  opt.solve.publish_partials = cfg.publish_partials;
-  opt.solve.overwrite = cfg.overwrite;
-  opt.solve.tol = cfg.tol;
+  net::MpOptions opt = net::solve_options(cfg);
   opt.solve.x_star = x_star;
-  opt.solve.max_seconds = cfg.max_seconds;
-  opt.solve.max_updates = cfg.max_updates;
-  opt.solve.check_every = cfg.check_every;
-  opt.solve.adaptive = cfg.adaptive;
-  opt.seed = cfg.seed;
-  opt.membership = cfg.membership;
-  opt.wire.delta = cfg.wire_delta;
-  opt.wire.topk = cfg.wire_topk;
-  opt.wire.quant_bits = cfg.wire_quant_bits;
-  opt.wire.refresh_every = cfg.wire_refresh_every;
-  opt.obs.trace_level = cfg.trace;
-  opt.obs.audit = cfg.audit;
 
   const auto streamer = make_streamer(cfg, rank);
   const net::MpResult result =

@@ -98,22 +98,8 @@ int main(int argc, char** argv) {
       op::picard_solve(jacobi, la::zeros(cfg.dim), 50000, 1e-14);
 
   simnet::WorldOptions wo;
-  wo.mp.workers = cfg.world;
-  wo.mp.solve.mode = cfg.mode;
-  wo.mp.solve.staleness = cfg.staleness;
-  wo.mp.solve.inner_steps = cfg.inner_steps;
-  wo.mp.solve.publish_partials = cfg.publish_partials;
-  wo.mp.solve.overwrite = cfg.overwrite;
-  wo.mp.solve.tol = cfg.tol;
+  wo.mp = net::solve_options(cfg);
   wo.mp.solve.x_star = x_star;
-  wo.mp.solve.max_seconds = cfg.max_seconds;  // VIRTUAL budget under sim
-  wo.mp.solve.max_updates = cfg.max_updates;
-  wo.mp.solve.check_every = cfg.check_every;
-  wo.mp.solve.adaptive = cfg.adaptive;
-  wo.mp.seed = cfg.seed;
-  wo.mp.membership = cfg.membership;
-  wo.mp.obs.trace_level = cfg.trace;
-  wo.mp.obs.audit = cfg.audit;
   wo.sim = cfg.simcfg;
   wo.chaos = cfg.chaos;
   wo.chaos_policy = cfg.chaos_policy;

@@ -31,6 +31,11 @@ obs/streamer.hpp's single-path rule exists for) fails the merge loudly.
 Rotated-away windows (sequence run not starting at 0) are tolerated;
 the merged document reports the missing prefix per rank.
 
+Rank attribution is checked: every event names the rank that recorded
+it (its pid), so a rank's file holding an event stamped with another
+rank — a thread that recorded without setting its rank — fails the
+merge.
+
 Cross-check: pass the launcher log (or any file containing the
 `ASYNCIT_NODE_START rank=R epoch_ns=E` markers asyncit_node prints at
 solve start) via --log and the merge verifies each rank's trace anchor
@@ -70,9 +75,16 @@ def load_trace(path):
     if window_seq is None and WINDOW_RE.search(os.path.basename(path)):
         raise ValueError(f"{path}: window-named file without "
                          "otherData.window_seq (not asyncit-trace/2?)")
+    rank = int(other.get("rank", -1))
+    foreign = sorted({ev.get("pid") for ev in events
+                      if "ts" in ev and ev.get("pid") != rank},
+                     key=str)
+    if foreign:
+        raise ValueError(f"{path}: rank {rank}'s trace holds events stamped "
+                         f"with rank(s) {foreign}")
     return {
         "path": path,
-        "rank": int(other.get("rank", -1)),
+        "rank": rank,
         "epoch_ns": int(other["epoch_realtime_ns"]),
         "dropped": int(other.get("events_dropped", 0)),
         "window_seq": None if window_seq is None else int(window_seq),
