@@ -29,7 +29,7 @@ namespace {
 struct Scenario {
   const char* name;
   bool fifo;
-  sim::OverwritePolicy overwrite;
+  net::OverwritePolicy overwrite;
   bool slow_then_fast;
 };
 
@@ -48,12 +48,12 @@ int main() {
   op::JacobiOperator jac(sys.a, sys.b, la::Partition::scalar(8));
 
   const Scenario scenarios[] = {
-      {"FIFO + newest-tag", true, sim::OverwritePolicy::kNewestTagWins,
+      {"FIFO + newest-tag", true, net::OverwritePolicy::kNewestTagWins,
        false},
       {"non-FIFO + last-arrival", false,
-       sim::OverwritePolicy::kLastArrivalWins, false},
+       net::OverwritePolicy::kLastArrivalWins, false},
       {"slow-then-fast machine", true,
-       sim::OverwritePolicy::kNewestTagWins, true},
+       net::OverwritePolicy::kNewestTagWins, true},
   };
 
   bench::Report report("c3_macro_vs_epoch");

@@ -35,14 +35,16 @@ int main() {
   opt.stop_on_oracle = false;
   opt.recording = model::LabelRecording::kFull;
   opt.seed = 3;
-  opt.record_trace = true;  // the Gantt chart below
+  opt.trace_level = obs::TraceLevel::kFull;  // the Gantt chart below
   auto result = sim::run_async_sim(jac, la::zeros(2), std::move(compute),
                                    *latency, opt);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
 
   trace::GanttOptions gopt;
   gopt.width = 100;
   gopt.max_messages = 24;
-  std::printf("%s\n", trace::render_gantt(result.log, gopt).c_str());
+  std::printf("%s\n", trace::render_gantt(events, gopt).c_str());
 
   TextTable table({"step j", "proc", "component", "l_1(j)", "l_2(j)",
                    "delay d(j)"});

@@ -37,26 +37,27 @@ int main() {
   opt.publish_partials = true;
   opt.recording = model::LabelRecording::kFull;
   opt.seed = 3;
-  opt.record_trace = true;  // the Gantt chart below
+  opt.trace_level = obs::TraceLevel::kFull;  // the Gantt chart below
   auto result = sim::run_async_sim(jac, la::zeros(2), std::move(compute),
                                    *latency, opt);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
 
   trace::GanttOptions gopt;
   gopt.width = 100;
   gopt.max_messages = 36;
-  std::printf("%s\n", trace::render_gantt(result.log, gopt).c_str());
+  std::printf("%s\n", trace::render_gantt(events, gopt).c_str());
 
+  // Partial publishes (kBlockUpdate sub 1) strictly inside a completed
+  // phase (sub 0, spanning [t - v, t]) of their own processor.
   std::size_t partial_mid_phase = 0;
-  for (const auto& msg : result.log.messages()) {
-    if (!msg.partial) continue;
-    for (const auto& ph : result.log.phases()) {
-      if (ph.processor == msg.src && msg.t_send > ph.t_start + 1e-12 &&
-          msg.t_send < ph.t_end - 1e-12) {
-        ++partial_mid_phase;
-        break;
-      }
-    }
-  }
+  const auto update = obs::EventType::kBlockUpdate;
+  for (const obs::Event& p : events)
+    for (const obs::Event& ph : events)
+      partial_mid_phase += p.type == update && p.sub == 1 &&
+                           ph.type == update && ph.sub == 0 &&
+                           ph.rank == p.rank && p.t_ns < ph.t_ns &&
+                           double(p.t_ns) > double(ph.t_ns) - ph.v * 1e9;
   std::printf("partial updates sent: %zu (of which strictly mid-phase: "
               "%zu); full updates: %zu\n",
               result.partials_sent, partial_mid_phase,

@@ -49,10 +49,11 @@ int main() {
   opt.drop_prob = 0.02;          // transient faults
   opt.max_steps = 3000000;
   opt.recording = model::LabelRecording::kFull;
-  opt.record_trace = true;
-  opt.max_trace_events = 400;
+  opt.trace_level = obs::TraceLevel::kFull;
   auto r = sim::run_async_sim(bf, la::zeros(64), std::move(fleet),
                               *latency, opt);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
 
   std::printf("converged: %s after %llu updates, virtual time %.1f\n",
               r.converged ? "yes" : "no",
@@ -81,9 +82,12 @@ int main() {
                                                              1e-13)));
 
   std::printf("\nfirst instants of the run (Gantt, Fig. 1/2 style):\n");
+  std::erase_if(events, [](const obs::Event& e) {
+    return e.t_ns > 5'000'000'000u;  // after 5 units of virtual time
+  });
   trace::GanttOptions gopt;
   gopt.width = 96;
   gopt.max_messages = 12;
-  std::printf("%s", trace::render_gantt(r.log, gopt).c_str());
+  std::printf("%s", trace::render_gantt(events, gopt).c_str());
   return r.converged ? 0 : 1;
 }

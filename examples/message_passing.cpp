@@ -101,9 +101,9 @@ int main() {
   //    is its block-update spans (an event ends its span and carries the
   //    span's length in v). Updating phases are inflated (large
   //    repetition factors, same 4x ratio) so each spans a visible
-  //    fraction of the chart; times are in milliseconds since the run
-  //    began. Messages are summarized per link, not drawn: thousands of
-  //    arrows do not fit a terminal.
+  //    fraction of the chart; times are in seconds since the run began.
+  //    Messages are summarized per link, not drawn (their events are left
+  //    out of the chart): thousands of arrows do not fit a terminal.
   net::MpOptions opt = options_for(net::Mode::kAsync);
   opt.obs.trace_level = obs::TraceLevel::kFull;
   opt.obs.trace_ring_capacity = 1 << 15;  // the whole window, no wraps
@@ -114,20 +114,17 @@ int main() {
 
   std::vector<obs::Event> events;
   obs::TraceRecorder::instance().snapshot(&events);
-  trace::EventLog schedule;
+  std::erase_if(events, [](const obs::Event& e) {
+    return e.type != obs::EventType::kBlockUpdate;
+  });
   std::vector<std::size_t> lane_phases(opt.workers, 0);
-  for (const obs::Event& e : events) {
-    if (e.type != obs::EventType::kBlockUpdate || e.sub != 0) continue;
-    const double t_end = double(e.t_ns) * 1e-6;
-    schedule.add_phase({e.rank, e.a, t_end - e.v * 1e3, t_end, e.b});
-    ++lane_phases.at(e.rank);
-  }
+  for (const obs::Event& e : events) lane_phases.at(e.rank) += e.sub == 0;
   trace::GanttOptions gopt;
   gopt.width = 90;
-  std::printf("\nmeasured schedule of the asynchronous run, time in ms "
+  std::printf("\nmeasured schedule of the asynchronous run, time in s "
               "(one lane per rank; rectangles: updating phases labelled "
               "with the rank's own update count):\n\n%s",
-              trace::render_gantt(schedule, gopt).c_str());
+              trace::render_gantt(events, gopt).c_str());
   const bool every_rank = std::find(lane_phases.begin(), lane_phases.end(),
                                     0u) == lane_phases.end();
   std::printf("every rank has a lane:  %s  \n", every_rank ? "yes" : "NO");

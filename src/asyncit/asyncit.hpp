@@ -30,7 +30,7 @@
 //              through a transport with injected latency / reordering /
 //              loss (BSP, SSP, async)
 //   solvers/   the public solve_* facade + ARock / DAve-RPG baselines
-//   trace/     event logs, ASCII Gantt (Fig. 1 / Fig. 2), CSV
+//   trace/     ASCII Gantt of an obs ring snapshot (Fig. 1 / Fig. 2), CSV
 #pragma once
 
 #include "asyncit/engine/auditors.hpp"

@@ -140,7 +140,7 @@ struct DeliveryPolicy {
   bool drop_control = false;
 };
 
-/// Receiver-side incorporation policy — mirrors sim::OverwritePolicy.
+/// Receiver-side incorporation policy (net:: and sim/).
 enum class OverwritePolicy {
   /// Incoming value always overwrites the local copy (one-sided put / DMA
   /// semantics). With non-FIFO links this lets a stale value clobber a

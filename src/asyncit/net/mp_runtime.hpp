@@ -146,7 +146,7 @@ struct ObsOptions {
   /// and the metrics registry) and disable it at exit, leaving the
   /// recorded events snapshot-able by the caller (exporters, node JSON).
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
-  /// Per-thread event-ring capacity (events; power of two).
+  /// Event-ring capacity per rank (events; power of two).
   std::size_t trace_ring_capacity = 4096;
   /// Online admissibility auditor: every peer streams its local
   /// (S_j, l(j)) schedule through the condition a–d checks while the

@@ -19,11 +19,14 @@
 //                          communication) of that update: v=0
 //                    rt::run_sync_threads records one sub=0 event per
 //                    round instead: a=number of blocks, b=round,
-//                    v=round duration seconds
+//                    v=round duration seconds. sim/: b=the global step j
+//                    (sub=1: its partial's tag). A publish follows its
+//                    kValue frames on its rank's timeline (net::Peer, sim/)
 //   kFrameSend       a=dst          b=tag  sub=MsgKind
-//                    v=wire bytes of the frame
+//                    v=wire bytes of the frame (sim/: payload bytes)
 //   kFrameRecv       a=src          b=tag  sub=MsgKind
-//                    v=measured delay seconds (post/arrival -> drain)
+//                    v=measured delay seconds (post/arrival -> drain;
+//                    sim/: virtual send -> arrival)
 //   kFrameReject     a=src          b=block  sub=MsgKind  v=0
 //                    (sub=0xFF: wire-invalid frame at a transport reader)
 //   kFrameDrop       a=dst          b=tag  sub=MsgKind  v=0

@@ -116,7 +116,8 @@ class ThreadRing {
   void push(std::uint64_t t_ns, EventType type, std::uint8_t sub,
             std::uint16_t rank, std::uint32_t a, std::uint64_t b, double v) {
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
-    if (seq - read_head_.load(std::memory_order_relaxed) >= capacity_)
+    // Publishing seq + 1 moves an event out of read()'s window.
+    if (seq - read_head_.load(std::memory_order_relaxed) >= capacity_ - 1)
       dropped_.fetch_add(1, std::memory_order_relaxed);
     std::atomic<std::uint64_t>* slot = &words_[(seq & mask_) * kWordsPerSlot];
     slot[0].store(t_ns, std::memory_order_relaxed);

@@ -16,8 +16,8 @@
 //    they copy slot words relaxed, then discard any slot the writer may
 //    have lapped while the copy was in flight (re-checking the head), so
 //    a torn slot is never decoded.
-//  * when the ring wraps over events never consumed by snapshot(), the
-//    writer counts them in dropped() — loss is accounted, never silent.
+//  * an event that leaves the readable window (the newest capacity - 1)
+//    unread counts in dropped() — loss is accounted, never silent.
 //  * enable()/disable() only flip an atomic level and reset counters;
 //    rings persist for the life of the process (registry is append-only
 //    + free-list), so a long-lived service thread (e.g. a TCP writer)
@@ -82,7 +82,7 @@ TraceClockFn trace_clock();
 
 struct RecorderStats {
   std::uint64_t recorded = 0;  ///< events pushed since enable()
-  std::uint64_t dropped = 0;   ///< events overwritten before any snapshot
+  std::uint64_t dropped = 0;   ///< events lost before any snapshot
   std::size_t rings = 0;       ///< rings written to since enable()
 };
 

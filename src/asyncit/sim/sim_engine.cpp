@@ -12,6 +12,12 @@ namespace {
 
 using model::Step;
 
+constexpr auto kValue = static_cast<std::uint8_t>(net::MsgKind::kValue);
+
+/// The run's virtual time, the trace clock of a traced run (armed at 0,
+/// so timestamps are virtual time; one unit reads as one second).
+thread_local double t_now = 0.0;
+
 enum class EventKind : std::uint8_t {
   kInnerStep,   // one inner application of the block operator
   kMsgArrive,   // data message (full or partial update) delivered
@@ -151,8 +157,11 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
 
   Step global_step = 0;
   bool stop = false;
-  double now = 0.0;
-  std::size_t trace_events = 0;
+  double& now = t_now;
+  now = 0.0;
+  obs::ScopedTrace tracing(
+      options.trace_level, obs::TraceConfig{}.ring_capacity * procs,
+      [] { return static_cast<std::uint64_t>(std::llround(t_now * 1e9)); });
 
   // detection state
   DoubleScanDetector detector;
@@ -200,15 +209,13 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
         arrive = std::max(arrive, last + 1e-9);
         last = arrive;
       }
-      if (options.record_trace && trace_events < options.max_trace_events) {
-        result.log.add_message(
-            {p, q, b, partial, dropped, t, dropped ? -1.0 : arrive, tag});
-        ++trace_events;
-      }
       if (dropped) {
+        obs::record(obs::EventType::kFrameDrop, kValue, q, tag, 0.0);
         ++result.messages_dropped;
         continue;
       }
+      obs::record(obs::EventType::kFrameSend, kValue, q, tag,
+                  8.0 * double(value.size()));
       if (!partial) ++s.data_sent;
       Event e;
       e.time = arrive;
@@ -239,6 +246,7 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
     queue.pop();
     now = ev.time;
     if (now > options.max_time) break;
+    const obs::ScopedRank rank(ev.proc);
 
     switch (ev.kind) {
       case EventKind::kInnerStep: {
@@ -263,6 +271,8 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
             // hatched arrow: ship the partial immediately
             send_value(ev.proc, s.block, s.inner_value,
                        s.view_tag[s.block], /*partial=*/true, now);
+            obs::record(obs::EventType::kBlockUpdate, 1, s.block,
+                        s.view_tag[s.block], 0.0);
           }
           break;
         }
@@ -298,12 +308,6 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
         epoch.observe(j, ev.proc);
         ++result.updates_per_processor[ev.proc];
 
-        if (options.record_trace &&
-            trace_events < options.max_trace_events) {
-          result.log.add_phase({ev.proc, s.block, s.phase_start, now, j});
-          ++trace_events;
-        }
-
         double err = -1.0;
         if (track_error &&
             (j % options.record_error_every == 0 || macro_done)) {
@@ -318,6 +322,9 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
         if (!options.enable_detection || changed)
           send_value(ev.proc, s.block, s.inner_value, j, /*partial=*/false,
                      now);
+        // The publish follows its frames (obs/events.hpp).
+        obs::record(obs::EventType::kBlockUpdate, 0, s.block, j,
+                    now - s.phase_start);
 
         result.steps = j;
         if (j >= options.max_steps) stop = true;
@@ -337,10 +344,12 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
 
       case EventKind::kMsgArrive: {
         ProcessorState& s = ps[ev.proc];
+        obs::record(obs::EventType::kFrameRecv, kValue, ev.src, ev.tag,
+                    now - ev.t_send);
         if (!ev.partial) ++s.data_received;
         const la::BlockRange r = partition.range(ev.block);
         const bool accept =
-            options.overwrite == OverwritePolicy::kLastArrivalWins
+            options.overwrite == net::OverwritePolicy::kLastArrivalWins
                 ? true
                 : ev.tag >= s.view_tag[ev.block];
         if (accept) {

@@ -37,29 +37,21 @@
 #include "asyncit/model/epoch.hpp"
 #include "asyncit/model/history.hpp"
 #include "asyncit/model/macro_iteration.hpp"
+#include "asyncit/net/channel.hpp"
+#include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/operator.hpp"
 #include "asyncit/sim/termination.hpp"
 #include "asyncit/sim/time_models.hpp"
 #include "asyncit/support/rng.hpp"
-#include "asyncit/trace/event_log.hpp"
 
 namespace asyncit::sim {
-
-enum class OverwritePolicy {
-  /// Incoming value always overwrites the local copy (one-sided put /
-  /// DMA semantics). With non-FIFO channels this produces genuine
-  /// out-of-order label inversions.
-  kLastArrivalWins,
-  /// Receiver keeps the newest tag (receiver-side filtering).
-  kNewestTagWins,
-};
 
 struct SimOptions {
   std::size_t inner_steps = 1;
   bool publish_partials = false;  ///< flexible communication (Definition 3)
   bool fifo = false;              ///< enforce per-channel in-order delivery
   double drop_prob = 0.0;         ///< transient message loss probability
-  OverwritePolicy overwrite = OverwritePolicy::kLastArrivalWins;
+  net::OverwritePolicy overwrite = net::OverwritePolicy::kLastArrivalWins;
 
   model::Step max_steps = 100000;
   double max_time = 1e12;
@@ -75,8 +67,8 @@ struct SimOptions {
   la::Vector norm_weights;       ///< weighted max norm (empty = unit)
   model::Step record_error_every = 1;
 
-  bool record_trace = false;     ///< fill the EventLog (Gantt)
-  std::size_t max_trace_events = 20000;
+  /// Arms the obs rings on virtual time, 4,096 events per processor.
+  obs::TraceLevel trace_level = obs::TraceLevel::kOff;
 
   std::uint64_t seed = 1;
 };
@@ -102,12 +94,9 @@ struct SimResult {
   double initial_error = 0.0;
 
   std::size_t messages_sent = 0;
-  std::size_t messages_delivered = 0;
   std::size_t messages_dropped = 0;
   std::size_t partials_sent = 0;
   std::vector<std::size_t> updates_per_processor;
-
-  trace::EventLog log;
 
   SimResult(std::size_t num_blocks, model::LabelRecording rec)
       : trace(num_blocks, rec) {}

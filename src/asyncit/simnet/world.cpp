@@ -18,8 +18,8 @@ namespace {
 /// on this thread. Armed BEFORE engine.run() it reads 0, so the
 /// recorder's t0 anchor is virtual zero and every event timestamp is
 /// virtual time directly. The world arms the ONE process-global
-/// recorder with it; the ranks are handed trace_level kOff so they do
-/// not re-anchor it.
+/// recorder with it, and this thread's one ring with room for every
+/// rank; the ranks are handed trace_level kOff so they do not re-anchor it.
 std::uint64_t sim_trace_clock() {
   const SimEngine* engine = SimEngine::active();
   return engine != nullptr ? engine->now_ns() : 0;
@@ -59,7 +59,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
 
   SimClock clock(&engine);
   obs::ScopedTrace trace(options.mp.obs.trace_level,
-                         options.mp.obs.trace_ring_capacity,
+                         options.mp.obs.trace_ring_capacity * world,
                          &sim_trace_clock);
 
   WorldResult result;
@@ -109,7 +109,7 @@ TrainWorldResult run_train_world(const train::Dataset& data,
 
   SimClock clock(&engine);
   obs::ScopedTrace trace(options.train.obs.trace_level,
-                         options.train.obs.trace_ring_capacity,
+                         options.train.obs.trace_ring_capacity * world,
                          &sim_trace_clock);
 
   TrainWorldResult result;

@@ -426,7 +426,8 @@ TEST_F(MpRuntimeFixture, EveryUpdateEventNamesItsRank) {
                                                la::zeros(sys_.dim()), opt);
   ASSERT_TRUE(result.converged);
   ASSERT_EQ(result.obs_events_dropped, 0u) << "a ring wrapped";
-  EXPECT_EQ(count_per_rank(obs::EventType::kBlockUpdate, 0),
+  EXPECT_EQ(count_per_rank(result.updates_per_worker.size(),
+                           obs::EventType::kBlockUpdate, 0),
             result.updates_per_worker);
 }
 

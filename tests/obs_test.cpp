@@ -77,18 +77,20 @@ TEST(TraceRecorder, RingWrapAndDropAccounting) {
       obs::record(obs::EventType::kMarker, 7, 0, i, double(i));
   });
   writer.join();
-  const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
-  EXPECT_EQ(stats.recorded, kPushes);
-  EXPECT_EQ(stats.dropped, kPushes - kCap);
-
   // The readable window is capacity - 1: the oldest in-capacity slot is
   // never safely readable while a writer is live (it is the next slot a
   // lapping writer rewrites before publishing), so the reader excludes
-  // it unconditionally.
+  // it unconditionally — and the writer counts it as a drop.
   constexpr std::size_t kWindow = kCap - 1;
+  const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
+  EXPECT_EQ(stats.recorded, kPushes);
+  EXPECT_EQ(stats.dropped, kPushes - kWindow);
+
   std::vector<obs::Event> events;
   obs::TraceRecorder::instance().snapshot(&events);
   ASSERT_EQ(events.size(), kWindow) << "snapshot = the newest window";
+  EXPECT_EQ(events.size() + stats.dropped, stats.recorded)
+      << "every recorded event is read or counted as dropped";
   // The survivors are the LAST kWindow events, in push order, intact.
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].type, obs::EventType::kMarker);
@@ -416,7 +418,7 @@ TEST(TraceStreamer, WindowRotationBoundsDiskAndAccountsWrapDrops) {
     writer.join();
     const std::uint64_t dropped =
         obs::TraceRecorder::instance().stats().dropped;
-    EXPECT_EQ(dropped, kPushes - kCap);
+    EXPECT_EQ(dropped, kPushes - (kCap - 1));
     EXPECT_EQ(streamer.flush_now(), kCap - 1);  // the readable window
     EXPECT_EQ(streamer.dropped_seen(), dropped);
     const std::string wrap = slurp(dir + "/rank_0.window_5.trace.json");

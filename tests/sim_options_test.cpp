@@ -1,6 +1,7 @@
-// Tests for simulator option edge cases: time budget cutoff, trace event
-// caps, error-recording cadence, running without an oracle, sync-sim
-// round budgets, and processor/block validation.
+// Tests for simulator option edge cases: time budget cutoff, trace ring
+// capacity and the untraced default, error-recording cadence, running
+// without an oracle, sync-sim round budgets, and processor/block
+// validation.
 #include <gtest/gtest.h>
 
 #include "asyncit/operators/jacobi.hpp"
@@ -43,28 +44,40 @@ TEST_F(SimOptionsFixture, MaxTimeCutsTheRunShort) {
   EXPECT_FALSE(r.converged);
 }
 
-TEST_F(SimOptionsFixture, TraceEventCapLimitsLogSize) {
+TEST_F(SimOptionsFixture, SmallRingCountsItsDropsAndKeepsTheSchedule) {
   auto latency = make_fixed_latency(0.1);
   SimOptions opt;
-  opt.max_steps = 2000;
+  opt.max_steps = 4000;  // ~20,000 events, past 3 x 4,096 slots
   opt.stop_on_oracle = false;
-  opt.record_trace = true;
-  opt.max_trace_events = 50;
+  opt.trace_level = obs::TraceLevel::kFull;
   auto r = run_async_sim(*jacobi_, la::zeros(12), fleet(3), *latency, opt);
-  EXPECT_LE(r.log.phases().size() + r.log.messages().size(), 50u);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+  const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
+  EXPECT_GT(stats.dropped, 0u);
+  EXPECT_EQ(events.size() + stats.dropped, stats.recorded);
   // ...but the SCHEDULE trace (the math) is never truncated
-  EXPECT_EQ(r.trace.steps(), 2000u);
+  EXPECT_EQ(r.trace.steps(), 4000u);
 }
 
-TEST_F(SimOptionsFixture, RecordTraceOffKeepsLogEmpty) {
+TEST_F(SimOptionsFixture, UntracedRunRecordsNoEvents) {
   auto latency = make_fixed_latency(0.1);
   SimOptions opt;
   opt.max_steps = 500;
   opt.stop_on_oracle = false;
-  opt.record_trace = false;
-  auto r = run_async_sim(*jacobi_, la::zeros(12), fleet(2), *latency, opt);
-  EXPECT_TRUE(r.log.phases().empty());
-  EXPECT_TRUE(r.log.messages().empty());
+  opt.trace_level = obs::TraceLevel::kFull;
+  run_async_sim(*jacobi_, la::zeros(12), fleet(2), *latency, opt);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);  // drain the rings
+  const std::uint64_t recorded =
+      obs::TraceRecorder::instance().stats().recorded;
+  ASSERT_GT(recorded, 0u);
+
+  opt.trace_level = SimOptions{}.trace_level;  // the default: off
+  run_async_sim(*jacobi_, la::zeros(12), fleet(2), *latency, opt);
+  events.clear();
+  EXPECT_EQ(obs::TraceRecorder::instance().snapshot(&events), 0u);
+  EXPECT_EQ(obs::TraceRecorder::instance().stats().recorded, recorded);
 }
 
 TEST_F(SimOptionsFixture, ErrorRecordingCadenceInSim) {
@@ -145,7 +158,7 @@ TEST_F(SimOptionsFixture, PartialTagsAcceptedUnderNewestTagPolicy) {
   opt.x_star = x_star_;
   opt.inner_steps = 3;
   opt.publish_partials = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = net::OverwritePolicy::kNewestTagWins;
   auto r = run_async_sim(*jacobi_, la::zeros(12), fleet(3), *latency, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.partials_sent, 0u);

@@ -1,12 +1,13 @@
 // Tests for the discrete-event simulator: time models, the double-scan
 // termination detector, convergence and determinism of the async
 // simulation, measured out-of-order labels on non-FIFO channels, flexible
-// communication, fault injection, termination detection end-to-end, and
-// the synchronous baseline (including the async-beats-sync shape under
-// heterogeneity, claim C1 at test scale).
+// communication, fault injection, the ring trace of a run, termination
+// detection end-to-end, and the synchronous baseline (including the
+// async-beats-sync shape under heterogeneity, claim C1 at test scale).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "asyncit/model/admissibility.hpp"
 #include "asyncit/operators/jacobi.hpp"
@@ -195,7 +196,7 @@ TEST_F(SimFixture, NonFifoLastArrivalWinsProducesLabelInversions) {
   opt.max_steps = 6000;
   opt.stop_on_oracle = false;
   opt.fifo = false;
-  opt.overwrite = OverwritePolicy::kLastArrivalWins;
+  opt.overwrite = net::OverwritePolicy::kLastArrivalWins;
   opt.recording = model::LabelRecording::kFull;
   auto result = run_async_sim(jac, la::zeros(8), homogeneous(4, 1.0),
                               *latency, opt);
@@ -204,7 +205,7 @@ TEST_F(SimFixture, NonFifoLastArrivalWinsProducesLabelInversions) {
   // and the same configuration with FIFO + tag filtering has none
   auto latency2 = make_uniform_latency(0.1, 10.0);
   opt.fifo = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = net::OverwritePolicy::kNewestTagWins;
   auto fifo_result = run_async_sim(jac, la::zeros(8), homogeneous(4, 1.0),
                                    *latency2, opt);
   EXPECT_EQ(fifo_result.trace.per_machine_label_inversions(), 0u);
@@ -224,7 +225,7 @@ TEST_F(SimFixture, NewestTagFilteringGivesPerProcessorMonotoneLabels) {
   opt.max_steps = 8000;
   opt.stop_on_oracle = false;
   opt.fifo = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = net::OverwritePolicy::kNewestTagWins;
   opt.recording = model::LabelRecording::kFull;
   auto result = run_async_sim(*jacobi_, la::zeros(sys_.dim()),
                               homogeneous(4, 1.0), *latency, opt);
@@ -292,29 +293,97 @@ TEST_F(SimFixture, FlexibleBeatsPlainAsyncInVirtualTime) {
       << "flexible communication should not be slower";
 }
 
-TEST_F(SimFixture, EventLogRecordsPhasesAndMessages) {
-  auto latency = make_fixed_latency(0.3);
+// ------------------------------------------------------------ ring trace
+
+// A flexible, lossy, non-FIFO run on uneven processors: every kind of
+// event sim/ records.
+SimOptions traced_options(const la::Vector& x_star) {
   SimOptions opt;
   opt.tol = 1e-8;
-  opt.x_star = x_star_;
-  opt.max_steps = 100;
+  opt.x_star = x_star;
+  opt.max_steps = 300;
   opt.stop_on_oracle = false;
-  opt.record_trace = true;
+  opt.inner_steps = 3;
+  opt.publish_partials = true;
+  opt.drop_prob = 0.1;
+  opt.recording = model::LabelRecording::kFull;
+  opt.seed = 5;
+  opt.trace_level = obs::TraceLevel::kFull;
+  return opt;
+}
+
+std::vector<std::unique_ptr<ComputeTimeModel>> uneven_fleet() {
+  std::vector<std::unique_ptr<ComputeTimeModel>> v;
+  v.push_back(make_uniform_compute(0.9, 1.1));
+  v.push_back(make_uniform_compute(1.6, 2.0));
+  v.push_back(make_pareto_compute(0.5, 2.0));
+  return v;
+}
+
+TEST_F(SimFixture, TheRingTraceIsTheSchedule) {
+  auto latency = make_uniform_latency(0.1, 2.0);
+  const SimOptions opt = traced_options(x_star_);
   auto result = run_async_sim(*jacobi_, la::zeros(sys_.dim()),
-                              homogeneous(2, 1.0), *latency, opt);
-  EXPECT_GT(result.log.phases().size(), 0u);
-  EXPECT_GT(result.log.messages().size(), 0u);
-  EXPECT_EQ(result.log.num_processors(), 2u);
-  // phases of one processor never overlap
-  for (std::size_t i = 1; i < result.log.phases().size(); ++i) {
-    const auto& a = result.log.phases()[i - 1];
-    for (std::size_t k = i; k < result.log.phases().size(); ++k) {
-      const auto& b = result.log.phases()[k];
-      if (a.processor != b.processor) continue;
-      EXPECT_TRUE(b.t_start >= a.t_end - 1e-12 ||
-                  a.t_start >= b.t_end - 1e-12);
+                              uneven_fleet(), *latency, opt);
+  EXPECT_EQ(obs::TraceRecorder::instance().level(), obs::TraceLevel::kOff);
+  ASSERT_EQ(obs::TraceRecorder::instance().stats().dropped, 0u);
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+
+  // One kBlockUpdate sub 0 per step j, in step order, stamped with that
+  // step's processor, block and b == j; a processor's phases [t - v, t]
+  // never overlap in virtual time.
+  Step j = 0;
+  std::vector<double> busy_until(3, 0.0);
+  std::size_t sends = 0, drops = 0, partials = 0;
+  for (const obs::Event& e : events) {
+    const double t = double(e.t_ns) * 1e-9;
+    if (e.type == obs::EventType::kBlockUpdate && e.sub == 0) {
+      ++j;
+      ASSERT_LE(j, result.trace.steps());
+      const model::StepRecord& step = result.trace.step(j);
+      EXPECT_EQ(e.b, j);
+      EXPECT_EQ(e.rank, step.machine) << "step " << j;
+      EXPECT_EQ(e.a, step.updated[0]) << "step " << j;
+      EXPECT_GE(t - e.v, busy_until[e.rank] - 1e-9) << "step " << j;
+      busy_until[e.rank] = t;
     }
+    partials += e.type == obs::EventType::kBlockUpdate && e.sub == 1;
+    sends += e.type == obs::EventType::kFrameSend;
+    drops += e.type == obs::EventType::kFrameDrop;
   }
+  EXPECT_EQ(j, result.trace.steps());
+  // Each message is one kFrameSend or one kFrameDrop at its sender; each
+  // partial publish reaches the two other processors.
+  EXPECT_EQ(sends + drops, result.messages_sent);
+  EXPECT_EQ(drops, result.messages_dropped);
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(2 * partials, result.partials_sent);
+}
+
+TEST_F(SimFixture, TracingNeverPerturbsTheRun) {
+  SimOptions opt = traced_options(x_star_);
+  auto run = [&] {
+    auto latency = make_uniform_latency(0.1, 2.0);
+    return run_async_sim(*jacobi_, la::zeros(sys_.dim()), uneven_fleet(),
+                         *latency, opt);
+  };
+  const SimResult traced = run();
+  opt.trace_level = obs::TraceLevel::kOff;
+  const SimResult plain = run();
+  EXPECT_EQ(traced.steps, plain.steps);
+  EXPECT_EQ(traced.virtual_time, plain.virtual_time);
+  ASSERT_EQ(traced.x.size(), plain.x.size());
+  EXPECT_EQ(std::memcmp(traced.x.data(), plain.x.data(),
+                        plain.x.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(traced.macro_boundaries, plain.macro_boundaries);
+  EXPECT_EQ(traced.epoch_boundaries, plain.epoch_boundaries);
+  EXPECT_EQ(traced.messages_sent, plain.messages_sent);
+  EXPECT_EQ(traced.messages_dropped, plain.messages_dropped);
+  EXPECT_EQ(traced.partials_sent, plain.partials_sent);
+  EXPECT_EQ(traced.updates_per_processor, plain.updates_per_processor);
+  EXPECT_EQ(traced.error_history, plain.error_history);
 }
 
 // ------------------------------------------------- termination detection

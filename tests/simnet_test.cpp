@@ -450,8 +450,33 @@ TEST_F(SimWorldFixture, EveryUpdateEventNamesItsRank) {
   std::vector<std::uint64_t> updates;
   for (const net::MpResult& rank : r.ranks)
     updates.push_back(rank.total_updates);
-  EXPECT_EQ(count_per_rank(obs::EventType::kBlockUpdate, 0), updates);
+  EXPECT_EQ(
+      count_per_rank(updates.size(), obs::EventType::kBlockUpdate, 0),
+      updates);
   EXPECT_EQ(r.log_hash, untraced.log_hash);
+}
+
+TEST_F(SimWorldFixture, OneThreadWorldRingHoldsCapacityPerRank) {
+  // Every fiber records into the engine thread's one ring, so the world
+  // arms it with trace_ring_capacity for each rank: 64 ranks traced at
+  // the default capacity keep every event (one ring of 4,096 for the
+  // whole world dropped 45,613 of these 49,708).
+  Rng rng(17);
+  auto sys = problems::make_diagonally_dominant_system(256, 4, 2.0, rng);
+  op::JacobiOperator jacobi(sys.a, sys.b, la::Partition::balanced(256, 64));
+  WorldOptions o = base_world(64);
+  o.mp.solve.x_star = op::picard_solve(jacobi, la::zeros(256), 50000, 1e-14);
+  o.mp.obs.trace_level = obs::TraceLevel::kFull;
+  ASSERT_EQ(o.mp.obs.trace_ring_capacity, 4096u);
+  const WorldResult r = run_world(jacobi, la::zeros(256), o);
+  ASSERT_TRUE(r.all_converged) << "residual " << r.final_residual;
+  EXPECT_EQ(r.obs_events_dropped, 0u);
+  std::vector<std::uint64_t> updates;
+  for (const net::MpResult& rank : r.ranks)
+    updates.push_back(rank.total_updates);
+  EXPECT_EQ(
+      count_per_rank(updates.size(), obs::EventType::kBlockUpdate, 0),
+      updates);
 }
 
 TEST_F(SimWorldFixture, SixtyFourRanksReplayByteIdentically) {
@@ -862,9 +887,11 @@ TEST(SimPublication, SparseJacobiSendsValueFramesOnlyToReaders) {
     sent += rank.messages_sent;
     // No frame of a block q does not read ever reached q: its view of
     // that block is still x0.
-    for (la::BlockId c = 0; c < 100; ++c)
-      if (!std::binary_search(reads.begin(), reads.end(), c))
+    for (la::BlockId c = 0; c < 100; ++c) {
+      if (!std::binary_search(reads.begin(), reads.end(), c)) {
         EXPECT_EQ(rank.x[c], 0.0) << "rank " << q << " block " << c;
+      }
+    }
   }
   EXPECT_LT(sent, r.total_updates * 10);  // a dense world sends 99 each
   const WorldResult again = run_world(*w.jacobi, la::zeros(100), w.o);

@@ -665,7 +665,8 @@ TEST(TrainThreads, EveryStepEventNamesItsWorkerRank) {
   std::vector<std::uint64_t> steps{0};
   steps.insert(steps.end(), r.steps_per_worker.begin(),
                r.steps_per_worker.end());
-  EXPECT_EQ(count_per_rank(obs::EventType::kTrainStep, 0), steps);
+  EXPECT_EQ(count_per_rank(steps.size(), obs::EventType::kTrainStep, 0),
+            steps);
 }
 
 TEST(TrainThreads, RoleExceptionIsRethrownAfterEveryThreadJoins) {

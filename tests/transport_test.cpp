@@ -1266,9 +1266,9 @@ TEST_F(BackendParityFixture, EveryDroppedFrameIsTracedOnce) {
   opt.obs.trace_level = obs::TraceLevel::kFull;
   opt.obs.trace_ring_capacity = 1 << 16;
   opt.chaos.delivery.drop_prob = 0.2;
-  auto drops_traced = [] {
+  auto drops_traced = [&opt] {
     const std::vector<std::uint64_t> per_rank =
-        count_per_rank(obs::EventType::kFrameDrop);
+        count_per_rank(opt.workers, obs::EventType::kFrameDrop);
     return std::accumulate(per_rank.begin(), per_rank.end(),
                            std::uint64_t{0});
   };
