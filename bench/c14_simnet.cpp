@@ -19,15 +19,19 @@
 // generator), and stops when its own block is within tol, so frame count
 // scales O(world * sweeps): the 1000-rank run moves 14k frames. Events,
 // frames and updates are pure functions of (config, seed), recorded as
-// deterministic fields and gated with `equals`. The 10000-rank leg is a
-// fixed virtual-horizon determinism/throughput probe (~2 sweeps, no
+// deterministic fields and gated with `equals`. After each sweep the
+// process peak RSS (ru_maxrss) is recorded as a measured field; the
+// baseline holds the 1000-rank one to a hard max. The 10000-rank leg is
+// a fixed virtual-horizon determinism/throughput probe (~2 sweeps, no
 // convergence target) and only runs with ASYNCIT_BENCH_SIM_10K=1: each
-// rank still holds O(world) state, so its memory grows with world^2
-// (2000 ranks take 810 MB), which is the regime the CI smoke must not
-// enter. Skipping is LOGGED, never silent.
+// rank still holds five per-block arrays of length world (its view's x,
+// tags, max_tag and final_tag, and its production counters), so memory
+// still grows with world^2. Skipping is LOGGED, never silent.
 //
 // BENCH_simnet.json via the shared harness; gated by CI perf-smoke
 // against bench/baselines/simnet.json.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -86,6 +90,13 @@ SweepResult sweep(std::size_t world, double tol, double max_virtual) {
   return r;
 }
 
+/// The process's peak resident set so far, in MB.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+}
+
 void record(bench::Report& report, const std::string& name,
             const SweepResult& r, bool expect_converged) {
   auto& s = report.scenario(name)
@@ -99,7 +110,8 @@ void record(bench::Report& report, const std::string& name,
                                   r.wall_total
                             : 0.0)
                 .metric("virtual_seconds", r.first.virtual_seconds)
-                .metric("wall_seconds", r.wall_total);
+                .metric("wall_seconds", r.wall_total)
+                .metric("peak_rss_mb", peak_rss_mb());
   if (expect_converged)
     s.det("converged", r.first.all_converged)
         .det("residual_band", r.first.final_residual < 1e-5);
@@ -140,8 +152,8 @@ int main() {
     record(report, "sweep_10000", r, /*expect_converged=*/false);
   } else {
     std::printf("sweep_10000 SKIPPED (set ASYNCIT_BENCH_SIM_10K=1 to run "
-                "the 10000-rank leg; its per-rank state grows with "
-                "world^2)\n");
+                "the 10000-rank leg; each rank's five per-block arrays "
+                "still make memory grow with world^2)\n");
   }
 
   std::printf("%s\n", t.render().c_str());

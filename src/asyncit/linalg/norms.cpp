@@ -7,6 +7,18 @@
 
 namespace asyncit::la {
 
+double block_distance(const Partition& partition, std::span<const double> x,
+                      std::span<const double> y, BlockId b) {
+  ASYNCIT_CHECK(x.size() == y.size());
+  const BlockRange r = partition.range(b);
+  double s = 0.0;
+  for (std::size_t c = r.begin; c < r.end; ++c) {
+    const double d = x[c] - y[c];
+    s += d * d;
+  }
+  return std::sqrt(s);
+}
+
 WeightedMaxNorm::WeightedMaxNorm(Partition partition)
     : partition_(std::move(partition)),
       weights_(partition_.num_blocks(), 1.0) {}
@@ -40,14 +52,7 @@ double WeightedMaxNorm::block_norm(std::span<const double> x,
 double WeightedMaxNorm::block_distance(std::span<const double> x,
                                        std::span<const double> y,
                                        BlockId b) const {
-  ASYNCIT_CHECK(x.size() == y.size());
-  const BlockRange r = partition_.range(b);
-  double s = 0.0;
-  for (std::size_t c = r.begin; c < r.end; ++c) {
-    const double d = x[c] - y[c];
-    s += d * d;
-  }
-  return std::sqrt(s) / weights_[b];
+  return la::block_distance(partition_, x, y, b) / weights_[b];
 }
 
 }  // namespace asyncit::la

@@ -17,6 +17,11 @@
 
 namespace asyncit::la {
 
+/// Euclidean distance between block b of x and block b of y: the
+/// unit-weight block distance, which WeightedMaxNorm divides by u_b.
+double block_distance(const Partition& partition, std::span<const double> x,
+                      std::span<const double> y, BlockId b);
+
 class WeightedMaxNorm {
  public:
   /// Unit weights over the given partition.

@@ -1,6 +1,7 @@
 #include "asyncit/linalg/partition.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "asyncit/support/check.hpp"
 
@@ -110,18 +111,30 @@ std::span<const BlockId> Partition::readers(BlockId b) const {
       .subspan(k, reads_->readers_begin[b + 1] - k);
 }
 
-std::vector<std::vector<BlockId>> assign_blocks_contiguous(
-    std::size_t num_blocks, std::size_t workers) {
-  ASYNCIT_CHECK(workers >= 1 && workers <= num_blocks);
-  std::vector<std::vector<BlockId>> owned(workers);
+std::vector<BlockId> BlockShare::blocks() const {
+  std::vector<BlockId> out(count);
+  std::iota(out.begin(), out.end(), first);
+  return out;
+}
+
+BlockShare block_share(std::size_t num_blocks, std::size_t workers,
+                       std::size_t w) {
+  ASYNCIT_CHECK(workers >= 1 && workers <= num_blocks && w < workers);
   const std::size_t base = num_blocks / workers;
   const std::size_t extra = num_blocks % workers;
-  BlockId b = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t count = base + (w < extra ? 1 : 0);
-    for (std::size_t k = 0; k < count; ++k) owned[w].push_back(b++);
-  }
-  return owned;
+  return {static_cast<BlockId>(w * base + std::min(w, extra)),
+          base + (w < extra ? 1 : 0)};
+}
+
+std::size_t block_owner(std::size_t num_blocks, std::size_t workers,
+                        BlockId b) {
+  ASYNCIT_CHECK(workers >= 1 && workers <= num_blocks && b < num_blocks);
+  const std::size_t base = num_blocks / workers;
+  const std::size_t extra = num_blocks % workers;
+  // The first `extra` workers own base + 1 blocks each, the rest base.
+  const std::size_t long_blocks = extra * (base + 1);
+  return b < long_blocks ? b / (base + 1)
+                         : extra + (b - long_blocks) / base;
 }
 
 }  // namespace asyncit::la

@@ -92,11 +92,29 @@ class Partition {
   std::shared_ptr<const ReadSets> reads_;
 };
 
-/// Contiguous near-even assignment of `num_blocks` blocks to `workers`
-/// owners (earlier workers get the remainder). The ownership scheme shared
-/// by the threaded executors (rt::) and the message-passing runtime (net::).
-/// Requires 1 <= workers <= num_blocks.
-std::vector<std::vector<BlockId>> assign_blocks_contiguous(
-    std::size_t num_blocks, std::size_t workers);
+/// Block ownership, shared by the threaded executors (rt::) and the
+/// message-passing runtime (net::), is a rule rather than a table: the
+/// `num_blocks` blocks go to the `workers` owners in order, in near-even
+/// contiguous shares, and earlier workers take the remainder. With
+/// base = num_blocks / workers and extra = num_blocks % workers, worker w
+/// owns base + 1 blocks if w < extra and base otherwise, starting at
+/// block w * base + min(w, extra). Both directions cost O(1), so no rank
+/// holds a world-length table. Both functions require
+/// 1 <= workers <= num_blocks.
+struct BlockShare {
+  BlockId first = 0;      ///< the worker's first block
+  std::size_t count = 0;  ///< blocks first .. first + count - 1
+  /// The share's blocks, ascending.
+  std::vector<BlockId> blocks() const;
+};
+
+/// Worker w's share. Requires w < workers.
+BlockShare block_share(std::size_t num_blocks, std::size_t workers,
+                       std::size_t w);
+
+/// The worker that owns block b: the w whose share holds b. Requires
+/// b < num_blocks.
+std::size_t block_owner(std::size_t num_blocks, std::size_t workers,
+                        BlockId b);
 
 }  // namespace asyncit::la

@@ -140,7 +140,6 @@ MpResult run_message_passing(const op::BlockOperator& op,
   // owned it at exit. Ranks are taken in stop order on top of the first
   // leaver's view, so a block an elastic rank adopted from an earlier
   // leaver comes from its adopter.
-  const auto owned = la::assign_blocks_contiguous(m, peers_n);
   std::vector<std::size_t> order(peers_n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -154,7 +153,7 @@ MpResult run_message_passing(const op::BlockOperator& op,
         options.membership.enabled
             ? snapshot_plan(m, ranks[p].live_at_exit, rank,
                             static_cast<std::uint32_t>(peers_n))
-            : owned[p];
+            : la::block_share(m, peers_n, p).blocks();
     for (const la::BlockId b : exit_owned) {
       const auto src =
           partition.block_span(std::span<const double>(ranks[p].x), b);

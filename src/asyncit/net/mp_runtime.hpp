@@ -177,10 +177,11 @@ struct MpOptions {
 
   /// Elastic ranks (membership/): when enabled, every peer runs a SWIM
   /// failure detector over the control-frame path, block ownership
-  /// follows the live view (la::assign_blocks_contiguous re-run on every
-  /// membership change), joiners are welcomed with an iterate snapshot,
-  /// and `workers` becomes the number of SLOTS — membership.initial_alive
-  /// (empty = all) says which are present at launch. Requires kAsync.
+  /// follows the live view (the la::block_share rule over the live ranks,
+  /// taken again on every membership change), joiners are welcomed with
+  /// an iterate snapshot, and `workers` becomes the number of SLOTS —
+  /// membership.initial_alive (empty = all) says which are present at
+  /// launch. Requires kAsync.
   membership::Options membership;
 };
 
@@ -191,6 +192,8 @@ struct MpResult {
   double final_error = -1.0;  ///< oracle error (when x_star given)
 
   std::uint64_t total_updates = 0;           ///< block updates
+  /// total_updates of each rank, by rank: filled by run_message_passing;
+  /// a run_node result (one rank) leaves it empty.
   std::vector<std::uint64_t> updates_per_worker;
   std::uint64_t rounds = 0;                  ///< min complete sweeps
 

@@ -38,16 +38,14 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   obs::ScopedTrace trace(options.obs.trace_level,
                          options.obs.trace_ring_capacity);
 
-  const auto owned = la::assign_blocks_contiguous(m, world);
   PeerContext ctx;
   ctx.op = &op;
   ctx.options = &options;
   ctx.clock = &clock;
-  ctx.owned = &owned;
 
   // Elastic membership: one SWIM agent, driven by this (the peer's)
-  // thread. The launch assignment in `owned` becomes a fallback; the
-  // peer re-assigns blocks over the live view as it changes.
+  // thread. The peer takes its share of the ownership rule over the
+  // live view instead of the launch world, again at every change.
   std::unique_ptr<membership::SwimAgent> agent;
   if (options.membership.enabled) {
     ASYNCIT_CHECK(options.solve.mode == Mode::kAsync);
@@ -62,8 +60,6 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   MpResult result;
   result.wall_seconds = clock.seconds();
   trace.stop(result.obs_events_recorded, result.obs_events_dropped);
-  result.updates_per_worker.assign(world, 0);
-  result.updates_per_worker[rank] = peer.updates();
   result.total_updates = peer.updates();
   result.rounds = peer.rounds();
   result.partials_sent = peer.partials_sent();

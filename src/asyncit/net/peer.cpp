@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "asyncit/linalg/norms.hpp"
 #include "asyncit/linalg/vector_ops.hpp"
 #include "asyncit/obs/metrics.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
@@ -84,8 +85,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
                                                 : 0) {
   ASYNCIT_CHECK(endpoint_->rank() == id_);
   stopped_ranks_.assign(ctx_.options->workers, false);
-  if (ctx_.options->solve.x_star.has_value())
-    norm_.emplace(ctx_.op->partition());
   // Adaptive staleness steers on the auditor's measured delay bound, so
   // enabling it implies the auditor even when audit reporting is off.
   const bool steer = ctx_.options->solve.adaptive.enabled &&
@@ -107,6 +106,9 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
     owned_epoch_ = ctx_.membership->table().epoch();
     recompute_owned();
   } else {
+    owned_ = la::block_share(ctx_.op->partition().num_blocks(),
+                             ctx_.options->workers, id_)
+                 .blocks();
     plan_publication();
   }
   if (ctx_.options->wire.delta) {
@@ -141,7 +143,7 @@ std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
   if (!found || established == 0) return {};
   const std::size_t workers = std::min(established, num_blocks);
   if (index >= workers) return {};  // surplus (idle) rank
-  return la::assign_blocks_contiguous(num_blocks, workers)[index];
+  return la::block_share(num_blocks, workers, index).blocks();
 }
 
 void Peer::incorporate_tracked(const la::Partition& partition,
@@ -296,7 +298,10 @@ void Peer::receive() {
     // replaced.
     if ((!m.partial || m.complete) &&
         ctx_.options->solve.mode != Mode::kAsync) {
-      const std::size_t need = (*ctx_.owned)[m.src].size();
+      const std::size_t need =
+          la::block_share(partition.num_blocks(), ctx_.options->workers,
+                          m.src)
+              .count;
       auto& per_round = arrivals_[m.src];
       ++per_round[m.round];
       auto it = per_round.find(complete_rounds_[m.src]);
@@ -450,8 +455,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
 void Peer::plan_publication() {
   const la::Partition& partition = ctx_.op->partition();
   const SolveOptions& solve = ctx_.options->solve;
-  const std::vector<std::vector<la::BlockId>>& launch = *ctx_.owned;
-  const std::vector<la::BlockId>& owned = launch[id_];
+  const std::size_t world = ctx_.options->workers;
   // Every rank reads every block without read sets, in the gated modes
   // (one rank's stop ends every rank, and the round gates count every
   // rank's frames), and under the displacement rule (its confirmation
@@ -461,38 +465,31 @@ void Peer::plan_publication() {
   const bool dense = !partition.has_reads() ||
                      solve.mode != Mode::kAsync || displacement;
   if (dense) {
-    for (std::uint32_t r = 0; r < launch.size(); ++r)
+    for (std::uint32_t r = 0; r < world; ++r)
       if (r != id_) readers_.push_back(r);
-    reader_range_.assign(owned.size(), {0, readers_.size()});
+    reader_range_.assign(owned_.size(), {0, readers_.size()});
     return;
   }
-  // The launch assignment is contiguous: a block's owner is the last rank
-  // whose first block does not come after it.
-  auto owner = [&](la::BlockId c) {
-    const auto it = std::upper_bound(
-        launch.begin(), launch.end(), c,
-        [](la::BlockId v, const std::vector<la::BlockId>& o) {
-          return v < o.front();
-        });
-    return static_cast<std::uint32_t>(it - launch.begin() - 1);
-  };
   // Owners of `blocks` other than this rank, appended to `out` from
   // `first` on, sorted and deduplicated.
   auto add_owners = [&](std::span<const la::BlockId> blocks,
                         std::vector<std::uint32_t>& out, std::size_t first) {
-    for (const la::BlockId c : blocks)
-      if (const std::uint32_t r = owner(c); r != id_) out.push_back(r);
+    for (const la::BlockId c : blocks) {
+      const auto r = static_cast<std::uint32_t>(
+          la::block_owner(partition.num_blocks(), world, c));
+      if (r != id_) out.push_back(r);
+    }
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
     out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(first),
                           out.end()),
               out.end());
   };
-  for (const la::BlockId b : owned) {
+  for (const la::BlockId b : owned_) {
     const std::size_t first = readers_.size();
     add_owners(partition.readers(b), readers_, first);
     reader_range_.emplace_back(first, readers_.size());
   }
-  for (const la::BlockId b : owned)
+  for (const la::BlockId b : owned_)
     add_owners(partition.reads(b), notices_, 0);
   std::vector<std::uint32_t> told = readers_;
   std::sort(told.begin(), told.end());
@@ -506,15 +503,14 @@ std::span<const std::uint32_t> Peer::readers_of(la::BlockId b) const {
   // members until the grace period expires), since any of them may
   // adopt any block.
   if (ctx_.membership != nullptr) return ctx_.membership->table().live_ranks();
-  const std::vector<la::BlockId>& owned = (*ctx_.owned)[id_];
   const auto [first, last] = reader_range_[static_cast<std::size_t>(
-      std::lower_bound(owned.begin(), owned.end(), b) - owned.begin())];
+      std::lower_bound(owned_.begin(), owned_.end(), b) - owned_.begin())];
   return std::span<const std::uint32_t>(readers_).subspan(first, last - first);
 }
 
 std::span<const std::uint32_t> Peer::leave_notices() const {
   if (ctx_.membership == nullptr) return notices_;
-  if (owned_blocks().empty()) return ctx_.membership->table().live_ranks();
+  if (owned_.empty()) return ctx_.membership->table().live_ranks();
   return {};
 }
 
@@ -526,7 +522,7 @@ void Peer::send_finals() {
   // tell the ranks this one reads from that it has gone, so they stop
   // retrying their own kStops toward it.
   const double t = now();
-  for (const la::BlockId b : owned_blocks())
+  for (const la::BlockId b : owned_)
     for (const std::uint32_t dst : readers_of(b))
       if (sends_to(dst)) send_stop(dst, b, /*final=*/true, t);
   for (const std::uint32_t dst : leave_notices())
@@ -588,9 +584,9 @@ void Peer::recompute_owned() {
   // block count idle, receive-only). Transient view disagreement (gossip
   // in flight) only double-assigns or orphans blocks briefly — both are
   // plain staleness under the totally asynchronous convergence theory.
-  elastic_owned_ = snapshot_plan(ctx_.op->partition().num_blocks(),
-                                 ctx_.membership->table().live_ranks(), id_,
-                                 /*joiner=*/ctx_.options->workers);
+  owned_ = snapshot_plan(ctx_.op->partition().num_blocks(),
+                         ctx_.membership->table().live_ranks(), id_,
+                         /*joiner=*/ctx_.options->workers);
 }
 
 void Peer::send_snapshot_to(std::uint32_t dst) {
@@ -606,7 +602,7 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
   snapshot_plan_ =
       snapshot_plan(partition.num_blocks(),
                     ctx_.membership->table().live_ranks(), id_, dst);
-  for (const la::BlockId b : owned_blocks()) {
+  for (const la::BlockId b : owned_) {
     if (std::find(snapshot_plan_.begin(), snapshot_plan_.end(), b) ==
         snapshot_plan_.end())
       ++snapshot_blocks_suppressed_;
@@ -738,7 +734,7 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
       // steps (one per block phase), the gate slack counts sweeps over
       // the owned set — divide by the sweep length to convert.
       const double owned_n =
-          static_cast<double>(std::max<std::size_t>(1, (*ctx_.owned)[id_].size()));
+          static_cast<double>(std::max<std::size_t>(1, owned_.size()));
       steer_->decide(static_cast<double>(auditor_->d_bound()) / owned_n,
                      obs::SteeringDomain::kNetSsp);
     }
@@ -803,18 +799,25 @@ void Peer::maybe_check() {
 }
 
 double Peer::oracle_error() const {
+  // The unit-weight max norm, block by block on the operator's partition
+  // (dividing by a unit weight is exact, so these are its bits).
+  const la::Partition& partition = ctx_.op->partition();
   const la::Vector& x_star = *ctx_.options->solve.x_star;
-  if (ctx_.options->solve.mode != Mode::kAsync || ctx_.membership != nullptr)
-    return norm_->distance(view_.x, x_star);
   double worst = 0.0;
-  for (const la::BlockId b : owned_blocks())
-    worst = std::max(worst, norm_->block_distance(view_.x, x_star, b));
+  auto add = [&](la::BlockId b) {
+    worst = std::max(worst, la::block_distance(partition, view_.x, x_star, b));
+  };
+  if (ctx_.options->solve.mode != Mode::kAsync || ctx_.membership != nullptr) {
+    for (la::BlockId b = 0; b < partition.num_blocks(); ++b) add(b);
+  } else {
+    for (const la::BlockId b : owned_) add(b);
+  }
   return worst;
 }
 
 void Peer::check_criterion() {
   const SolveOptions& solve = ctx_.options->solve;
-  if (norm_) {
+  if (solve.x_star.has_value()) {
     if (oracle_error() < solve.tol) stop_here(obs::StopReason::kOracle);
   } else if (solve.displacement_tol > 0.0) {
     if (displacement_stop_.should_stop(
@@ -851,9 +854,8 @@ void Peer::run() {
     // The owned set may change UNDER the sweep (a receive() inside
     // update_block can re-run the assignment), so each sweep iterates a
     // stable copy; adopted blocks join the next sweep.
-    if (elastic) sweep_owned_ = owned_blocks();
-    const std::vector<la::BlockId>& owned =
-        elastic ? sweep_owned_ : (*ctx_.owned)[id_];
+    if (elastic) sweep_owned_ = owned_;
+    const std::vector<la::BlockId>& owned = elastic ? sweep_owned_ : owned_;
     sweep_displacement_ = 0.0;
     if (owned.empty()) {
       // Receive-only rank (more live ranks than blocks): keep the

@@ -52,13 +52,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "asyncit/linalg/norms.hpp"
 #include "asyncit/membership/swim.hpp"
 #include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
@@ -129,11 +127,10 @@ struct PeerContext {
   const op::BlockOperator* op = nullptr;
   const MpOptions* options = nullptr;
   const WallTimer* clock = nullptr;
-  const std::vector<std::vector<la::BlockId>>* owned = nullptr;
   /// Elastic membership (one agent PER PEER, driven by the peer thread
-  /// alone). When set, the peer owns the blocks its index in the LIVE
-  /// view assigns (re-running la::assign_blocks_contiguous on every
-  /// view change), routes kPing/kAck/kPingReq/kMembershipUpdate frames
+  /// alone). When set, the peer owns its share of the ownership rule
+  /// (la::block_share) over the LIVE view, taken again on every view
+  /// change, routes kPing/kAck/kPingReq/kMembershipUpdate frames
   /// into the agent, welcomes joiners with an iterate snapshot, and
   /// evaluates "everyone else is done" over the live view instead of
   /// the static world. Requires Mode::kAsync — the gated modes assume a
@@ -216,16 +213,11 @@ class Peer {
   /// joins, block re-assignment, live-view completion). No-op without a
   /// membership agent.
   void service_membership();
-  /// Re-runs la::assign_blocks_contiguous over the live view.
+  /// Takes this rank's share of the ownership rule over the live view.
   void recompute_owned();
   /// Sends the current value of every owned block to a joining rank so
   /// it starts from the live iterate instead of x0 (snapshot join).
   void send_snapshot_to(std::uint32_t dst);
-  /// The blocks this peer currently owns (elastic view, or the static
-  /// launch assignment when membership is off).
-  const std::vector<la::BlockId>& owned_blocks() const {
-    return ctx_.membership != nullptr ? elastic_owned_ : (*ctx_.owned)[id_];
-  }
   /// Async no-local-criterion termination over the live view: true when
   /// every other slot has stopped, died, or never joined.
   bool all_others_inactive() const;
@@ -326,6 +318,10 @@ class Peer {
   std::uint64_t frames_rejected_ = 0;
   std::vector<bool> stopped_ranks_;   ///< kStop seen, by rank
   ThreadCpuTimer cpu_timer_;
+  /// The blocks this rank owns, ascending: its launch share of the
+  /// ownership rule (la::block_share), or its share of the live view
+  /// when elastic.
+  std::vector<la::BlockId> owned_;
 
   // ---- publication (plan_publication; all empty when elastic) ----
   /// Readers of the launch-owned blocks: owned block i goes to
@@ -342,15 +338,13 @@ class Peer {
   std::vector<UnsentStop> unsent_stops_;
 
   // ---- stopping criterion (SolveOptions::x_star / displacement_tol) --
-  std::optional<la::WeightedMaxNorm> norm_;  ///< set with an oracle
   rt::DisplacementStop displacement_stop_;
   double sweep_displacement_ = 0.0;  ///< max own displacement this sweep
 
   // ---- elastic membership (all empty/zero when ctx.membership is null)
-  std::vector<la::BlockId> elastic_owned_;   ///< current live assignment
-  std::vector<la::BlockId> sweep_owned_;     ///< per-sweep stable copy
+  std::vector<la::BlockId> sweep_owned_;     ///< per-sweep copy of owned_
   std::vector<membership::Event> events_scratch_;
-  std::uint64_t owned_epoch_ = 0;     ///< table epoch of elastic_owned_
+  std::uint64_t owned_epoch_ = 0;     ///< table epoch of owned_
   std::uint64_t reassignments_ = 0;
   std::uint64_t snapshot_blocks_sent_ = 0;
   std::uint64_t snapshot_blocks_suppressed_ = 0;

@@ -55,7 +55,6 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
   const bool oracle = options.x_star.has_value();
   const bool displacement_stop = options.displacement_tol > 0.0;
 
-  const auto owned = la::assign_blocks_contiguous(m, options.workers);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_updates{0};
   std::vector<std::uint64_t> per_worker(options.workers, 0);
@@ -85,14 +84,15 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
       else
         shared->store_block(r.begin, out);
     };
+    const la::BlockShare owned = la::block_share(m, options.workers, w);
     std::size_t cursor = 0;
     std::uint64_t own_updates = 0;
     DisplacementStop stop_rule;  // worker 0 only
     ThreadCpuTimer cpu_timer;
     const std::size_t reps = slowdown_repetitions(options.worker_slowdown, w);
     while (!stop.load(std::memory_order_relaxed)) {
-      const la::BlockId b = owned[w][cursor];
-      cursor = (cursor + 1) % owned[w].size();
+      const la::BlockId b = owned.first + static_cast<la::BlockId>(cursor);
+      cursor = (cursor + 1) % owned.count;
       const la::BlockRange r = partition.range(b);
       out.resize(r.size());
       const bool traced = obs::tracing_full();
@@ -208,7 +208,6 @@ RuntimeResult run_sync_threads(const op::BlockOperator& op,
 
   la::WeightedMaxNorm norm{partition};
   const bool oracle = options.x_star.has_value();
-  const auto owned = la::assign_blocks_contiguous(m, options.workers);
 
   la::Vector x = x0;          // published state (read phase)
   la::Vector x_next = x0;     // staging (write phase)
@@ -248,8 +247,9 @@ RuntimeResult run_sync_threads(const op::BlockOperator& op,
     op::Workspace ws;
     la::Vector out(partition.max_block_size());
     const std::size_t reps = slowdown_repetitions(options.worker_slowdown, w);
+    const la::BlockShare owned = la::block_share(m, options.workers, w);
     while (!stop.load(std::memory_order_relaxed)) {
-      for (la::BlockId b : owned[w]) {
+      for (la::BlockId b = owned.first; b < owned.first + owned.count; ++b) {
         const la::BlockRange r = partition.range(b);
         out.resize(r.size());
         for (std::size_t rep = 0; rep < reps; ++rep)

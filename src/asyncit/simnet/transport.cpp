@@ -51,10 +51,6 @@ SimTransport::SimTransport(std::size_t world, const SimConfig& config,
     auto ep = std::make_unique<SimEndpoint>();
     ep->owner_ = this;
     ep->rank_ = static_cast<std::uint32_t>(src);
-    ep->links_.reserve(world);
-    for (std::size_t dst = 0; dst < world; ++dst)
-      ep->links_.emplace_back(mix64(seed ^ kLinkSalt) ^
-                              mix64(src * world + dst));
     ep->compute_rng_.reseed(mix64(seed ^ kComputeSalt) ^ mix64(src));
     const std::uint32_t every = config_.compute.straggler_every;
     // Ranks every-1, 2*every-1, ... straggle (never rank 0: the train
@@ -108,6 +104,20 @@ double SimEndpoint::compute_draw() {
          straggler_;
 }
 
+net::LinkModel& SimEndpoint::link_to(std::uint32_t dst) {
+  const auto it = std::lower_bound(link_dst_.begin(), link_dst_.end(), dst);
+  const auto i = it - link_dst_.begin();
+  if (it == link_dst_.end() || *it != dst) {
+    // Seeded from (seed, src, dst) alone, so the link's stream does not
+    // depend on when its first frame was sent.
+    const std::uint64_t world = owner_->endpoints_.size();
+    link_dst_.insert(it, dst);
+    links_.emplace(links_.begin() + i, mix64(owner_->seed_ ^ kLinkSalt) ^
+                                           mix64(rank_ * world + dst));
+  }
+  return links_[static_cast<std::size_t>(i)];
+}
+
 transport::SendReceipt SimEndpoint::send(
     std::uint32_t dst, const transport::MessageHeader& header,
     std::span<const double> value, double now, bool allow_drop) {
@@ -127,7 +137,7 @@ transport::SendReceipt SimEndpoint::send(
       return transport::SendReceipt{false, t, 0.0};
     }
   }
-  net::LinkModel& link = links_[dst];
+  net::LinkModel& link = link_to(dst);
   const net::LinkDraw draw = link.draw(owner_->spec_, header.kind, allow_drop);
   if (!draw.sent) return transport::SendReceipt{false, t, 0.0};
   double latency =

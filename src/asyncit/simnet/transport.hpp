@@ -9,8 +9,10 @@
 // mapping of a frame's variate to its latency, base(s, d) * variate +
 // serialization, where base(s, d) is COMPUTED from (latency, regions,
 // cross_region, asymmetry) rather than stored, and the partition cut,
-// checked before any draw. The per-link state is the link model alone —
-// O(world) per endpoint instead of an O(world^2) matrix of doubles.
+// checked before any draw. The per-link state is the link model alone,
+// created by the first frame a rank sends on the link: an endpoint holds
+// one per destination it has sent to (its readers, in a sparse world),
+// not one per rank.
 //
 // Two drive modes per endpoint:
 //
@@ -79,10 +81,17 @@ class SimEndpoint final : public transport::Endpoint {
 
   /// One virtual compute-phase cost draw for this rank.
   double compute_draw();
+  /// The link model toward `dst`, created by the first frame sent on it.
+  net::LinkModel& link_to(std::uint32_t dst);
 
   SimTransport* owner_ = nullptr;
   std::uint32_t rank_ = 0;
-  std::vector<net::LinkModel> links_;  ///< per destination
+  /// The links this rank has sent on, ascending by destination:
+  /// links_[i] leads to link_dst_[i]. A lookup is a binary search of the
+  /// destinations. A dense world's first publish goes to every rank in
+  /// ascending order, so each of its inserts appends.
+  std::vector<std::uint32_t> link_dst_;
+  std::vector<net::LinkModel> links_;
   Rng compute_rng_{0};
   double straggler_ = 1.0;  ///< this rank's compute multiplier
 

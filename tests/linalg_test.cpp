@@ -191,6 +191,48 @@ TEST(Partition, InvalidConstructionThrows) {
   EXPECT_THROW(Partition::from_sizes({2, 0}), CheckError);
 }
 
+TEST(BlockOwnership, RuleMatchesAnExplicitTable) {
+  // The table the rule stands for, dealt out block by block: worker w
+  // takes m / W blocks, plus one while w < m % W. The rule's shares must
+  // be its rows, tile [0, m) in order, and block_owner must invert them.
+  for (const std::size_t m : {1, 2, 5, 16, 17, 64, 100, 1000}) {
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7},
+          m / 2, m - 1, m}) {
+      if (workers < 1 || workers > m) continue;
+      std::vector<std::vector<BlockId>> table(workers);
+      std::vector<std::size_t> owner(m);
+      BlockId next = 0;
+      for (std::size_t w = 0; w < workers; ++w)
+        for (std::size_t k = 0; k < m / workers + (w < m % workers ? 1 : 0);
+             ++k) {
+          table[w].push_back(next);
+          owner[next++] = w;
+        }
+      ASSERT_EQ(next, m);
+      BlockId first = 0;
+      for (std::size_t w = 0; w < workers; ++w) {
+        const BlockShare share = block_share(m, workers, w);
+        EXPECT_EQ(share.first, first) << "m " << m << " W " << workers;
+        EXPECT_GE(share.count, 1u);
+        EXPECT_EQ(share.blocks(), table[w]) << "m " << m << " W " << workers;
+        first += static_cast<BlockId>(share.count);
+      }
+      EXPECT_EQ(first, m);
+      for (BlockId b = 0; b < m; ++b)
+        EXPECT_EQ(block_owner(m, workers, b), owner[b])
+            << "m " << m << " W " << workers << " b " << b;
+    }
+  }
+}
+
+TEST(BlockOwnership, OutOfRangeArgumentsThrow) {
+  EXPECT_THROW(block_share(3, 0, 0), CheckError);
+  EXPECT_THROW(block_share(3, 4, 0), CheckError);  // more workers than blocks
+  EXPECT_THROW(block_share(3, 2, 2), CheckError);
+  EXPECT_THROW(block_owner(3, 2, 3), CheckError);
+}
+
 TEST(WeightedMaxNorm, UnitWeightsScalarBlocks) {
   WeightedMaxNorm norm(Partition::scalar(3));
   Vector x{1, -5, 2};
@@ -216,6 +258,7 @@ TEST(WeightedMaxNorm, DistanceAndBlockDistance) {
   Vector a{1, 2}, b{4, 0};
   EXPECT_DOUBLE_EQ(norm.distance(a, b), 3.0);
   EXPECT_DOUBLE_EQ(norm.block_distance(a, b, 1), 2.0);
+  EXPECT_DOUBLE_EQ(block_distance(norm.partition(), a, b, 1), 2.0);
 }
 
 TEST(WeightedMaxNorm, TriangleInequalityProperty) {

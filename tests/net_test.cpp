@@ -442,11 +442,10 @@ TEST_F(MpRuntimeFixture, AsyncOracleStopsLandOnSweepBoundaries) {
   const auto r = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
                                           opt);
   ASSERT_TRUE(r.converged) << "error " << r.final_error;
-  const auto owned = la::assign_blocks_contiguous(16, 3);
   ASSERT_EQ(r.updates_per_worker.size(), 3u);
   for (std::size_t p = 0; p < 3; ++p) {
     EXPECT_GT(r.updates_per_worker[p], 0u);
-    EXPECT_EQ(r.updates_per_worker[p] % owned[p].size(), 0u)
+    EXPECT_EQ(r.updates_per_worker[p] % la::block_share(16, 3, p).count, 0u)
         << "rank " << p << " updates " << r.updates_per_worker[p];
   }
 }

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "asyncit/linalg/norms.hpp"
+#include "asyncit/linalg/simd_dispatch.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/net/node_runtime.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
@@ -899,6 +901,54 @@ TEST(SimPublication, SparseJacobiSendsValueFramesOnlyToReaders) {
   EXPECT_EQ(again.events, r.events);
   EXPECT_EQ(again.messages_sent, r.messages_sent);
   EXPECT_EQ(again.final_residual, r.final_residual);
+}
+
+// Two fixed worlds pinned at recorded values, not against a second run
+// of the same build: a change to the draw order, the link seeding or the
+// stop rule between commits shows here. A sparse async world with an
+// oracle (c14's 100-rank config) sends only to readers; in a BSP world
+// every rank sends to every rank, so every link of the world carries
+// frames. A change that means to move them must record the new values.
+// The residual's last bits depend on the kernel backend (each SIMD level
+// sums a row's products in its own order), so both worlds, x_star
+// included, run on the scalar kernels, which every host has: the pins
+// hold under any ASYNCIT_SIMD.
+struct RestoreLevel {
+  la::simd::Level level = la::simd::active_level();
+  ~RestoreLevel() { la::simd::force(level); }
+};
+
+struct PinnedWorld {
+  std::uint64_t log_hash, events, frames, updates, residual_bits;
+};
+
+void expect_pinned(const WorldResult& r, const PinnedWorld& pin) {
+  EXPECT_TRUE(r.all_converged) << "residual " << r.final_residual;
+  EXPECT_EQ(r.log_hash, pin.log_hash);
+  EXPECT_EQ(r.events, pin.events);
+  EXPECT_EQ(r.messages_sent, pin.frames);
+  EXPECT_EQ(r.total_updates, pin.updates);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.final_residual), pin.residual_bits)
+      << "residual " << r.final_residual;
+}
+
+TEST(SimReplay, SparseAsyncWorldReplaysItsPinnedValues) {
+  const RestoreLevel restore;
+  ASSERT_TRUE(la::simd::force(la::simd::Level::kScalar));
+  SparseWorld w(100);
+  expect_pinned(run_world(*w.jacobi, la::zeros(100), w.o),
+                {0x7ad8d5d069665691ull, 890, 1408, 395,
+                 0x3eb0a709e9f0c000ull});
+}
+
+TEST(SimReplay, DenseBspWorldReplaysItsPinnedValues) {
+  const RestoreLevel restore;
+  ASSERT_TRUE(la::simd::force(la::simd::Level::kScalar));
+  SparseWorld w(40);
+  w.o.mp.solve.mode = net::Mode::kBsp;
+  expect_pinned(run_world(*w.jacobi, la::zeros(40), w.o),
+                {0xdcbdca3163ccc142ull, 544, 7878, 201,
+                 0x3ea4bc065a120000ull});
 }
 
 TEST(SimStopFinals, FinalsLostToAPartitionAreResentToTheirReaders) {

@@ -173,7 +173,8 @@ TEST(TextTable, NumberFormatting) {
 TEST(WallTimer, MeasuresNonnegativeTime) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i)
+    sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_GE(t.millis(), t.seconds());
 }

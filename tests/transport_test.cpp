@@ -1266,6 +1266,24 @@ TEST_F(BackendParityFixture, EveryDroppedFrameIsTracedOnce) {
   opt.obs.trace_level = obs::TraceLevel::kFull;
   opt.obs.trace_ring_capacity = 1 << 16;
   opt.chaos.delivery.drop_prob = 0.2;
+  // An update budget bounds what each rank's ring must hold. Per own
+  // update a rank records one kBlockUpdate and, per reader (at most
+  // W - 1), one kFrameSend or kFrameDrop. It drains once per update and
+  // once per sweep (at most 2B + 1 drains), each drain recording at most
+  // an inbox and a chaos-hold kQueueDepth. It receives at most one value
+  // frame per update of each other rank, each a kFrameRecv and at most
+  // one kInversion. Last comes its kStopDecision. The kStop finals a
+  // rank sends when it stops on the oracle, and those it receives, add
+  // no event: send_traced traces only a refused send, neither fabric
+  // here refuses a send that disallows drops, so resend_stops never
+  // drains, and a received final is not a kFrameRecv.
+  opt.solve.max_updates = 2000;
+  const std::uint64_t budget = opt.solve.max_updates;
+  const std::uint64_t w = opt.workers;
+  const std::uint64_t ceiling = budget * w + 2 * (2 * budget + 1) +
+                                2 * (w - 1) * budget + 1;
+  // A ring keeps its newest capacity - 1 events readable.
+  ASSERT_LT(ceiling, opt.obs.trace_ring_capacity);
   auto drops_traced = [&opt] {
     const std::vector<std::uint64_t> per_rank =
         count_per_rank(opt.workers, obs::EventType::kFrameDrop);
