@@ -18,6 +18,9 @@
 // displacement stopping rule (block_residual). train_eval times the PSGD
 // server's full-train evaluation (one margin pass) against the two-sweep
 // shape it replaced, with loss and accuracy parity hard-gated at 0.
+// csr_build times CSR construction (CsrMatrix::from_rows and
+// from_triplets) against the global triplet sort it replaced, with bit
+// parity of both builds hard-gated.
 //
 // The *_levels scenarios additionally walk the SIMD dispatch ladder
 // (linalg/simd_dispatch.hpp): each supported level is forced in turn and
@@ -28,6 +31,8 @@
 // speedup_<level> ratios are wall-clock and therefore warn-only, but the
 // trend history (check_bench --history) keeps them regression-gated run
 // over run on the same runner.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -97,6 +102,51 @@ train::Eval two_pass_eval(const train::Dataset& data,
     correct += (data.design.row_dot(h, x) >= 0.0 ? 1 : -1) == data.labels[h];
   return {sum / static_cast<double>(m) + 0.5 * data.ridge * sq,
           static_cast<double>(correct) / static_cast<double>(m)};
+}
+
+/// The CSR arrays of the triplet build before the row builder: one
+/// global sort by (row, col), then each run of equal keys summed from 0.0.
+struct GlobalSortCsr {
+  std::vector<std::size_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+};
+
+GlobalSortCsr global_sort_build(std::size_t rows,
+                                std::vector<la::Triplet> t) {
+  std::sort(t.begin(), t.end(), [](const la::Triplet& a,
+                                   const la::Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  GlobalSortCsr m;
+  m.row_ptr.assign(rows + 1, 0);
+  m.col_idx.reserve(t.size());
+  m.values.reserve(t.size());
+  for (std::size_t i = 0; i < t.size();) {
+    const la::Triplet& first = t[i];
+    double v = 0.0;
+    for (; i < t.size() && t[i].row == first.row && t[i].col == first.col;
+         ++i)
+      v += t[i].value;
+    m.col_idx.push_back(first.col);
+    m.values.push_back(v);
+    ++m.row_ptr[first.row + 1];
+  }
+  for (std::size_t r = 0; r < rows; ++r) m.row_ptr[r + 1] += m.row_ptr[r];
+  return m;
+}
+
+/// Entries whose column or value bits differ from the reference, or all
+/// of them when the row offsets differ; 0 is bit parity.
+std::size_t csr_mismatches(const la::CsrMatrix& a, const GlobalSortCsr& ref) {
+  if (!std::ranges::equal(a.row_ptr(), ref.row_ptr))
+    return std::max(a.nnz(), ref.values.size());
+  std::size_t diff = 0;
+  for (std::size_t k = 0; k < a.nnz(); ++k)
+    diff += a.col_idx()[k] != ref.col_idx[k] ||
+            std::bit_cast<std::uint64_t>(a.values()[k]) !=
+                std::bit_cast<std::uint64_t>(ref.values[k]);
+  return diff;
 }
 
 void spmv_scenario(bench::Report& report, const std::string& name,
@@ -331,6 +381,65 @@ int main() {
     std::printf("%-16s two-pass %7.1f us  fused %7.1f us  speedup %.2fx\n",
                 "train_eval", t_ref.median_s * 1e6, t_opt.median_s * 1e6,
                 t_ref.median_s / t_opt.median_s);
+  }
+
+  // ---------------- CSR construction: row builder vs global sort -------
+  // A 2^16-row system with 8 random off-diagonal columns per row and the
+  // diagonal last, the order make_diagonally_dominant_system emits. Built
+  // through from_rows (the generator's path) and from_triplets, against
+  // the global sort the triplet builder used to run. Every timed call
+  // copies its input, since each build consumes it.
+  {
+    const std::size_t n = std::size_t{1} << 16, k = 8;
+    Rng rng(81);
+    std::vector<la::Triplet> triplets;
+    std::vector<std::size_t> row_ptr(n + 1);
+    std::vector<std::uint32_t> cols;
+    std::vector<double> vals;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      row_ptr[r] = triplets.size();
+      for (std::size_t j = 0; j < k; ++j)
+        triplets.push_back({r, static_cast<std::uint32_t>(rng.uniform_index(n)),
+                            rng.uniform(-1.0, 1.0)});
+      triplets.push_back({r, r, 2.0 * k});
+    }
+    row_ptr[n] = triplets.size();
+    for (const la::Triplet& t : triplets) {
+      cols.push_back(t.col);
+      vals.push_back(t.value);
+    }
+    const GlobalSortCsr ref = global_sort_build(n, triplets);
+    const la::CsrMatrix by_rows =
+        la::CsrMatrix::from_rows(n, n, row_ptr, cols, vals);
+    const la::CsrMatrix by_triplets =
+        la::CsrMatrix::from_triplets(n, n, triplets);
+
+    volatile std::size_t sink = 0;
+    const auto t_ref = bench::measure(2, 11, 1, [&] {
+      sink = global_sort_build(n, triplets).values.size();
+    });
+    const auto t_triplets = bench::measure(2, 11, 1, [&] {
+      sink = la::CsrMatrix::from_triplets(n, n, triplets).nnz();
+    });
+    const auto t_rows = bench::measure(2, 11, 1, [&] {
+      sink = la::CsrMatrix::from_rows(n, n, row_ptr, cols, vals).nnz();
+    });
+    (void)sink;
+    report.scenario("csr_build")
+        .det("n", n)
+        .det("nnz", by_rows.nnz())
+        .det("parity_rows", csr_mismatches(by_rows, ref))
+        .det("parity_triplets", csr_mismatches(by_triplets, ref))
+        .timing("global_sort", t_ref)
+        .timing("from_triplets", t_triplets)
+        .timing("from_rows", t_rows)
+        .metric("speedup_median", t_ref.median_s / t_rows.median_s)
+        .metric("speedup_triplets", t_ref.median_s / t_triplets.median_s);
+    std::printf("%-16s global sort %6.2f ms  from_triplets %6.2f ms  "
+                "from_rows %6.2f ms  speedup %.2fx / %.2fx\n",
+                "csr_build", t_ref.median_s * 1e3, t_triplets.median_s * 1e3,
+                t_rows.median_s * 1e3, t_ref.median_s / t_rows.median_s,
+                t_ref.median_s / t_triplets.median_s);
   }
 
   // ---------------- the SIMD dispatch ladder ---------------------------

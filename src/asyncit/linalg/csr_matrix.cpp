@@ -8,43 +8,93 @@
 
 namespace asyncit::la {
 
+CsrMatrix CsrMatrix::from_rows(std::size_t rows, std::size_t cols,
+                               std::vector<std::size_t> row_ptr,
+                               std::vector<std::uint32_t> col_idx,
+                               std::vector<double> values) {
+  ASYNCIT_CHECK_MSG(row_ptr.size() == rows + 1 && row_ptr[0] == 0,
+                    "row_ptr must hold rows + 1 = " << rows + 1
+                                                    << " offsets from 0");
+  ASYNCIT_CHECK_MSG(row_ptr[rows] == col_idx.size() &&
+                        values.size() == col_idx.size(),
+                    "row_ptr ends at " << row_ptr[rows] << " for "
+                                       << col_idx.size() << " columns and "
+                                       << values.size() << " values");
+  for (std::size_t r = 0; r < rows; ++r)
+    ASYNCIT_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1],
+                      "row_ptr decreases at row " << r);
+
+  // Row by row: a stable insertion sort on the column, then a merge that
+  // writes each distinct column once at `out`, which never passes the
+  // row's start, so the compaction needs no second buffer.
+  std::uint32_t* c = col_idx.data();
+  double* v = values.data();
+  std::size_t out = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t begin = row_ptr[r], end = row_ptr[r + 1];
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      const std::uint32_t ci = c[i];
+      if (c[i - 1] <= ci) continue;
+      const double vi = v[i];
+      std::size_t j = i;
+      for (; j > begin && c[j - 1] > ci; --j) {
+        c[j] = c[j - 1];
+        v[j] = v[j - 1];
+      }
+      c[j] = ci;
+      v[j] = vi;
+    }
+    row_ptr[r] = out;
+    for (std::size_t i = begin; i < end;) {
+      const std::uint32_t col = c[i];
+      ASYNCIT_CHECK_MSG(col < cols, "entry (" << r << "," << col
+                                              << ") out of bounds for "
+                                              << rows << "x" << cols);
+      double sum = 0.0;
+      for (; i < end && c[i] == col; ++i) sum += v[i];
+      c[out] = col;
+      v[out] = sum;
+      ++out;
+    }
+  }
+  row_ptr[rows] = out;
+  col_idx.resize(out);
+  values.resize(out);
+
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets) {
+  std::vector<std::size_t> row_ptr(rows + 1, 0);
   for (const auto& t : triplets) {
     ASYNCIT_CHECK_MSG(t.row < rows && t.col < cols,
                       "triplet (" << t.row << "," << t.col
                                   << ") out of bounds for " << rows << "x"
                                   << cols);
+    ++row_ptr[t.row + 1];
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-
-  CsrMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(rows + 1, 0);
-  m.col_idx_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
-
-  std::size_t i = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    m.row_ptr_[r] = m.values_.size();
-    while (i < triplets.size() && triplets[i].row == r) {
-      const std::uint32_t c = triplets[i].col;
-      double v = 0.0;
-      while (i < triplets.size() && triplets[i].row == r &&
-             triplets[i].col == c) {
-        v += triplets[i].value;
-        ++i;
-      }
-      m.col_idx_.push_back(c);
-      m.values_.push_back(v);
-    }
+  for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
+  // Scatter in input order with row_ptr[r] as row r's cursor; each
+  // cursor ends at the next row's start, so shifting restores offsets.
+  std::vector<std::uint32_t> col_idx(triplets.size());
+  std::vector<double> values(triplets.size());
+  for (const auto& t : triplets) {
+    const std::size_t k = row_ptr[t.row]++;
+    col_idx[k] = t.col;
+    values[k] = t.value;
   }
-  m.row_ptr_[rows] = m.values_.size();
-  return m;
+  for (std::size_t r = rows; r > 0; --r) row_ptr[r] = row_ptr[r - 1];
+  row_ptr[0] = 0;
+  std::vector<Triplet>().swap(triplets);  // release before the row pass
+  return from_rows(rows, cols, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 void CsrMatrix::matvec(std::span<const double> x, std::span<double> y) const {

@@ -1,4 +1,4 @@
-// Compressed sparse row matrix with a triplet builder.
+// Compressed sparse row matrix with a row builder and a triplet front end.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,22 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds from triplets; duplicate (row,col) entries are summed.
+  /// Builds from row-grouped arrays: row r's entries are
+  /// col_idx/values[row_ptr[r], row_ptr[r + 1]), in any column order and
+  /// possibly repeating a column. Each row is sorted stably by column and
+  /// repeated columns are summed in input order (0.0 + v1 + v2 + ...),
+  /// compacting in place; the vectors then move into the matrix. The row
+  /// sort is an insertion sort: O(k) on a row of k entries that is
+  /// already sorted, O(k²) in the worst case, which suits the rows every
+  /// builder emits (sorted, or short).
+  static CsrMatrix from_rows(std::size_t rows, std::size_t cols,
+                             std::vector<std::size_t> row_ptr,
+                             std::vector<std::uint32_t> col_idx,
+                             std::vector<double> values);
+
+  /// Builds from triplets in any order; duplicate (row,col) entries are
+  /// summed in input order. A stable scatter into rows, then from_rows:
+  /// O(nnz) for rows that arrive in column order.
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 

@@ -111,14 +111,8 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
                  .blocks();
     plan_publication();
   }
-  if (ctx_.options->wire.delta) {
-    // One baseline per (destination, block). The `last` vectors size
-    // themselves to the block width on first use, so an idle link costs
-    // a few words, not a block copy.
-    delta_.resize(ctx_.options->workers *
-                  ctx_.op->partition().num_blocks());
+  if (ctx_.options->wire.delta)
     block_rx_epoch_.assign(ctx_.op->partition().num_blocks(), 0);
-  }
 }
 
 std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
@@ -324,6 +318,18 @@ void Peer::receive() {
   service_membership();
 }
 
+Peer::DeltaSlot& Peer::delta_slot(std::uint32_t dst, la::BlockId b) {
+  const std::uint64_t key =
+      std::uint64_t{b} * ctx_.options->workers + dst;
+  const auto it = std::lower_bound(delta_key_.begin(), delta_key_.end(), key);
+  const auto i = it - delta_key_.begin();
+  if (it == delta_key_.end() || *it != key) {
+    delta_key_.insert(it, key);
+    delta_.emplace(delta_.begin() + i);
+  }
+  return delta_[static_cast<std::size_t>(i)];
+}
+
 void Peer::send_block(la::BlockId b, bool partial) {
   const la::Partition& partition = ctx_.op->partition();
   // The next tag must beat everything we have SEEN for the block, not
@@ -339,7 +345,6 @@ void Peer::send_block(la::BlockId b, bool partial) {
   const double t = now();
   const bool allow_drop = ctx_.options->solve.mode == Mode::kAsync;
   const WireOptions& wire = ctx_.options->wire;
-  const std::size_t num_blocks = partition.num_blocks();
   auto send_one = [&](std::uint32_t dst) {
     transport::MessageHeader header;
     header.block = b;
@@ -351,7 +356,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
     bool full = true;
     bool heartbeat = false;
     if (wire.delta) {
-      slot = &delta_[std::size_t(dst) * num_blocks + b];
+      slot = &delta_slot(dst, b);
       // A full refresh re-anchors the link: first contact, ownership
       // churn on the block since the slot was anchored (the receiver's
       // copy may predate our adoption), or the periodic resync that

@@ -361,7 +361,15 @@ class Peer {
     std::uint64_t sends_since_refresh = 0;
     std::uint64_t rx_epoch = 0;  ///< block_rx_epoch_ when last refreshed
   };
-  std::vector<DeltaSlot> delta_;   ///< [dst * num_blocks + block]
+  /// The baseline of each (destination, block) this rank has sent on,
+  /// created by the first frame (invalid, so that frame is full):
+  /// delta_[i] belongs to key delta_key_[i] = block * workers + dst,
+  /// ascending, so a lookup is a binary search. Publication walks owned
+  /// blocks in ascending order, each to its readers in ascending order,
+  /// so a first sweep's inserts append.
+  std::vector<std::uint64_t> delta_key_;
+  std::vector<DeltaSlot> delta_;
+  DeltaSlot& delta_slot(std::uint32_t dst, la::BlockId b);
   /// Bumped whenever a remote value for the block is incorporated: our
   /// delta baseline toward EVERY destination is stale the moment someone
   /// else wrote the block (ownership churn), so the next send refreshes.

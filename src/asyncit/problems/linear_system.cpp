@@ -13,9 +13,16 @@ LinearSystem make_diagonally_dominant_system(std::size_t n,
   ASYNCIT_CHECK(off_diagonals_per_row >= 1 && off_diagonals_per_row < n);
   ASYNCIT_CHECK_MSG(dominance > 1.0,
                     "dominance must exceed 1 for a Jacobi contraction");
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(n * (off_diagonals_per_row + 1));
+  // Rows are filled in place, each with its diagonal last; from_rows
+  // sorts each row and sums repeated columns in this order.
+  const std::size_t nnz = n * (off_diagonals_per_row + 1);
+  std::vector<std::size_t> row_ptr(n + 1);
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(nnz);
+  values.reserve(nnz);
   for (std::uint32_t row = 0; row < n; ++row) {
+    row_ptr[row] = col_idx.size();
     double off_sum = 0.0;
     for (std::size_t k = 0; k < off_diagonals_per_row; ++k) {
       std::uint32_t col = row;
@@ -23,14 +30,18 @@ LinearSystem make_diagonally_dominant_system(std::size_t n,
         col = static_cast<std::uint32_t>(rng.uniform_index(n));
       const double v = rng.uniform(-1.0, 1.0);
       off_sum += std::abs(v);
-      triplets.push_back({row, col, v});
+      col_idx.push_back(col);
+      values.push_back(v);
     }
     // Diagonal dominates the *sum* of magnitudes of this row's off-diagonal
     // entries (duplicates merge by addition, which can only shrink the sum).
-    triplets.push_back({row, row, dominance * off_sum + 1e-3});
+    col_idx.push_back(row);
+    values.push_back(dominance * off_sum + 1e-3);
   }
+  row_ptr[n] = nnz;
   LinearSystem sys;
-  sys.a = la::CsrMatrix::from_triplets(n, n, std::move(triplets));
+  sys.a = la::CsrMatrix::from_rows(n, n, std::move(row_ptr),
+                                   std::move(col_idx), std::move(values));
   sys.b.resize(n);
   for (auto& v : sys.b) v = rng.uniform(-1.0, 1.0);
   return sys;

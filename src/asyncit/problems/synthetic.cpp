@@ -11,7 +11,16 @@ la::CsrMatrix make_design_matrix(std::size_t m, std::size_t n, double density,
   ASYNCIT_CHECK(m >= 1 && n >= 1);
   ASYNCIT_CHECK(density > 0.0 && density <= 1.0);
   const double scale = 1.0 / std::sqrt(static_cast<double>(m));
+  // Sized once, for the expected entry count plus six standard deviations
+  // and one entry per row and per column for the fix-ups below: growing
+  // by doubling would copy the vector and leave freed blocks behind, which
+  // a set-up repeated in one process pays for in peak RSS.
+  const double expected =
+      density * static_cast<double>(m) * static_cast<double>(n);
   std::vector<la::Triplet> triplets;
+  triplets.reserve(static_cast<std::size_t>(expected +
+                                            6.0 * std::sqrt(expected)) +
+                   m + n);
   for (std::uint32_t r = 0; r < m; ++r) {
     bool placed = false;
     for (std::uint32_t c = 0; c < n; ++c) {

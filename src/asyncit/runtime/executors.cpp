@@ -58,6 +58,7 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_updates{0};
   std::vector<std::uint64_t> per_worker(options.workers, 0);
+  std::vector<double> cpu_per_worker(options.workers, 0.0);
   // Per-block displacement of the most recent update (+inf until a block
   // has been updated once), for the [15]-style displacement stopping rule.
   std::vector<double> last_displacement(m, 1e300);
@@ -88,6 +89,7 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
     std::size_t cursor = 0;
     std::uint64_t own_updates = 0;
     DisplacementStop stop_rule;  // worker 0 only
+    const ThreadCpuTimer cpu_total;
     ThreadCpuTimer cpu_timer;
     const std::size_t reps = slowdown_repetitions(options.worker_slowdown, w);
     while (!stop.load(std::memory_order_relaxed)) {
@@ -173,6 +175,7 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
       }
     }
     per_worker[w] = own_updates;
+    cpu_per_worker[w] = cpu_total.seconds();
   };
 
   std::vector<std::thread> threads;
@@ -191,6 +194,7 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
     shared->snapshot_into(result.x);
   result.total_updates = total_updates.load();
   result.updates_per_worker = per_worker;
+  result.cpu_seconds_per_worker = cpu_per_worker;
   if (oracle) {
     result.final_error = norm.distance(result.x, *options.x_star);
     result.converged = result.final_error < options.tol;

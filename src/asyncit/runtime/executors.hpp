@@ -73,6 +73,9 @@ struct RuntimeResult {
   std::uint64_t total_updates = 0;  ///< block updates (async) / rounds*m (sync)
   std::size_t rounds = 0;           ///< sync only
   std::vector<std::uint64_t> updates_per_worker;
+  /// Async only: thread CPU seconds each worker consumed (ThreadCpuTimer).
+  /// A rate per CPU-second does not count time a worker was descheduled.
+  std::vector<double> cpu_seconds_per_worker;
   double final_error = -1.0;        ///< oracle error (when x_star given)
 };
 

@@ -1,5 +1,6 @@
 #include "asyncit/train/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "asyncit/support/check.hpp"
@@ -45,10 +46,14 @@ Dataset make_synthetic_dataset(const problems::LogisticConfig& cfg,
   Dataset d;
   d.labels.reserve(cfg.samples);
   d.ridge = cfg.ridge;
-  std::vector<la::Triplet> kept;
-  std::uint32_t out_row = 0;
-  for (std::size_t h = 0; h < wide.samples && out_row < cfg.samples; ++h) {
-    const std::span<const std::uint32_t> cols = a.row_cols(h);
+  // Select first, then copy the kept rows (already sorted and merged)
+  // straight into CSR arrays of their exact size.
+  std::vector<std::size_t> kept;
+  kept.reserve(cfg.samples);
+  std::vector<std::size_t> row_ptr{0};
+  row_ptr.reserve(cfg.samples + 1);
+  for (std::size_t h = 0; h < wide.samples && kept.size() < cfg.samples;
+       ++h) {
     const std::span<const double> vals = a.row_values(h);
     double row_sq = 0.0;
     for (const double v : vals) row_sq += v * v;
@@ -56,15 +61,21 @@ Dataset make_synthetic_dataset(const problems::LogisticConfig& cfg,
     if (row_sq == 0.0 ||
         std::abs(margin) < kMarginGap * std::sqrt(row_sq) * truth_norm)
       continue;
-    for (std::size_t k = 0; k < cols.size(); ++k)
-      kept.push_back({out_row, cols[k], vals[k]});
+    kept.push_back(h);
+    row_ptr.push_back(row_ptr.back() + vals.size());
     d.labels.push_back(raw.labels[h]);
-    ++out_row;
   }
-  ASYNCIT_CHECK_MSG(out_row == cfg.samples,
+  ASYNCIT_CHECK_MSG(kept.size() == cfg.samples,
                     "margin-gap selection starved; raise kOversample");
-  d.design =
-      la::CsrMatrix::from_triplets(cfg.samples, cfg.features, std::move(kept));
+  std::vector<std::uint32_t> col_idx(row_ptr.back());
+  std::vector<double> values(row_ptr.back());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    std::ranges::copy(a.row_cols(kept[i]), col_idx.begin() + row_ptr[i]);
+    std::ranges::copy(a.row_values(kept[i]), values.begin() + row_ptr[i]);
+  }
+  d.design = la::CsrMatrix::from_rows(cfg.samples, cfg.features,
+                                      std::move(row_ptr), std::move(col_idx),
+                                      std::move(values));
   return d;
 }
 

@@ -2,7 +2,10 @@
 // matrices, partitions, weighted max norms, spectral estimates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 
 #include "asyncit/linalg/csr_matrix.hpp"
 #include "asyncit/linalg/dense_matrix.hpp"
@@ -129,6 +132,128 @@ TEST(CsrMatrix, RowDotAndDiagonal) {
 
 TEST(CsrMatrix, OutOfBoundsTripletThrows) {
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{2, 0, 1.0}}), CheckError);
+}
+
+/// The CSR arrays the triplet builder made before the row builder: one
+/// global sort by (row, col), then each run of equal keys summed from
+/// 0.0. std::sort leaves the order within a run unspecified.
+struct GlobalSortCsr {
+  std::vector<std::size_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+};
+
+GlobalSortCsr global_sort_build(std::size_t rows, std::vector<Triplet> t) {
+  std::sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  GlobalSortCsr m;
+  m.row_ptr.assign(rows + 1, 0);
+  for (std::size_t i = 0; i < t.size();) {
+    double v = 0.0;
+    const std::size_t first = i;
+    for (; i < t.size() && t[i].row == t[first].row &&
+           t[i].col == t[first].col;
+         ++i)
+      v += t[i].value;
+    m.col_idx.push_back(t[first].col);
+    m.values.push_back(v);
+    ++m.row_ptr[t[first].row + 1];
+  }
+  for (std::size_t r = 0; r < rows; ++r) m.row_ptr[r + 1] += m.row_ptr[r];
+  return m;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CsrMatrix, ShuffledTripletsMatchGlobalSortBuild) {
+  // 600 triplets on 40 x 30 with columns drawn from a narrow band, so
+  // many keys repeat twice and some three times or more.
+  Rng rng(23);
+  const std::size_t rows = 40, cols = 30;
+  std::vector<Triplet> t;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, int> count;
+  for (int i = 0; i < 600; ++i) {
+    const auto r = static_cast<std::uint32_t>(rng.uniform_index(rows));
+    const auto c = static_cast<std::uint32_t>(rng.uniform_index(20));
+    t.push_back({r, c, rng.normal()});
+    ++count[{r, c}];
+  }
+  std::shuffle(t.begin(), t.end(), rng);
+  // Input-order sums: the builder's contract for every key.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> in_order;
+  for (const Triplet& e : t) in_order[{e.row, e.col}] += e.value;
+  const GlobalSortCsr ref = global_sort_build(rows, t);
+  const CsrMatrix m = CsrMatrix::from_triplets(rows, cols, t);
+
+  ASSERT_TRUE(std::ranges::equal(m.row_ptr(), ref.row_ptr));
+  ASSERT_TRUE(std::ranges::equal(m.col_idx(), ref.col_idx));
+  int twice = 0, thrice = 0;
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::size_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+      const std::uint32_t c = m.col_idx()[k];
+      const int n = count[{r, c}];
+      EXPECT_EQ(bits(m.values()[k]), bits(in_order[{r, c}]))
+          << "(" << r << "," << c << ")";
+      if (n < 3)
+        EXPECT_EQ(bits(m.values()[k]), bits(ref.values[k]))
+            << "(" << r << "," << c << ")";
+      else
+        EXPECT_NEAR(m.values()[k], ref.values[k], 1e-12);
+      twice += n == 2;
+      thrice += n >= 3;
+    }
+  }
+  EXPECT_GT(twice, 0);
+  EXPECT_GT(thrice, 0);
+}
+
+TEST(CsrMatrix, DuplicatesSumInInputOrder) {
+  // (2,3) repeats three times among 24 triplets. Summed in input order,
+  // 1e16 + 1.0 rounds back to 1e16, so {1e16, 1.0, -1e16} sums to 0.0
+  // while {1e16, -1e16, 1.0} sums to 1.0.
+  auto build = [](double second, double third) {
+    std::vector<Triplet> t;
+    for (std::uint32_t i = 0; i < 21; ++i) t.push_back({i % 7, i % 5, 1.0});
+    t.insert(t.begin() + 3, {2, 3, 1e16});
+    t.insert(t.begin() + 11, {2, 3, second});
+    t.insert(t.begin() + 19, {2, 3, third});
+    return CsrMatrix::from_triplets(7, 5, std::move(t));
+  };
+  EXPECT_EQ(bits(build(1.0, -1e16).at(2, 3)), bits(0.0));
+  EXPECT_EQ(bits(build(-1e16, 1.0).at(2, 3)), bits(1.0));
+}
+
+TEST(CsrMatrix, FromRowsSortsEachRowAndSumsRepeats) {
+  // Row 0 unsorted with a repeat, row 1 empty, row 2 sorted.
+  const CsrMatrix m = CsrMatrix::from_rows(
+      3, 5, {0, 4, 4, 6}, {4, 1, 4, 0, 2, 3}, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  EXPECT_EQ(m.nnz(), 5u);
+  EXPECT_TRUE(std::ranges::equal(m.row_ptr(), std::vector<std::size_t>{
+                                                  0, 3, 3, 5}));
+  EXPECT_TRUE(std::ranges::equal(m.col_idx(), std::vector<std::uint32_t>{
+                                                  0, 1, 4, 2, 3}));
+  EXPECT_TRUE(std::ranges::equal(
+      m.values(), std::vector<double>{4.0, 2.0, 4.0, 5.0, 6.0}));
+}
+
+TEST(CsrMatrix, FromRowsRejectsBadOffsetsAndColumns) {
+  const std::vector<std::uint32_t> c{0, 1, 1};
+  const std::vector<double> v{1.0, 2.0, 3.0};
+  EXPECT_NO_THROW(CsrMatrix::from_rows(2, 2, {0, 2, 3}, c, v));
+  // decreasing offsets
+  EXPECT_THROW(CsrMatrix::from_rows(3, 2, {0, 2, 1, 3}, c, v), CheckError);
+  // final offset is not the entry count
+  EXPECT_THROW(CsrMatrix::from_rows(2, 2, {0, 2, 2}, c, v), CheckError);
+  // offsets not starting at 0, or not rows + 1 of them
+  EXPECT_THROW(CsrMatrix::from_rows(2, 2, {1, 2, 3}, c, v), CheckError);
+  EXPECT_THROW(CsrMatrix::from_rows(2, 2, {0, 3}, c, v), CheckError);
+  // a column >= cols
+  EXPECT_THROW(CsrMatrix::from_rows(2, 2, {0, 2, 3}, {0, 1, 2}, v),
+               CheckError);
+  // values and columns disagree in length
+  EXPECT_THROW(CsrMatrix::from_rows(2, 2, {0, 2, 3}, c, {1.0, 2.0}),
+               CheckError);
 }
 
 TEST(CsrMatrix, GramSpectralNormMatchesDense) {

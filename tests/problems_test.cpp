@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "asyncit/linalg/norms.hpp"
@@ -70,6 +71,52 @@ TEST(LinearSystems, DiagDominantIsJacobiContraction) {
   }
 }
 
+TEST(LinearSystems, DiagDominantRowsMatchTripletBuild) {
+  // The generator fills its rows in place; replaying the same draw into
+  // triplets must give the same matrix, bit for bit, and the same b. The
+  // small shapes repeat columns within a row, up to several times.
+  struct Shape {
+    std::size_t n, k;
+    double dominance;
+    std::uint64_t seed;
+  };
+  for (const Shape& s : {Shape{4, 3, 1.5, 1}, Shape{10, 8, 2.0, 3},
+                         Shape{100, 6, 1.5, 7}, Shape{300, 3, 8.0, 11},
+                         Shape{std::size_t{1} << 18, 8, 2.0, 1}}) {
+    Rng gen_rng(s.seed), replay(s.seed);
+    const LinearSystem sys =
+        make_diagonally_dominant_system(s.n, s.k, s.dominance, gen_rng);
+    std::vector<la::Triplet> t;
+    for (std::uint32_t row = 0; row < s.n; ++row) {
+      double off_sum = 0.0;
+      for (std::size_t j = 0; j < s.k; ++j) {
+        std::uint32_t col = row;
+        while (col == row)
+          col = static_cast<std::uint32_t>(replay.uniform_index(s.n));
+        const double v = replay.uniform(-1.0, 1.0);
+        off_sum += std::abs(v);
+        t.push_back({row, col, v});
+      }
+      t.push_back({row, row, s.dominance * off_sum + 1e-3});
+    }
+    const la::CsrMatrix a = la::CsrMatrix::from_triplets(s.n, s.n, t);
+    la::Vector b(s.n);
+    for (auto& v : b) v = replay.uniform(-1.0, 1.0);
+    EXPECT_TRUE(std::ranges::equal(sys.a.row_ptr(), a.row_ptr()))
+        << "n " << s.n;
+    EXPECT_TRUE(std::ranges::equal(sys.a.col_idx(), a.col_idx()))
+        << "n " << s.n;
+    EXPECT_TRUE(std::ranges::equal(sys.a.values(), a.values(),
+                                   [](double x, double y) {
+                                     return std::bit_cast<std::uint64_t>(x) ==
+                                            std::bit_cast<std::uint64_t>(y);
+                                   }))
+        << "n " << s.n;
+    EXPECT_EQ(sys.b, b) << "n " << s.n;
+    EXPECT_EQ(gen_rng.next(), replay.next()) << "n " << s.n;
+  }
+}
+
 TEST(LinearSystems, TridiagonalStructure) {
   Rng rng(2);
   auto sys = make_tridiagonal_system(10, 0.5, rng);
@@ -121,6 +168,20 @@ TEST(SparseQuadratic, GradientMatchesFiniteDifferences) {
   expect_gradient_matches_fd(*f, x, 1e-5, 1e-4);
   EXPECT_GT(f->mu(), 0.0);
   EXPECT_GE(f->lipschitz(), f->mu());
+}
+
+TEST(SparseQuadratic, MirroredEntriesAreSymmetricBitForBit) {
+  // Every draw adds one value to (i, j) and to (j, i) in the same input
+  // order, so summing repeats in input order keeps Q exactly symmetric.
+  // Six rows with eight draws each repeat every pair about three times.
+  Rng rng(9);
+  const auto f = make_sparse_quadratic(6, 8, 2.0, rng);
+  const la::CsrMatrix& q = f->q();
+  for (std::size_t r = 0; r < 6; ++r)
+    for (std::size_t c = 0; c < r; ++c)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(q.at(r, c)),
+                std::bit_cast<std::uint64_t>(q.at(c, r)))
+          << "(" << r << "," << c << ")";
 }
 
 // ------------------------------------------------------------------ lasso

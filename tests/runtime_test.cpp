@@ -145,16 +145,23 @@ TEST_F(RuntimeFixture, SlowWorkerDoesFewerUpdates) {
   opt.x_star = x_star_;
   opt.tol = 0.0;  // unreachable: run the full wall budget
   // A wall budget of many scheduler slices: over an update budget the run
-  // lasted ~20 ms, and one descheduling of the fast worker could decide
-  // the ratio on a loaded host.
+  // lasted ~20 ms, too few slices for a stable rate.
   opt.max_updates = std::numeric_limits<std::uint64_t>::max();
   opt.max_seconds = 0.4;
   auto result = run_async_threads(*jacobi_, la::zeros(sys_.dim()), opt);
   ASSERT_EQ(result.updates_per_worker.size(), 2u);
-  // the 20x-slower worker must complete far fewer updates — the async
-  // executor does not wait for it (load-imbalance tolerance, claim C1)
-  EXPECT_GT(result.updates_per_worker[0],
-            2 * result.updates_per_worker[1]);
+  ASSERT_EQ(result.cpu_seconds_per_worker.size(), 2u);
+  // the 20x-slower worker must complete far fewer updates per CPU-second
+  // — the async executor does not wait for it (load-imbalance tolerance,
+  // claim C1). Rates per CPU-second, not per wall second: a descheduled
+  // fast worker loses wall time but no CPU time. u0/c0 > 2·u1/c1,
+  // cross-multiplied.
+  const double u0 = static_cast<double>(result.updates_per_worker[0]);
+  const double u1 = static_cast<double>(result.updates_per_worker[1]);
+  const double c0 = result.cpu_seconds_per_worker[0];
+  const double c1 = result.cpu_seconds_per_worker[1];
+  EXPECT_GT(u0 * c1, 2.0 * u1 * c0)
+      << "updates " << u0 << " / " << u1 << ", cpu s " << c0 << " / " << c1;
 }
 
 TEST_F(RuntimeFixture, InnerStepsAndFlexibleConverge) {
