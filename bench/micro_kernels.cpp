@@ -20,7 +20,10 @@
 // shape it replaced, with loss and accuracy parity hard-gated at 0.
 // csr_build times CSR construction (CsrMatrix::from_rows and
 // from_triplets) against the global triplet sort it replaced, with bit
-// parity of both builds hard-gated.
+// parity of both builds hard-gated. picard_reference times the reference
+// solve (op::picard_solve, whose sweep runs on several threads) against
+// the serial loop it replaced, with its sweep count and the bits of its
+// iterate hard-gated.
 //
 // The *_levels scenarios additionally walk the SIMD dispatch ladder
 // (linalg/simd_dispatch.hpp): each supported level is forced in turn and
@@ -36,6 +39,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "asyncit/asyncit.hpp"
@@ -148,6 +152,73 @@ std::size_t csr_mismatches(const la::CsrMatrix& a, const GlobalSortCsr& ref) {
                 std::bit_cast<std::uint64_t>(ref.values[k]);
   return diff;
 }
+
+/// The loop picard_solve ran before its sweep was split across threads:
+/// one full application, the residual over both full vectors, a swap.
+la::Vector serial_picard(const op::BlockOperator& op, la::Vector x,
+                         std::size_t max_iters, double tol,
+                         op::Workspace& ws) {
+  op::Scratch y(ws, x.size());
+  for (std::size_t it = 0; it < max_iters; ++it) {
+    op.apply(x, y, ws);
+    const double r = la::dist_inf(x, y.span());
+    x.swap(y.vec());
+    if (r < tol) break;
+  }
+  return x;
+}
+
+/// Entries whose bits differ, or all of them when the lengths differ; 0
+/// is bit parity.
+std::size_t bits_differ(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return std::max(a.size(), b.size());
+  std::size_t diff = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    diff += std::bit_cast<std::uint64_t>(a[i]) !=
+            std::bit_cast<std::uint64_t>(b[i]);
+  return diff;
+}
+
+/// Forwards to `inner` and records, per block, its calls and the thread
+/// that made the last one. Each block is written by one thread per sweep.
+class BlockThreads final : public op::BlockOperator {
+ public:
+  explicit BlockThreads(const op::BlockOperator& inner)
+      : inner_(inner),
+        calls_(inner.num_blocks()),
+        thread_(inner.num_blocks()) {}
+  const la::Partition& partition() const override {
+    return inner_.partition();
+  }
+  using BlockOperator::apply_block;
+  void apply_block(la::BlockId b, std::span<const double> x,
+                   std::span<double> out, op::Workspace& ws) const override {
+    ++calls_[b];
+    thread_[b] = std::this_thread::get_id();
+    inner_.apply_block(b, x, out, ws);
+  }
+  std::string name() const override { return inner_.name(); }
+
+  /// Sweeps, if every block ran equally often; 0 otherwise.
+  std::size_t sweeps() const {
+    return std::ranges::all_of(calls_, [&](std::size_t c) {
+             return c == calls_[0];
+           })
+               ? calls_[0]
+               : 0;
+  }
+  std::size_t threads() const {
+    std::vector<std::thread::id> ids = thread_;
+    std::ranges::sort(ids);
+    return static_cast<std::size_t>(
+        std::unique(ids.begin(), ids.end()) - ids.begin());
+  }
+
+ private:
+  const op::BlockOperator& inner_;
+  mutable std::vector<std::size_t> calls_;
+  mutable std::vector<std::thread::id> thread_;
+};
 
 void spmv_scenario(bench::Report& report, const std::string& name,
                    std::size_t n, std::size_t off_diag, std::uint64_t seed,
@@ -440,6 +511,49 @@ int main() {
                 "csr_build", t_ref.median_s * 1e3, t_triplets.median_s * 1e3,
                 t_rows.median_s * 1e3, t_ref.median_s / t_rows.median_s,
                 t_ref.median_s / t_triplets.median_s);
+  }
+
+  // ---------------- reference solve: parallel sweep vs serial loop -----
+  // The shape of jacobi_async_inproc's system: 2^18 rows, 8
+  // off-diagonals, 24 blocks, solved to 1e-14 like every reference. The
+  // sweep runs on min(CPUs, 24, 16) threads, and its sweep count and
+  // iterate must equal the serial loop's bit for bit.
+  {
+    const std::size_t n = std::size_t{1} << 18, blocks = 24;
+    Rng rng(91);
+    const auto sys = problems::make_diagonally_dominant_system(n, 8, 2.0, rng);
+    const op::JacobiOperator jacobi(sys.a, sys.b,
+                                    la::Partition::balanced(n, blocks));
+    op::Workspace ws;
+    const la::Vector ref =
+        serial_picard(jacobi, la::zeros(n), 50000, 1e-14, ws);
+    const BlockThreads traced(jacobi);
+    const la::Vector x =
+        op::picard_solve(traced, la::zeros(n), 50000, 1e-14, ws);
+
+    volatile double sink = 0.0;
+    const auto t_ref = bench::measure(2, 11, 1, [&] {
+      sink = serial_picard(jacobi, la::zeros(n), 50000, 1e-14, ws)[0];
+    });
+    const auto t_opt = bench::measure(2, 11, 1, [&] {
+      sink = op::picard_solve(jacobi, la::zeros(n), 50000, 1e-14, ws)[0];
+    });
+    (void)sink;
+    report.scenario("picard_reference")
+        .det("n", n)
+        .det("nnz", sys.a.nnz())
+        .det("blocks", blocks)
+        .det("sweeps", traced.sweeps())
+        .det("parity_bits", bits_differ(x, ref))
+        .timing("serial", t_ref)
+        .timing("picard_solve", t_opt)
+        .metric("threads", traced.threads())
+        .metric("speedup_median", t_ref.median_s / t_opt.median_s);
+    std::printf("%-16s serial %6.2f ms  picard_solve %6.2f ms on %zu "
+                "threads  speedup %.2fx  (%zu sweeps)\n",
+                "picard_reference", t_ref.median_s * 1e3,
+                t_opt.median_s * 1e3, traced.threads(),
+                t_ref.median_s / t_opt.median_s, traced.sweeps());
   }
 
   // ---------------- the SIMD dispatch ladder ---------------------------

@@ -12,14 +12,15 @@
 // rather than assumed from a model.
 //
 // There is one node runtime: run_message_passing runs one net::run_node
-// per rank over its endpoint of the transport, through run_on_threads
-// (rank 0 on the calling thread, every other rank on its own thread),
-// and merges the P results — as simnet::run_world does on fibers and
+// per rank over its endpoint of the transport, through the library's one
+// thread launcher, asyncit::run_on_threads (support/threads.hpp: rank 0
+// on the calling thread, every other rank on its own thread), and merges
+// the P results — as simnet::run_world does on fibers and
 // tools/asyncit_node does with one process per rank. It holds no
 // stopping logic: every rank stops by its own rule (net/node_runtime.hpp)
 // and the merged iterate takes each block from the rank that owned it.
-// Thread-mode training (train::run_training) runs its ranks through the
-// same run_on_threads.
+// Thread-mode training (train::run_training) and the reference solve
+// (op::picard_solve) start their threads through the same launcher.
 //
 // The default overload runs over the in-process mailbox backend
 // (transport/inproc.hpp); the Transport overload accepts any backend
@@ -34,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -297,14 +297,5 @@ MpResult run_message_passing(const op::BlockOperator& op,
 MpResult run_message_passing(const op::BlockOperator& op,
                              const la::Vector& x0, const MpOptions& options,
                              transport::Transport& transport);
-
-/// Runs body(0) .. body(n - 1) concurrently: rank 0 on the calling
-/// thread, every other rank on a thread of its own. Returns once every
-/// rank's body has returned; if any threw, rethrows the lowest rank's
-/// exception, and only after every thread has joined. The thread mode of
-/// both runtimes (run_message_passing, train::run_training) runs its
-/// ranks through this.
-void run_on_threads(std::size_t n,
-                    const std::function<void(std::uint32_t)>& body);
 
 }  // namespace asyncit::net

@@ -32,7 +32,9 @@ class BlockOperator {
   /// Computes block b of F(x) into `out` (out.size() == block size).
   /// `x` is the full-dimension read view (possibly stale / mixed-label —
   /// the operator itself is oblivious to delays). `ws` provides scratch;
-  /// implementations must not allocate in steady state.
+  /// implementations must not allocate in steady state. Calls on distinct
+  /// blocks, each thread with a workspace of its own, may run
+  /// concurrently: the asynchronous executors and picard_solve make them.
   virtual void apply_block(la::BlockId b, std::span<const double> x,
                            std::span<double> out, Workspace& ws) const = 0;
 
@@ -82,6 +84,18 @@ inline double max_block_residual(const BlockOperator& op,
 /// Synchronous Picard iteration x <- F(x) until the fixed-point residual
 /// drops below tol or max_iters is reached. Returns the final iterate.
 /// Used to produce high-precision reference solutions for tests/benches.
+///
+/// A sweep runs on T = min(CPUs, blocks, dim / 2^14) threads, at least
+/// 1: the caller, with `ws`, and T - 1 threads started by run_on_threads
+/// (support/threads.hpp), each with a workspace of its own. Each thread
+/// computes a contiguous run of blocks of F(x), so apply_block runs
+/// concurrently on distinct blocks, one workspace per thread. The threads
+/// meet at one barrier per sweep. Every block is computed by the same
+/// kernel from the previous sweep's x, and the stop test is a maximum, so
+/// the sweep count and every bit of the result do not depend on T. A
+/// block that throws ends the solve after that sweep; once every thread
+/// has joined, the caller gets the exception of the lowest block that
+/// threw, which the one-thread loop would have thrown.
 la::Vector picard_solve(const BlockOperator& op, la::Vector x0,
                         std::size_t max_iters, double tol, Workspace& ws);
 inline la::Vector picard_solve(const BlockOperator& op, la::Vector x0,

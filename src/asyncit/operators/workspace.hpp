@@ -12,9 +12,10 @@
 //
 // Threading model: a Workspace is single-threaded by design — every
 // executor owns one per worker thread (engine/sim are sequential and own
-// one outright). Borrows nest freely: an operator that borrows scratch and
-// then calls another operator with the same workspace is fine, because
-// each borrow owns its vector until returned.
+// one outright), and picard_solve gives each of its sweep threads one.
+// Borrows nest freely: an operator that borrows scratch and then calls
+// another operator with the same workspace is fine, because each borrow
+// owns its vector until returned.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/runtime/pacing.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/support/threads.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/transport/inproc.hpp"
@@ -62,7 +63,7 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
   // per process.
   WallTimer timer;
   std::vector<TrainResult> ranks(W + 1);
-  net::run_on_threads(W + 1, [&](std::uint32_t r) {
+  run_on_threads(W + 1, [&](std::uint32_t r) {
     ranks[r] =
         run_training_node(data, x0, per_rank, transport.endpoint(r), timer);
   });

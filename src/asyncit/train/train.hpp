@@ -5,8 +5,9 @@
 // run_training_node, which drives ONE rank over a caller-supplied
 // Endpoint: tools/asyncit_node runs one per process
 // (scripts/launch_cluster.py), simnet::run_train_world one per fiber,
-// and run_training W + 1 of them on threads (net::run_on_threads: the
-// server, rank 0, on the calling thread) before merging their results.
+// and run_training W + 1 of them on threads (asyncit::run_on_threads:
+// the server, rank 0, on the calling thread) before merging their
+// results.
 // The first run_training overload runs over the seeded in-process
 // backend, the Transport overload over any backend hosting all ranks
 // locally.

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -40,9 +41,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+// Allocations made on threads other than the one that runs the tests.
+std::atomic<std::uint64_t> g_spawned_allocations{0};
+const std::thread::id g_test_thread = std::this_thread::get_id();
+
+void count_allocation() {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (std::this_thread::get_id() != g_test_thread)
+    g_spawned_allocations.fetch_add(1, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -52,11 +62,11 @@ void* counted_alloc(std::size_t size) {
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation();
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation();
   return std::malloc(size ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -435,6 +445,39 @@ TEST(AllocationRegression, ThreadWorkspaceConvenienceWarmsUpToo) {
   const std::uint64_t during = allocations() - before;
   EXPECT_EQ(during, 0u) << "thread-workspace path allocated (sink=" << sink
                         << ")";
+}
+
+TEST(AllocationRegression, OneThreadPicardSolveAllocatesNothingButItsScratch) {
+  // A small system sweeps on the caller alone: once the workspace holds
+  // the double buffer, the solve allocates nothing.
+  Rng rng(7);
+  auto sys = problems::make_diagonally_dominant_system(300, 4, 2.0, rng);
+  op::JacobiOperator jac(sys.a, sys.b, la::Partition::balanced(300, 300));
+  op::Workspace ws;
+  (void)op::picard_solve(jac, la::zeros(300), 50000, 1e-14, ws);
+
+  la::Vector x0 = la::zeros(300);
+  const std::uint64_t before = allocations();
+  const la::Vector x = op::picard_solve(jac, std::move(x0), 50000, 1e-14, ws);
+  const std::uint64_t during = allocations() - before;
+  EXPECT_EQ(during, 0u) << "one-thread picard_solve allocated";
+  EXPECT_LT(op::fixed_point_residual(jac, x, ws), 1e-13);
+}
+
+TEST(AllocationRegression, PicardSweepThreadsAllocateNothingForJacobi) {
+  // 2^16 rows sweep on up to four threads. The caller builds what they
+  // need, so the threads take nothing from the allocator: the reference
+  // solve adds nothing to their malloc arenas.
+  Rng rng(8);
+  const std::size_t n = std::size_t{1} << 16;
+  auto sys = problems::make_diagonally_dominant_system(n, 8, 2.0, rng);
+  op::JacobiOperator jac(sys.a, sys.b, la::Partition::balanced(n, 24));
+
+  const std::uint64_t before = g_spawned_allocations.load();
+  const la::Vector x = op::picard_solve(jac, la::zeros(n), 50000, 1e-14);
+  const std::uint64_t during = g_spawned_allocations.load() - before;
+  EXPECT_EQ(during, 0u) << "a sweep thread allocated";
+  EXPECT_LT(op::fixed_point_residual(jac, x), 1e-13);
 }
 
 }  // namespace

@@ -1,17 +1,11 @@
 // Tests for the message-passing runtime: channel determinism under seed,
 // delivery-order semantics, label inversions and their receiver-side
-// filtering, convergence of all three coordination modes with parity
-// against the shared-memory executors, and the thread runner both thread
-// modes share.
+// filtering, and convergence of all three coordination modes with parity
+// against the shared-memory executors.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "asyncit/net/channel.hpp"
@@ -463,48 +457,6 @@ TEST_F(MpRuntimeFixture, UpdateBudgetIsPerRankAndExact) {
   for (std::size_t p = 0; p < 4; ++p)
     EXPECT_EQ(r.updates_per_worker[p], 64u) << "rank " << p;
   EXPECT_EQ(r.total_updates, 4u * 64u);
-}
-
-// ------------------------------------------------------- thread runner
-
-TEST(RunOnThreads, RunsEveryRankOnceWithRankZeroOnTheCaller) {
-  constexpr std::size_t kRanks = 5;
-  std::vector<std::atomic<int>> runs(kRanks);
-  std::vector<std::thread::id> ids(kRanks);
-  run_on_threads(kRanks, [&](std::uint32_t r) {
-    runs[r].fetch_add(1);
-    ids[r] = std::this_thread::get_id();
-  });
-  for (std::size_t r = 0; r < kRanks; ++r)
-    EXPECT_EQ(runs[r].load(), 1) << "rank " << r;
-  EXPECT_EQ(ids[0], std::this_thread::get_id());
-  std::vector<std::thread::id> sorted(ids.begin(), ids.end());
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
-      << "two ranks shared a thread";
-}
-
-TEST(RunOnThreads, RethrowsTheLowestRankOnlyAfterEveryRankFinished) {
-  // Rank 2 throws first, rank 0 once it has; slow rank 1 returns last.
-  std::atomic<bool> rank2_threw{false};
-  std::atomic<bool> rank1_done{false};
-  try {
-    run_on_threads(3, [&](std::uint32_t r) {
-      if (r == 1) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        rank1_done = true;
-        return;
-      }
-      if (r == 0)
-        while (!rank2_threw) std::this_thread::yield();
-      if (r == 2) rank2_threw = true;
-      throw std::runtime_error("rank " + std::to_string(r));
-    });
-    ADD_FAILURE() << "nothing was rethrown";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "rank 0");
-    EXPECT_TRUE(rank1_done.load());
-  }
 }
 
 // -------------------------------------------------- snapshot-join dedupe

@@ -1,13 +1,20 @@
 // Tests for the operator layer: prox library (with nonexpansiveness
 // property sweeps), Jacobi / projected Jacobi, gradient, the paper's
 // Definition-4 backward-forward operator, the classic forward-backward,
-// Krasnoselskii-Mann averaging, the contraction estimator, and the read
-// sets a Jacobi partition carries (and its wrappers inherit).
+// Krasnoselskii-Mann averaging, the contraction estimator, the read
+// sets a Jacobi partition carries (and its wrappers inherit), and the
+// reference solve's parallel sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "asyncit/linalg/norms.hpp"
@@ -466,6 +473,186 @@ TEST(ReadSets, OperatorsThatBuildTheirOwnPartitionReportNone) {
   EXPECT_FALSE(grad.partition().has_reads());
   EXPECT_FALSE(bf.partition().has_reads());
   EXPECT_FALSE(km.partition().has_reads());
+}
+
+
+// ------------------------------------------------ parallel reference solve
+
+// picard_solve takes a further sweep thread per 2^14 rows, so these
+// systems of 2^16 rows sweep on min(CPUs, blocks, 4) threads.
+constexpr std::size_t kParallelRows = std::size_t{1} << 16;
+
+/// The loop picard_solve ran before its sweep was split across threads:
+/// one full application, the residual over both full vectors, a swap.
+la::Vector serial_picard(const BlockOperator& op, la::Vector x,
+                         std::size_t max_iters, double tol,
+                         std::size_t& sweeps) {
+  la::Vector y(x.size());
+  sweeps = 0;
+  for (std::size_t it = 0; it < max_iters; ++it) {
+    op.apply(x, y);
+    const double r = la::dist_inf(x, y);
+    x.swap(y);
+    ++sweeps;
+    if (r < tol) break;
+  }
+  return x;
+}
+
+/// Entries whose bits differ (0.0 and -0.0 differ; equal NaNs do not).
+std::size_t bits_differ(const la::Vector& a, const la::Vector& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    n += std::bit_cast<std::uint64_t>(a[i]) !=
+         std::bit_cast<std::uint64_t>(b[i]);
+  return n;
+}
+
+/// Forwards every block to `inner` and counts the calls per block. The
+/// blocks in `failing` throw on their `fail_on`-th call.
+class CountingOperator final : public BlockOperator {
+ public:
+  explicit CountingOperator(const BlockOperator& inner,
+                            std::vector<la::BlockId> failing = {},
+                            std::size_t fail_on = 0)
+      : inner_(inner),
+        calls_(inner.num_blocks()),
+        caller_(std::this_thread::get_id()),
+        failing_(std::move(failing)),
+        fail_on_(fail_on) {}
+
+  const la::Partition& partition() const override {
+    return inner_.partition();
+  }
+  using BlockOperator::apply_block;
+  void apply_block(la::BlockId b, std::span<const double> x,
+                   std::span<double> out, Workspace& ws) const override {
+    const std::size_t call = calls_[b].fetch_add(1) + 1;
+    if (std::this_thread::get_id() != caller_) off_caller_ = true;
+    if (call == fail_on_ && std::ranges::find(failing_, b) != failing_.end())
+      throw std::runtime_error("block " + std::to_string(b) + " sweep " +
+                               std::to_string(call));
+    inner_.apply_block(b, x, out, ws);
+  }
+  std::string name() const override { return "counting"; }
+
+  std::size_t calls(la::BlockId b) const { return calls_[b].load(); }
+  std::size_t total_calls() const {
+    std::size_t n = 0;
+    for (const auto& c : calls_) n += c.load();
+    return n;
+  }
+  /// Whether some block ran on a thread other than the constructing one.
+  bool left_the_caller() const { return off_caller_.load(); }
+
+ private:
+  const BlockOperator& inner_;
+  mutable std::vector<std::atomic<std::size_t>> calls_;
+  mutable std::atomic<bool> off_caller_{false};
+  std::thread::id caller_;
+  std::vector<la::BlockId> failing_;
+  std::size_t fail_on_;
+};
+
+/// A parallel solve of `op` against the serial loop: x and the sweep
+/// count. On a host with two or more CPUs it must also have left the
+/// calling thread, or the parallel sweep was never exercised.
+void expect_serial_bits(const BlockOperator& op, std::size_t max_iters) {
+  std::size_t serial_sweeps = 0;
+  const la::Vector expected =
+      serial_picard(op, la::zeros(op.dim()), max_iters, 1e-14, serial_sweeps);
+  const CountingOperator counted(op);
+  const la::Vector x =
+      picard_solve(counted, la::zeros(op.dim()), max_iters, 1e-14);
+  EXPECT_EQ(bits_differ(x, expected), 0u)
+      << op.name() << ", " << op.num_blocks() << " blocks, max_iters "
+      << max_iters;
+  EXPECT_EQ(counted.total_calls(), serial_sweeps * op.num_blocks());
+  for (la::BlockId b = 0; b < op.num_blocks(); ++b)
+    EXPECT_EQ(counted.calls(b), serial_sweeps) << "block " << b;
+  if (std::thread::hardware_concurrency() >= 2 && serial_sweeps > 0) {
+    EXPECT_TRUE(counted.left_the_caller()) << "every sweep ran on one thread";
+  }
+}
+
+TEST(PicardSolve, ParallelSweepKeepsTheSerialLoopsBits) {
+  Rng rng(5);
+  const LinearSystem sys =
+      make_diagonally_dominant_system(kParallelRows, 8, 2.0, rng);
+  // 7 blocks split unevenly over the threads; 2 are fewer than the CPUs.
+  // The capped runs compare every sweep, not only the fixed point.
+  for (const std::size_t blocks : {7u, 2u}) {
+    const JacobiOperator jacobi(
+        sys.a, sys.b, la::Partition::balanced(kParallelRows, blocks));
+    for (const std::size_t max_iters : {50000u, 3u, 0u})
+      expect_serial_bits(jacobi, max_iters);
+  }
+}
+
+/// x_i <- rate x_i + 1, with rate 0.9 on block `slow` and 0.1 on every
+/// other block: only the thread that sweeps `slow` is slow to settle.
+class OneSlowBlock final : public BlockOperator {
+ public:
+  OneSlowBlock(la::Partition partition, la::BlockId slow)
+      : partition_(std::move(partition)), slow_(slow) {}
+  const la::Partition& partition() const override { return partition_; }
+  using BlockOperator::apply_block;
+  void apply_block(la::BlockId b, std::span<const double> x,
+                   std::span<double> out, Workspace&) const override {
+    const la::BlockRange r = partition_.range(b);
+    const double rate = b == slow_ ? 0.9 : 0.1;
+    for (std::size_t i = 0; i < r.size(); ++i)
+      out[i] = rate * x[r.begin + i] + 1.0;
+  }
+  std::string name() const override {
+    return "slow block " + std::to_string(slow_);
+  }
+
+ private:
+  la::Partition partition_;
+  la::BlockId slow_;
+};
+
+TEST(PicardSolve, StopTestWaitsForTheSlowestThread) {
+  // The stop test is the maximum over every thread's blocks: a solve that
+  // stopped on one thread's residual would end hundreds of sweeps early.
+  for (const la::BlockId slow : {0u, 6u})
+    expect_serial_bits(
+        OneSlowBlock(la::Partition::balanced(kParallelRows, 7), slow), 50000);
+}
+
+TEST(PicardSolve, ScratchBorrowingBlocksKeepTheirBits) {
+  // Each backward-forward block borrows a full-dimension Scratch from the
+  // workspace it is given, so every sweep thread must have its own.
+  Rng rng(9);
+  auto f = make_separable_quadratic(kParallelRows, 1.0, 2.0, rng);
+  auto g = make_l1_prox(0.1);
+  const BackwardForwardOperator bf(*f, *g, f->suggested_step(),
+                                   la::Partition::balanced(kParallelRows, 7));
+  expect_serial_bits(bf, 50000);
+  expect_serial_bits(bf, 3);
+}
+
+TEST(PicardSolve, BlockExceptionIsRethrownOnTheCallerAfterItsSweep) {
+  // Blocks 1 and 5 throw on sweep 3. Block 5 runs off the caller whenever
+  // the sweep is split, and the serial loop would have thrown block 1's.
+  Rng rng(13);
+  const LinearSystem sys =
+      make_diagonally_dominant_system(kParallelRows, 8, 2.0, rng);
+  const JacobiOperator jacobi(sys.a, sys.b,
+                              la::Partition::balanced(kParallelRows, 7));
+  const CountingOperator failing(jacobi, {5, 1}, 3);
+  try {
+    (void)picard_solve(failing, la::zeros(kParallelRows), 50000, 1e-14);
+    ADD_FAILURE() << "nothing was rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "block 1 sweep 3");
+  }
+  // The solve ended with the sweep that threw.
+  for (la::BlockId b = 0; b < failing.num_blocks(); ++b)
+    EXPECT_LE(failing.calls(b), 3u) << "block " << b;
+  EXPECT_EQ(failing.calls(5), 3u);
 }
 
 }  // namespace

@@ -1,14 +1,23 @@
 // Tests for the support substrate: RNG determinism and distributions,
-// running statistics, percentiles, slope fitting, table rendering, checks.
+// running statistics, percentiles, slope fitting, table rendering, checks,
+// and the thread launcher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/stats.hpp"
 #include "asyncit/support/table.hpp"
+#include "asyncit/support/threads.hpp"
 #include "asyncit/support/timer.hpp"
 
 namespace asyncit {
@@ -177,6 +186,48 @@ TEST(WallTimer, MeasuresNonnegativeTime) {
     sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_GE(t.millis(), t.seconds());
+}
+
+// ------------------------------------------------------- thread runner
+
+TEST(RunOnThreads, RunsEveryRankOnceWithRankZeroOnTheCaller) {
+  constexpr std::size_t kRanks = 5;
+  std::vector<std::atomic<int>> runs(kRanks);
+  std::vector<std::thread::id> ids(kRanks);
+  run_on_threads(kRanks, [&](std::uint32_t r) {
+    runs[r].fetch_add(1);
+    ids[r] = std::this_thread::get_id();
+  });
+  for (std::size_t r = 0; r < kRanks; ++r)
+    EXPECT_EQ(runs[r].load(), 1) << "rank " << r;
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  std::vector<std::thread::id> sorted(ids.begin(), ids.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "two ranks shared a thread";
+}
+
+TEST(RunOnThreads, RethrowsTheLowestRankOnlyAfterEveryRankFinished) {
+  // Rank 2 throws first, rank 0 once it has; slow rank 1 returns last.
+  std::atomic<bool> rank2_threw{false};
+  std::atomic<bool> rank1_done{false};
+  try {
+    run_on_threads(3, [&](std::uint32_t r) {
+      if (r == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        rank1_done = true;
+        return;
+      }
+      if (r == 0)
+        while (!rank2_threw) std::this_thread::yield();
+      if (r == 2) rank2_threw = true;
+      throw std::runtime_error("rank " + std::to_string(r));
+    });
+    ADD_FAILURE() << "nothing was rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0");
+    EXPECT_TRUE(rank1_done.load());
+  }
 }
 
 }  // namespace
