@@ -9,8 +9,9 @@
 //
 //   determinism  every world runs TWICE; the event-log hashes and final
 //                residuals must match bitwise (hard det gate);
-//   throughput   dispatched events per wall second and the wall cost of
-//                the 1000-rank world (warn-only: host-dependent — the
+//   throughput   dispatched events per wall second, host nanoseconds
+//                per event and per frame, and the wall cost of the
+//                1000-rank world (warn-only: host-dependent — the
 //                < 60 s acceptance bar is enforced by the sim_scale_smoke
 //                ctest leg in Release, not here).
 //
@@ -32,6 +33,7 @@
 // against bench/baselines/simnet.json.
 #include <sys/resource.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -99,6 +101,12 @@ double peak_rss_mb() {
 
 void record(bench::Report& report, const std::string& name,
             const SweepResult& r, bool expect_converged) {
+  // Host nanoseconds per dispatched event and per frame sent, over both
+  // runs of the world.
+  const auto ns_per = [&](std::uint64_t count) {
+    return count > 0 ? r.wall_total * 1e9 / (2.0 * static_cast<double>(count))
+                     : 0.0;
+  };
   auto& s = report.scenario(name)
                 .det("deterministic", r.deterministic)
                 .det("events", r.first.events)
@@ -109,6 +117,8 @@ void record(bench::Report& report, const std::string& name,
                             ? 2.0 * static_cast<double>(r.first.events) /
                                   r.wall_total
                             : 0.0)
+                .metric("ns_per_event", ns_per(r.first.events))
+                .metric("ns_per_frame", ns_per(r.first.messages_sent))
                 .metric("virtual_seconds", r.first.virtual_seconds)
                 .metric("wall_seconds", r.wall_total)
                 .metric("peak_rss_mb", peak_rss_mb());

@@ -1,6 +1,7 @@
 // Tests for the simnet/ virtual-time subsystem: engine dispatch order and
 // byte-identical determinism, fiber time semantics (charge / advance /
-// wait_until / wake), the WAN topology model behind SimTransport
+// wait_until / wake), the fibers themselves (per-fiber FP control state,
+// stacks reused across engines behind their guard pages), the WAN topology model behind SimTransport
 // (latency, regions, asymmetry, fifo floors, partition windows, seeded
 // drops), cross-backend parity against inproc, the obs trace-clock
 // injection hook, and whole simulated worlds: the chaos convergence tests
@@ -12,8 +13,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfenv>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -147,6 +155,118 @@ TEST(SimEngine, TwoRunsProduceByteIdenticalEventLogs) {
   EXPECT_EQ(std::memcmp(a.first.data(), b.first.data(),
                         a.first.size() * sizeof(EventRecord)),
             0);
+}
+
+// ------------------------------------------------------------------ fibers
+
+/// The rounding mode as the hardware applies it: fegetround() (the x87
+/// control word under glibc on x86-64), a double division (SSE, so
+/// MXCSR) and a long double one (x87). Each quotient is taken with both
+/// signs; upward and to-nearest rounding differ on at least one.
+struct Rounding {
+  int mode = -1;
+  double d[2] = {};
+  long double ld[2] = {};
+  bool operator==(const Rounding&) const = default;
+};
+
+Rounding read_rounding() {
+  volatile double one = 1.0, three = 3.0;
+  volatile long double lone = 1.0L, lthree = 3.0L;
+  Rounding r;
+  r.mode = std::fegetround();
+  r.d[0] = one / three;
+  r.d[1] = -one / three;
+  r.ld[0] = lone / lthree;
+  r.ld[1] = -lone / lthree;
+  return r;
+}
+
+TEST(SimFiber, EachFiberKeepsItsOwnFpControlState) {
+  const Rounding nearest = read_rounding();
+  ASSERT_EQ(nearest.mode, FE_TONEAREST);
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  const Rounding upward = read_rounding();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_TRUE(upward.d[0] != nearest.d[0] || upward.d[1] != nearest.d[1]);
+  ASSERT_TRUE(upward.ld[0] != nearest.ld[0] || upward.ld[1] != nearest.ld[1]);
+
+  Rounding a_resumed, b_started;
+  SimEngine eng;
+  eng.spawn(0, [&] {
+    std::fesetround(FE_UPWARD);
+    eng.advance(1.0);  // rank 1 is dispatched in between
+    a_resumed = read_rounding();
+  });
+  eng.spawn(1, [&] { b_started = read_rounding(); });
+  eng.run();
+  const Rounding caller = read_rounding();
+  std::fesetround(FE_TONEAREST);  // keep a failure out of later tests
+  EXPECT_TRUE(a_resumed == upward);
+  EXPECT_TRUE(b_started == nearest);
+  EXPECT_TRUE(caller == nearest);
+}
+
+/// Runs an engine of four fibers, each calling `each` on its stack.
+void run_four_fibers(const std::function<void()>& each) {
+  SimEngine eng;
+  for (std::uint32_t r = 0; r < 4; ++r)
+    eng.spawn(r, [&eng, &each, r] {
+      eng.advance(1.0 + r);
+      each();
+    });
+  eng.run();
+}
+
+/// The address ranges mapped in this process now (/proc/self/maps).
+std::vector<std::pair<std::uintptr_t, std::uintptr_t>> mapped_ranges() {
+  std::ifstream maps("/proc/self/maps");
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+  for (std::string line; std::getline(maps, line);) {
+    char* dash = nullptr;
+    const std::uintptr_t lo = std::strtoull(line.c_str(), &dash, 16);
+    ranges.emplace_back(lo, std::strtoull(dash + 1, nullptr, 16));
+  }
+  return ranges;
+}
+
+TEST(SimFiber, FinishedStacksServeTheNextEngine) {
+  run_four_fibers([] {});
+  // The first engine's stacks: unmapped at its end unless they are kept.
+  const auto before = mapped_ranges();
+  std::vector<std::uintptr_t> locals;  // one address on each fiber stack
+  run_four_fibers([&] {
+    volatile char here = 0;
+    locals.push_back(reinterpret_cast<std::uintptr_t>(&here));
+  });
+  ASSERT_EQ(locals.size(), 4u);
+  for (const std::uintptr_t at : locals)
+    EXPECT_TRUE(std::any_of(before.begin(), before.end(), [&](auto r) {
+      return r.first <= at && at < r.second;
+    })) << "a fiber of the second engine ran on a newly mapped stack";
+}
+
+/// Recurses `depth` calls deep, 1 KiB a frame; each frame's address is
+/// passed on, so no call can become a jump.
+std::size_t recurse(std::size_t depth, volatile char* caller) {
+  volatile char frame[1024];
+  frame[0] = caller[0];
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1, frame) + frame[1];
+}
+
+TEST(SimFiberDeathTest, AReusedStackKeepsItsGuardPage) {
+  EXPECT_DEATH(
+      {
+        run_four_fibers([] {});  // leaves four finished stacks to reuse
+        SimEngine eng;
+        eng.spawn(0, [] {
+          volatile char seed = 0;
+          recurse(std::numeric_limits<std::size_t>::max(), &seed);
+        });
+        eng.run();
+      },
+      "");
 }
 
 // -------------------------------------------------- transport (passive)
