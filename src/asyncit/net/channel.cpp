@@ -10,27 +10,28 @@ namespace asyncit::net {
 
 // ------------------------------------------------------- DelayHistogram
 
-namespace {
-// 1 microsecond .. 10 seconds, 36 log-spaced buckets plus an overflow
-// bucket; covers everything from same-quantum delivery to stragglers.
-constexpr double kEdgeLo = 1e-6;
-constexpr double kEdgeHi = 10.0;
-constexpr std::size_t kBuckets = 36;
-}  // namespace
-
-DelayHistogram::DelayHistogram() {
-  edges_.reserve(kBuckets + 1);
-  const double ratio = std::pow(kEdgeHi / kEdgeLo, 1.0 / double(kBuckets - 1));
-  double e = kEdgeLo;
-  for (std::size_t i = 0; i < kBuckets; ++i, e *= ratio) edges_.push_back(e);
-  edges_.push_back(std::numeric_limits<double>::infinity());
-  counts_.assign(edges_.size(), 0);
+std::span<const double, DelayHistogram::kBuckets> DelayHistogram::edges() {
+  // One table for every histogram, built once as a running product from
+  // kLo: the quantiles interpolate between exactly these doubles.
+  static const std::array<double, kBuckets> table = [] {
+    constexpr double kLo = 1e-6;
+    constexpr double kHi = 10.0;
+    constexpr std::size_t kFinite = kBuckets - 1;
+    std::array<double, kBuckets> t{};
+    const double ratio = std::pow(kHi / kLo, 1.0 / double(kFinite - 1));
+    double e = kLo;
+    for (std::size_t i = 0; i < kFinite; ++i, e *= ratio) t[i] = e;
+    t[kFinite] = std::numeric_limits<double>::infinity();
+    return t;
+  }();
+  return table;
 }
 
 void DelayHistogram::add(double delay_seconds) {
   const double d = std::max(0.0, delay_seconds);
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), d);
-  ++counts_[static_cast<std::size_t>(it - edges_.begin())];
+  const std::span<const double, kBuckets> e = edges();
+  ++counts_[static_cast<std::size_t>(std::lower_bound(e.begin(), e.end(), d) -
+                                     e.begin())];
   ++count_;
   sum_ += d;
   min_ = (count_ == 1) ? d : std::min(min_, d);
@@ -38,10 +39,8 @@ void DelayHistogram::add(double delay_seconds) {
 }
 
 void DelayHistogram::merge(const DelayHistogram& other) {
-  ASYNCIT_CHECK(counts_.size() == other.counts_.size());
   if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
+  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
   min_ = (count_ == 0) ? other.min_ : std::min(min_, other.min_);
   count_ += other.count_;
   sum_ += other.sum_;
@@ -51,16 +50,17 @@ void DelayHistogram::merge(const DelayHistogram& other) {
 double DelayHistogram::quantile(double p) const {
   ASYNCIT_CHECK(p >= 0.0 && p <= 1.0);
   if (count_ == 0) return 0.0;
+  const std::span<const double, kBuckets> e = edges();
   const double rank = p * double(count_);
   std::uint64_t below = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     if (counts_[i] == 0) continue;
     const std::uint64_t seen = below + counts_[i];
     if (double(seen) >= rank) {
       // Interpolate by rank between the bucket's edges, each clamped to
       // the observed [min, max]: an edge can lie outside every sample.
-      const double lo = std::clamp(i == 0 ? 0.0 : edges_[i - 1], min_, max_);
-      const double hi = std::clamp(edges_[i], min_, max_);
+      const double lo = std::clamp(i == 0 ? 0.0 : e[i - 1], min_, max_);
+      const double hi = std::clamp(e[i], min_, max_);
       return lo + (hi - lo) * (rank - double(below)) / double(counts_[i]);
     }
     below = seen;

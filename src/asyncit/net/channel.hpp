@@ -26,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -153,7 +154,9 @@ enum class OverwritePolicy {
 /// Log-spaced histogram of measured per-message delays (seconds).
 class DelayHistogram {
  public:
-  DelayHistogram();
+  /// 36 log-spaced buckets from 1 microsecond to 10 seconds, plus an
+  /// overflow bucket: everything from same-quantum delivery to stragglers.
+  static constexpr std::size_t kBuckets = 37;
 
   void add(double delay_seconds);
   void merge(const DelayHistogram& other);
@@ -172,13 +175,13 @@ class DelayHistogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  /// Bucket upper edges (seconds) and counts, for serialization.
-  const std::vector<double>& edges() const { return edges_; }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
+  /// Bucket upper edges (seconds; the last is +inf), one table that every
+  /// histogram shares, and this histogram's counts, for serialization.
+  static std::span<const double, kBuckets> edges();
+  std::span<const std::uint64_t, kBuckets> counts() const { return counts_; }
 
  private:
-  std::vector<double> edges_;  ///< upper edges, log-spaced; last = +inf
-  std::vector<std::uint64_t> counts_;
+  std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

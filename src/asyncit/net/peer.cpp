@@ -69,7 +69,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
       view_(x0, ctx.op->partition().num_blocks()),
       endpoint_(&endpoint),
       round_(0),
-      production_(ctx.op->partition().num_blocks(), 0),
       // Round-completion bookkeeping only feeds the SSP/BSP gates
       // (receive() skips it in async mode), and the per-source delay
       // breakdown is opt-out: both are O(world) per peer, which at
@@ -169,7 +168,7 @@ void Peer::stop_here(obs::StopReason reason) {
 
 void Peer::trip_stop(obs::StopReason reason) {
   obs::record(obs::EventType::kStopDecision, 0,
-              static_cast<std::uint32_t>(reason), local_step_, now());
+              static_cast<std::uint32_t>(reason), own_updates_, now());
   stop_ = true;
 }
 
@@ -332,12 +331,11 @@ Peer::DeltaSlot& Peer::delta_slot(std::uint32_t dst, la::BlockId b) {
 
 void Peer::send_block(la::BlockId b, bool partial) {
   const la::Partition& partition = ctx_.op->partition();
-  // The next tag must beat everything we have SEEN for the block, not
-  // just everything we produced: after an elastic re-assignment the new
-  // owner continues the previous owner's sequence, so kNewestTagWins
-  // receivers accept the adopted block's updates immediately.
-  const model::Step tag = (production_[b] =
-                               std::max(production_[b], view_.max_tag[b]) + 1);
+  // The next tag beats everything we have SEEN for the block, our own
+  // sends included (max_tag only grows): after an elastic re-assignment
+  // the new owner continues the previous owner's sequence, so
+  // kNewestTagWins receivers accept the adopted block's updates at once.
+  const model::Step tag = view_.max_tag[b] + 1;
   view_.tags[b] = tag;
   view_.max_tag[b] = tag;
   const auto value =
@@ -616,8 +614,8 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
     transport::MessageHeader header;
     header.block = b;
     // We may be forwarding a block we do not own: beat nothing, just
-    // ship the newest value we have SEEN at the tag we saw it under.
-    header.tag = std::max(production_[b], view_.tags[b]);
+    // ship the value we hold at the tag it arrived (or was sent) under.
+    header.tag = view_.tags[b];
     header.round = round_;
     const auto value =
         partition.block_span(std::span<const double>(view_.x), b);
@@ -704,7 +702,7 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
     if (flexible && t + 1 < inner) {
       send_block(b, /*partial=*/true);
       obs::record(obs::EventType::kBlockUpdate, 1,
-                  static_cast<std::uint32_t>(b), local_step_ + 1, 0.0);
+                  static_cast<std::uint32_t>(b), own_updates_ + 1, 0.0);
       receive();  // incorporate mid-phase arrivals (Definition 3)
     }
   }
@@ -713,15 +711,15 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
     sweep_displacement_ =
         std::max(sweep_displacement_, la::dist2(phase_out_, phase_prev_));
 
-  ++local_step_;
+  ++own_updates_;
   obs::record(obs::EventType::kBlockUpdate, 0, static_cast<std::uint32_t>(b),
-              local_step_, now() - t_start);
+              own_updates_, now() - t_start);
   if (auditor_ != nullptr) {
     // Audit bridge: own step j updates S_j = {b} ∪ {blocks a remote
     // incorporation changed since step j-1}; every component was last
     // changed at a step <= j-1, so l(j) = min over last_changed_ gives
     // the condition a–d auditors the measured local schedule.
-    const model::Step j = local_step_;
+    const model::Step j = own_updates_;
     model::Step l_min = audit_last_changed_[0];
     for (const model::Step s : audit_last_changed_) l_min = std::min(l_min, s);
     audit_updated_.clear();
@@ -734,7 +732,7 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
     }
     auditor_->record_step(audit_updated_, l_min);
     if (steer_ != nullptr &&
-        local_step_ % ctx_.options->solve.adaptive.decide_every == 0) {
+        own_updates_ % ctx_.options->solve.adaptive.decide_every == 0) {
       // Measured signal in ROUNDS: the auditor's delay bound counts own
       // steps (one per block phase), the gate slack counts sweeps over
       // the owned set — divide by the sweep length to convert.
@@ -880,7 +878,6 @@ void Peer::run() {
     }
     for (std::size_t i = 0; i < owned.size() && !stop_; ++i) {
       update_block(owned[i], reps, compute_view);
-      ++own_updates_;
       maybe_check();
       if (!stop_ && !bsp) receive();
     }

@@ -20,7 +20,8 @@
 //                publish_partials, mid-phase partials are sent and
 //                mid-phase arrivals incorporated — Definition 3);
 //   send         publish the new block values to the ranks that read
-//                them, tagged with a per-block production counter.
+//                them, each tagged one past the newest tag the rank has
+//                seen for its block.
 //
 // Publication follows the read relation. Rank q reads block b if q's
 // update reads b (the operator's read sets, la/partition.hpp), q's stop
@@ -305,14 +306,10 @@ class Peer {
   op::Workspace ws_;                  ///< per-peer operator scratch
 
   bool stop_ = false;
-  std::uint64_t own_updates_ = 0;     ///< block updates (budget counter)
+  /// Completed update phases: the budget counter, and the step that
+  /// labels trace events and the audit bridge's steps.
+  model::Step own_updates_ = 0;
   std::uint64_t round_ = 0;           ///< completed sweeps over owned blocks
-  /// Per-BLOCK send counter (all m blocks, not just the launch-owned
-  /// ones: elastic re-assignment hands blocks between ranks, and a new
-  /// owner must continue the tag sequence past everything it has seen or
-  /// kNewestTagWins receivers would discard its updates as stale).
-  std::vector<model::Step> production_;
-  model::Step local_step_ = 0;        ///< completed phases (trace labels)
   std::uint64_t partials_sent_ = 0;
   std::uint64_t peers_stopped_ = 0;
   std::uint64_t frames_rejected_ = 0;

@@ -9,6 +9,7 @@
 #include "asyncit/runtime/pacing.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/support/threads.hpp"
 #include "asyncit/support/timer.hpp"
 
 namespace asyncit::rt {
@@ -64,8 +65,8 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
   std::vector<double> last_displacement(m, 1e300);
 
   WallTimer timer;
-  auto worker_fn = [&](std::size_t w) {
-    const obs::ScopedRank trace_rank(static_cast<std::uint32_t>(w));
+  auto worker_fn = [&](std::uint32_t w) {
+    const obs::ScopedRank trace_rank(w);
     op::Workspace ws;  // per-worker scratch: steady state allocates nothing
     la::Vector out(partition.max_block_size());
     la::Vector local(private_phase ? partition.dim() : 0);
@@ -178,11 +179,16 @@ RuntimeResult run_async_threads(const op::BlockOperator& op,
     cpu_per_worker[w] = cpu_total.seconds();
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(options.workers);
-  for (std::size_t w = 0; w < options.workers; ++w)
-    threads.emplace_back(worker_fn, w);
-  for (auto& t : threads) t.join();
+  run_on_threads(options.workers, [&](std::uint32_t w) {
+    try {
+      worker_fn(w);
+    } catch (...) {
+      // End every other worker's loop; run_on_threads rethrows on the
+      // caller once they have all returned.
+      stop.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  });
 
   RuntimeResult result;
   result.wall_seconds = timer.seconds();
@@ -216,6 +222,11 @@ RuntimeResult run_sync_threads(const op::BlockOperator& op,
   la::Vector x = x0;          // published state (read phase)
   la::Vector x_next = x0;     // staging (write phase)
   std::atomic<bool> stop{false};
+  // A worker's block threw. Only the completion step turns this into
+  // `stop`, so every worker reads the same `stop` after a round: a
+  // worker that left between rounds on an early `stop` would leave the
+  // others waiting at the barrier for it.
+  std::atomic<bool> failed{false};
   std::atomic<std::uint64_t> rounds{0};
   WallTimer timer;
   double round_start = 0.0;  // completion-step only (single thread)
@@ -244,10 +255,12 @@ RuntimeResult run_sync_threads(const op::BlockOperator& op,
                          if (oracle &&
                              norm.distance(x, *options.x_star) < options.tol)
                            stop_run(stop, obs::StopReason::kOracle, r, now);
+                         if (failed.load(std::memory_order_relaxed))
+                           stop.store(true, std::memory_order_relaxed);
                        });
 
-  auto worker_fn = [&](std::size_t w) {
-    const obs::ScopedRank trace_rank(static_cast<std::uint32_t>(w));
+  auto worker_fn = [&](std::uint32_t w) {
+    const obs::ScopedRank trace_rank(w);
     op::Workspace ws;
     la::Vector out(partition.max_block_size());
     const std::size_t reps = slowdown_repetitions(options.worker_slowdown, w);
@@ -265,11 +278,18 @@ RuntimeResult run_sync_threads(const op::BlockOperator& op,
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(options.workers);
-  for (std::size_t w = 0; w < options.workers; ++w)
-    threads.emplace_back(worker_fn, w);
-  for (auto& t : threads) t.join();
+  run_on_threads(options.workers, [&](std::uint32_t w) {
+    try {
+      worker_fn(w);
+    } catch (...) {
+      // Ends the other workers' loops after this round, and leaves the
+      // barrier (this round's arrival included), so no round waits on
+      // this worker; run_on_threads rethrows on the caller.
+      failed.store(true, std::memory_order_relaxed);
+      barrier.arrive_and_drop();
+      throw;
+    }
+  });
 
   RuntimeResult result;
   result.wall_seconds = timer.seconds();

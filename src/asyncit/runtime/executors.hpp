@@ -15,7 +15,10 @@
 //   heterogeneity translates directly into idle waiting.
 //
 // Both stop on: oracle error below tol (when x_star given), update budget
-// exhausted, or wall-clock budget exhausted.
+// exhausted, or wall-clock budget exhausted. Both start their workers
+// through asyncit::run_on_threads (worker 0 on the calling thread). A
+// block that throws ends every worker's loop, and the exception reaches
+// the caller.
 #pragma once
 
 #include <optional>

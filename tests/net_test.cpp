@@ -416,10 +416,28 @@ TEST_F(MpRuntimeFixture, EveryUpdateEventNamesItsRank) {
   MpOptions opt = base_options();
   opt.obs.trace_level = obs::TraceLevel::kFull;
   opt.obs.trace_ring_capacity = 1 << 16;
+  // No criterion, so every rank runs exactly its update budget, and the
+  // budget bounds what each rank's ring must hold. Per own update a rank
+  // records one kBlockUpdate and, per reader (at most W - 1), one
+  // kFrameSend (nothing is dropped). It drains once per update and once
+  // per sweep (at most 2B + 1 drains), each drain recording at most one
+  // kQueueDepth: the mailboxes record none of their own. It receives at
+  // most one value frame per update of each other rank, each a
+  // kFrameRecv and at most one kInversion. Last comes its
+  // kStopDecision; a budget stop in the asynchronous mode sends no kStop.
+  opt.solve.x_star.reset();
+  opt.solve.max_updates = 2000;
+  const std::uint64_t budget = opt.solve.max_updates;
+  const std::uint64_t w = opt.workers;
+  const std::uint64_t ceiling =
+      budget * w + (2 * budget + 1) + 2 * (w - 1) * budget + 1;
+  // A ring keeps its newest capacity - 1 events readable.
+  ASSERT_LT(ceiling, opt.obs.trace_ring_capacity);
   const auto result = net::run_message_passing(*jacobi_,
                                                la::zeros(sys_.dim()), opt);
-  ASSERT_TRUE(result.converged);
   ASSERT_EQ(result.obs_events_dropped, 0u) << "a ring wrapped";
+  EXPECT_EQ(result.updates_per_worker,
+            std::vector<std::uint64_t>(opt.workers, budget));
   EXPECT_EQ(count_per_rank(result.updates_per_worker.size(),
                            obs::EventType::kBlockUpdate, 0),
             result.updates_per_worker);

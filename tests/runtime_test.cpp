@@ -7,7 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "asyncit/operators/jacobi.hpp"
 #include "asyncit/operators/prox_gradient.hpp"
@@ -16,6 +19,8 @@
 #include "asyncit/runtime/executors.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/support/timer.hpp"
+#include "counting_operator.hpp"
 
 namespace asyncit::rt {
 namespace {
@@ -213,6 +218,39 @@ TEST_F(RuntimeFixture, DisplacementStoppingWorksWithoutOracle) {
     EXPECT_LT(result.total_updates, 100000000u);
     EXPECT_LT(result.wall_seconds, opt.max_seconds);
     EXPECT_LT(la::dist_inf(result.x, x_star_), 1e-7);
+  }
+}
+
+TEST_F(RuntimeFixture, BlockExceptionReachesTheCaller) {
+  // Four workers own four blocks each: block 1 runs on worker 0 (the
+  // calling thread), block 13 on worker 3. Its third call throws. The
+  // other workers must then leave their loops, or the call returns only
+  // at the wall budget, and the synchronous executor's barrier too, or
+  // it never returns.
+  using Executor = RuntimeResult (*)(const op::BlockOperator&,
+                                     const la::Vector&,
+                                     const RuntimeOptions&);
+  const std::pair<const char*, Executor> executors[] = {
+      {"async", &run_async_threads}, {"sync", &run_sync_threads}};
+  for (const auto& [name, run] : executors) {
+    for (const la::BlockId block : {la::BlockId{1}, la::BlockId{13}}) {
+      SCOPED_TRACE(std::string(name) + " block " + std::to_string(block));
+      const op::CountingOperator failing(*jacobi_, {block}, 3);
+      RuntimeOptions opt;
+      opt.workers = 4;
+      opt.x_star = x_star_;
+      opt.tol = 0.0;  // unreachable: only the exception ends the run
+      opt.max_updates = std::numeric_limits<std::uint64_t>::max();
+      opt.max_seconds = 30.0;
+      const WallTimer timer;
+      try {
+        (void)run(failing, la::zeros(sys_.dim()), opt);
+        ADD_FAILURE() << "nothing was rethrown";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), "block " + std::to_string(block) + " sweep 3");
+      }
+      EXPECT_LT(timer.seconds(), 10.0) << "the workers ran to the budget";
+    }
   }
 }
 

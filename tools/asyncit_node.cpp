@@ -41,8 +41,7 @@
 //             loss and accuracy are -1 on worker ranks
 // Solve-specific fields (error, inversions, membership, links, ...)
 // keep their /2 meaning and are simply absent from train-workload
-// lines. The older ASYNCIT_NODE_RESULT key=value line is kept for
-// humans and old scripts. The ASYNCIT_NODE_START marker carries
+// lines. The ASYNCIT_NODE_START marker carries
 // epoch_ns (realtime clock at solve start) so tools/trace_merge.py can
 // cross-check its per-rank clock alignment.
 #include <algorithm>
@@ -183,18 +182,6 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
         static_cast<unsigned long long>(result.messages_delivered),
         static_cast<unsigned long long>(result.messages_dropped),
         static_cast<unsigned long long>(result.inversions_observed));
-  // Machine-parseable summaries. The key=value line predates the JSON
-  // one and is kept for humans / old scripts; launch_cluster.py reads
-  // the asyncit-node/3 JSON (one line, schema documented in the header
-  // comment above).
-  std::printf("ASYNCIT_NODE_RESULT rank=%u ok=%d converged=%d error=%.17g "
-              "updates=%llu sent=%llu delivered=%llu dropped=%llu\n",
-              rank, ok ? 1 : 0, result.converged ? 1 : 0,
-              result.final_error,
-              static_cast<unsigned long long>(result.total_updates),
-              static_cast<unsigned long long>(result.messages_sent),
-              static_cast<unsigned long long>(result.messages_delivered),
-              static_cast<unsigned long long>(result.messages_dropped));
   const std::uint64_t bad_frames = fabric.bad_frames();
   const membership::Stats& ms = result.membership;
   std::string live = "[";
@@ -357,13 +344,6 @@ int run_train_workload(const net::NodeConfig& cfg, std::uint32_t rank,
         static_cast<unsigned long long>(result.messages_sent),
         static_cast<unsigned long long>(result.messages_delivered),
         static_cast<unsigned long long>(result.messages_dropped));
-  std::printf("ASYNCIT_NODE_RESULT rank=%u ok=%d converged=%d error=-1 "
-              "updates=%llu sent=%llu delivered=%llu dropped=%llu\n",
-              rank, ok ? 1 : 0, result.converged ? 1 : 0,
-              static_cast<unsigned long long>(updates),
-              static_cast<unsigned long long>(result.messages_sent),
-              static_cast<unsigned long long>(result.messages_delivered),
-              static_cast<unsigned long long>(result.messages_dropped));
   std::printf(
       "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/3\","
       "\"workload\":\"train\",\"rank\":%u,\"ok\":%s,\"converged\":%s,"
