@@ -24,10 +24,11 @@
 // recorded as deterministic fields and gated with `equals`. After each
 // sweep the process peak RSS (ru_maxrss) is recorded as a measured
 // field; the baseline holds the 1,000- and 10,000-rank ones to a hard
-// max. Memory still grows with world^2: each rank holds four per-block
-// arrays of length world (its view's x, tags, max_tag and final_tag). A
-// sweep keeps only the first run's witnesses, not its per-rank views,
-// while the second run executes.
+// max. Memory still grows with world^2 through one array: each rank's
+// dense private iterate x, 8 B per block. Its per-block tags are kept
+// only for the blocks it owns or reads (about four here). A sweep keeps
+// only the first run's witnesses, not its per-rank views, while the
+// second run executes.
 //
 // BENCH_simnet.json via the shared harness; gated by CI perf-smoke
 // against bench/baselines/simnet.json.

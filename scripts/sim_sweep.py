@@ -152,6 +152,7 @@ def main():
               f"{summary['events_per_sec']:.0f} ev/s, "
               f"{summary['virtual_seconds']:.3f} virtual s in "
               f"{summary['wall_seconds']:.3f} wall s, "
+              f"peak RSS {summary['peak_rss_mb']:.1f} MB, "
               f"log hash {summary['log_hash']}")
         return 0
     finally:

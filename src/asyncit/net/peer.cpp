@@ -16,13 +16,17 @@ namespace asyncit::net {
 
 namespace {
 
-/// Whether a value-carrying frame fits this run's geometry: a known block
-/// and a carried range inside it. A non-partial frame must carry EXACTLY
-/// its block (a shorter payload would silently prefix-overwrite the block
-/// yet count as a complete update in the round accounting); only
-/// mid-phase partials and delta ranges may carry sub-ranges.
-bool fits_block(const la::Partition& partition, const Message& m) {
-  if (m.block >= partition.num_blocks()) return false;
+/// Whether a value-carrying frame fits this run's geometry: a block the
+/// view keeps and a carried range inside it. No correct sender addresses
+/// a block to a rank that does not keep it (publication goes to the exact
+/// readers of each block). A non-partial frame must carry EXACTLY its
+/// block (a shorter payload would silently prefix-overwrite the block yet
+/// count as a complete update in the round accounting); only mid-phase
+/// partials and delta ranges may carry sub-ranges.
+bool fits_view(const la::Partition& partition, const LocalView& view,
+               const Message& m) {
+  if (m.block >= partition.num_blocks() || view.find(m.block) == nullptr)
+    return false;
   const std::size_t size = partition.range(m.block).size();
   if (m.offset + m.value.size() > size) return false;
   return m.partial || (m.offset == 0 && m.value.size() == size);
@@ -30,35 +34,48 @@ bool fits_block(const la::Partition& partition, const Message& m) {
 
 }  // namespace
 
+LocalView::LocalView(const la::Vector& x0, std::size_t num_blocks,
+                     std::vector<la::BlockId> kept)
+    : x(x0) {
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    ASYNCIT_CHECK(kept[i] < num_blocks && (i == 0 || kept[i - 1] < kept[i]));
+  if (kept.size() == num_blocks) kept.clear();
+  blocks_.resize(kept.empty() ? num_blocks : kept.size());
+  ids_ = std::move(kept);
+}
+
 bool incorporate(const la::Partition& partition, OverwritePolicy policy,
                  const Message& m, LocalView& view) {
+  BlockTags* const tags = view.find(m.block);
+  if (tags == nullptr) return false;
   auto dst = partition.block_span(std::span<double>(view.x), m.block);
   ASYNCIT_CHECK(m.offset + m.value.size() <= dst.size());
-  if (m.tag < view.max_tag[m.block]) ++view.inversions;
-  view.max_tag[m.block] = std::max(view.max_tag[m.block], m.tag);
-  if (m.tag <= view.final_tag[m.block]) {
+  if (m.tag < tags->max_tag) ++view.inversions;
+  tags->max_tag = std::max(tags->max_tag, m.tag);
+  if (m.tag <= tags->final_tag) {
     ++view.final_filtered;
     return false;
   }
-  if (policy == OverwritePolicy::kNewestTagWins &&
-      m.tag <= view.tags[m.block]) {
+  if (policy == OverwritePolicy::kNewestTagWins && m.tag <= tags->tag) {
     ++view.stale_filtered;
     return false;
   }
   std::copy(m.value.begin(), m.value.end(), dst.begin() + m.offset);
-  view.tags[m.block] = m.tag;
+  tags->tag = m.tag;
   return true;
 }
 
 bool apply_final(const la::Partition& partition, const Message& m,
                  LocalView& view) {
+  BlockTags* const tags = view.find(m.block);
+  if (tags == nullptr) return false;
   auto dst = partition.block_span(std::span<double>(view.x), m.block);
   ASYNCIT_CHECK(m.offset == 0 && m.value.size() == dst.size());
-  view.final_tag[m.block] = std::max(view.final_tag[m.block], m.tag);
-  view.max_tag[m.block] = std::max(view.max_tag[m.block], m.tag);
-  if (m.tag < view.tags[m.block]) return false;
+  tags->final_tag = std::max(tags->final_tag, m.tag);
+  tags->max_tag = std::max(tags->max_tag, m.tag);
+  if (m.tag < tags->tag) return false;
   std::copy(m.value.begin(), m.value.end(), dst.begin());
-  view.tags[m.block] = m.tag;
+  tags->tag = m.tag;
   return true;
 }
 
@@ -66,7 +83,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
            transport::Endpoint& endpoint)
     : ctx_(ctx),
       id_(id),
-      view_(x0, ctx.op->partition().num_blocks()),
       endpoint_(&endpoint),
       round_(0),
       // Round-completion bookkeeping only feeds the SSP/BSP gates
@@ -98,20 +114,18 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
   if (steer)
     steer_ = std::make_unique<obs::StalenessController>(
         ctx_.options->solve.adaptive, ctx_.options->solve.staleness);
+  const std::size_t num_blocks = ctx_.op->partition().num_blocks();
   if (ctx_.membership != nullptr) {
     // Elastic ranks only make sense in the totally asynchronous regime:
     // SSP/BSP round gates would wait forever for a rank that left.
     ASYNCIT_CHECK(ctx_.options->solve.mode == Mode::kAsync);
     owned_epoch_ = ctx_.membership->table().epoch();
     recompute_owned();
+    view_ = LocalView(x0, num_blocks);  // any rank may adopt any block
   } else {
-    owned_ = la::block_share(ctx_.op->partition().num_blocks(),
-                             ctx_.options->workers, id_)
-                 .blocks();
-    plan_publication();
+    owned_ = la::block_share(num_blocks, ctx_.options->workers, id_).blocks();
+    view_ = LocalView(x0, num_blocks, plan_publication());
   }
-  if (ctx_.options->wire.delta)
-    block_rx_epoch_.assign(ctx_.op->partition().num_blocks(), 0);
 }
 
 std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
@@ -142,7 +156,8 @@ std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
 void Peer::incorporate_tracked(const la::Partition& partition,
                                OverwritePolicy policy, const Message& m) {
   const bool is_final = m.kind == MsgKind::kStop;
-  const model::Step newest = view_.max_tag[m.block];
+  BlockTags& tags = view_.at(m.block);
+  const model::Step newest = tags.max_tag;
   const bool applied = is_final ? apply_final(partition, m, view_)
                                 : incorporate(partition, policy, m, view_);
   if (!is_final && m.tag < newest)
@@ -156,7 +171,7 @@ void Peer::incorporate_tracked(const la::Partition& partition,
   // double-assignment window), so the baselines we hold for it toward
   // EVERY destination no longer describe what we last sent of our own
   // values — force a full-frame resync on the next publish.
-  if (!block_rx_epoch_.empty()) ++block_rx_epoch_[m.block];
+  ++tags.rx_epoch;
 }
 
 void Peer::stop_here(obs::StopReason reason) {
@@ -250,7 +265,7 @@ void Peer::receive() {
     }
     if (m.kind == MsgKind::kStop) {
       // A rank leaving: bare, or carrying one whole owned block's final.
-      if (!m.value.empty() && (m.partial || !fits_block(partition, m)))
+      if (!m.value.empty() && (m.partial || !fits_view(partition, view_, m)))
         reject(m);
       else
         on_peer_stop(partition, m);
@@ -269,7 +284,7 @@ void Peer::receive() {
       }
       continue;
     }
-    if (!fits_block(partition, m)) {
+    if (!fits_view(partition, view_, m)) {
       reject(m);
       continue;
     }
@@ -335,9 +350,10 @@ void Peer::send_block(la::BlockId b, bool partial) {
   // sends included (max_tag only grows): after an elastic re-assignment
   // the new owner continues the previous owner's sequence, so
   // kNewestTagWins receivers accept the adopted block's updates at once.
-  const model::Step tag = view_.max_tag[b] + 1;
-  view_.tags[b] = tag;
-  view_.max_tag[b] = tag;
+  BlockTags& tags = view_.at(b);
+  const model::Step tag = tags.max_tag + 1;
+  tags.tag = tag;
+  tags.max_tag = tag;
   const auto value =
       partition.block_span(std::span<const double>(view_.x), b);
   const double t = now();
@@ -359,7 +375,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
       // churn on the block since the slot was anchored (the receiver's
       // copy may predate our adoption), or the periodic resync that
       // bounds how long a lost delta can linger as drift.
-      full = !slot->valid || slot->rx_epoch != block_rx_epoch_[b] ||
+      full = !slot->valid || slot->rx_epoch != tags.rx_epoch ||
              slot->sends_since_refresh + 1 >= wire.refresh_every;
       if (!full) {
         std::size_t lo = 0, hi = value.size();
@@ -437,7 +453,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
         slot->last.assign(payload.begin(), payload.end());
         slot->valid = true;
         slot->sends_since_refresh = 0;
-        slot->rx_epoch = block_rx_epoch_[b];
+        slot->rx_epoch = tags.rx_epoch;
       } else {
         ++slot->sends_since_refresh;
         if (!heartbeat)
@@ -455,7 +471,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
   if (partial) ++partials_sent_;
 }
 
-void Peer::plan_publication() {
+std::vector<la::BlockId> Peer::plan_publication() {
   const la::Partition& partition = ctx_.op->partition();
   const SolveOptions& solve = ctx_.options->solve;
   const std::size_t world = ctx_.options->workers;
@@ -471,7 +487,7 @@ void Peer::plan_publication() {
     for (std::uint32_t r = 0; r < world; ++r)
       if (r != id_) readers_.push_back(r);
     reader_range_.assign(owned_.size(), {0, readers_.size()});
-    return;
+    return {};
   }
   // Owners of `blocks` other than this rank, appended to `out` from
   // `first` on, sorted and deduplicated.
@@ -492,13 +508,21 @@ void Peer::plan_publication() {
     add_owners(partition.readers(b), readers_, first);
     reader_range_.emplace_back(first, readers_.size());
   }
-  for (const la::BlockId b : owned_)
-    add_owners(partition.reads(b), notices_, 0);
+  // The view keeps what the owned blocks read (each reads itself).
+  std::vector<la::BlockId> kept;
+  for (const la::BlockId b : owned_) {
+    const std::span<const la::BlockId> reads = partition.reads(b);
+    kept.insert(kept.end(), reads.begin(), reads.end());
+    add_owners(reads, notices_, 0);
+  }
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
   std::vector<std::uint32_t> told = readers_;
   std::sort(told.begin(), told.end());
   std::erase_if(notices_, [&](std::uint32_t r) {
     return std::binary_search(told.begin(), told.end(), r);
   });
+  return kept;
 }
 
 std::span<const std::uint32_t> Peer::readers_of(la::BlockId b) const {
@@ -540,7 +564,7 @@ void Peer::send_stop(std::uint32_t dst, la::BlockId b, bool final,
   std::span<const double> value;
   if (final) {
     header.block = b;
-    header.tag = view_.tags[b];
+    header.tag = view_.at(b).tag;
     value = ctx_.op->partition().block_span(std::span<const double>(view_.x),
                                             b);
   }
@@ -615,7 +639,7 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
     header.block = b;
     // We may be forwarding a block we do not own: beat nothing, just
     // ship the value we hold at the tag it arrived (or was sent) under.
-    header.tag = view_.tags[b];
+    header.tag = view_.at(b).tag;
     header.round = round_;
     const auto value =
         partition.block_span(std::span<const double>(view_.x), b);
@@ -795,8 +819,8 @@ void Peer::maybe_check() {
     stop_here(obs::StopReason::kWallBudget);
     return;
   }
-  if (cpu_timer_.seconds() > rt::kYieldPeriod) {
-    cpu_timer_.reset();
+  if (cpu_timer_ && cpu_timer_->seconds() > rt::kYieldPeriod) {
+    cpu_timer_->reset();
     std::this_thread::yield();
   }
 }
@@ -835,9 +859,9 @@ void Peer::check_criterion() {
 }
 
 void Peer::run() {
-  // The constructor may have run on another thread; rebase the per-thread
+  // The constructor may have run on another thread; start the per-thread
   // CPU clock here so yield pacing measures THIS thread's consumption.
-  cpu_timer_.reset();
+  if (!ctx_.clock->simulated()) cpu_timer_.emplace();
   const MpOptions& opt = *ctx_.options;
   const bool elastic = ctx_.membership != nullptr;
   const bool bsp = opt.solve.mode == Mode::kBsp;

@@ -31,7 +31,11 @@
 // async rank with an oracle stop reads only its owned blocks and their
 // read sets, so its publishes go to its graph neighbours. The private
 // view therefore holds current values only for the blocks the rank owns
-// or reads.
+// or reads, and keeps per-block tags for those alone: its iterate is
+// dense, but its kept-block table (LocalView) holds one record per owned
+// or read block where publication is neighbour-only, and one per block
+// elsewhere. A value frame or final for a block the rank does not keep
+// describes another run's geometry and is rejected like any other.
 //
 // Coordination gates (Mode) before each sweep:
 //   kAsync  never wait — the paper's Section II totally asynchronous
@@ -51,8 +55,10 @@
 // destination is known to have left, or the wall budget runs out.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -63,30 +69,73 @@
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/operators/operator.hpp"
 #include "asyncit/runtime/pacing.hpp"
+#include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/transport/transport.hpp"
 
 namespace asyncit::net {
 
-/// A peer's private copy of the iterate plus the receive-side bookkeeping
-/// (value tags, inversion/staleness counters). Kept as a standalone struct
-/// so incorporation is unit-testable without threads.
-struct LocalView {
-  la::Vector x;
-  std::vector<model::Step> tags;     ///< tag of the value currently held
-  std::vector<model::Step> max_tag;  ///< newest tag ever seen per block
+/// The receive-side tags of one block a view keeps.
+struct BlockTags {
+  model::Step tag = 0;      ///< tag of the value currently held
+  model::Step max_tag = 0;  ///< newest tag ever seen
   /// Tag of the departed owner's final value (0 = none): value frames at
   /// or below it are discarded whatever the policy.
-  std::vector<model::Step> final_tag;
+  model::Step final_tag = 0;
+  /// Remote values incorporated into the block: a delta baseline
+  /// anchored at an older count is stale (Peer::send_block).
+  std::uint64_t rx_epoch = 0;
+};
+
+/// A peer's private copy of the iterate plus the receive-side bookkeeping:
+/// a BlockTags record for each block the view keeps, and the
+/// inversion/staleness counters. `x` is dense whatever the view keeps, so
+/// the operator reads it unchanged. Kept as a standalone struct so
+/// incorporation is unit-testable without threads.
+struct LocalView {
+  la::Vector x;
   std::uint64_t inversions = 0;      ///< arrivals with tag < newest seen
   std::uint64_t stale_filtered = 0;  ///< arrivals discarded by policy
   std::uint64_t final_filtered = 0;  ///< arrivals discarded by a final
 
-  LocalView(const la::Vector& x0, std::size_t num_blocks)
-      : x(x0),
-        tags(num_blocks, 0),
-        max_tag(num_blocks, 0),
-        final_tag(num_blocks, 0) {}
+  LocalView() = default;  ///< keeps no block
+  /// Keeps the blocks in `kept` (ascending, each below num_blocks), or
+  /// every block when `kept` is empty or lists them all.
+  LocalView(const la::Vector& x0, std::size_t num_blocks,
+            std::vector<la::BlockId> kept = {});
+
+  /// Block b's record, or null when the view does not keep b.
+  const BlockTags* find(la::BlockId b) const {
+    const std::size_t i = slot(b);
+    return i < blocks_.size() ? &blocks_[i] : nullptr;
+  }
+  BlockTags* find(la::BlockId b) {
+    const std::size_t i = slot(b);
+    return i < blocks_.size() ? &blocks_[i] : nullptr;
+  }
+  /// Block b's record; b must be kept.
+  BlockTags& at(la::BlockId b) {
+    BlockTags* t = find(b);
+    ASYNCIT_CHECK(t != nullptr);
+    return *t;
+  }
+
+ private:
+  /// Where block b's record sits in blocks_ (blocks_.size() when b is not
+  /// kept): at index b when the view keeps every block, else found by a
+  /// binary search of the kept list.
+  std::size_t slot(la::BlockId b) const {
+    if (ids_.empty()) return std::min<std::size_t>(b, blocks_.size());
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), b);
+    return it != ids_.end() && *it == b
+               ? static_cast<std::size_t>(it - ids_.begin())
+               : blocks_.size();
+  }
+
+  /// The kept blocks, ascending, when the view keeps only some; empty
+  /// when it keeps every block.
+  std::vector<la::BlockId> ids_;
+  std::vector<BlockTags> blocks_;  ///< one record per kept block
 };
 
 /// Applies one received value frame to a local view under `policy`. An
@@ -97,14 +146,16 @@ struct LocalView {
 /// under either policy: its owner has left, and the final value already
 /// applied is newer. Partial-block frames (m.offset > 0 or m.value
 /// shorter than the block) overwrite only the carried coordinate range.
-/// Returns whether the frame was applied.
+/// A frame for a block the view does not keep is refused, the view
+/// untouched. Returns whether the frame was applied.
 bool incorporate(const la::Partition& partition, OverwritePolicy policy,
                  const Message& m, LocalView& view);
 
 /// Applies a departed owner's final block value (a kStop frame carrying
 /// the whole block) under any policy, unless the view already holds a
 /// newer tag for the block (a rank that adopted it has moved on), and
-/// records the final tag. Returns whether the value was applied.
+/// records the final tag. A final for a block the view does not keep is
+/// refused, the view untouched. Returns whether the value was applied.
 bool apply_final(const la::Partition& partition, const Message& m,
                  LocalView& view);
 
@@ -229,8 +280,11 @@ class Peer {
   /// Sends the current value of owned block b to the ranks that read it.
   void send_block(la::BlockId b, bool partial);
   /// Computes the readers of each launch-owned block and the leave-notice
-  /// list (no-op when elastic: the live view is read at send time).
-  void plan_publication();
+  /// list (not called when elastic: the live view is read at send time).
+  /// Returns the blocks the view keeps: the owned blocks and their read
+  /// sets where publication is neighbour-only, empty (every block)
+  /// elsewhere.
+  std::vector<la::BlockId> plan_publication();
   /// The ranks owned block b goes to: its readers, or the live view when
   /// elastic. Every send loop filters it through sends_to().
   std::span<const std::uint32_t> readers_of(la::BlockId b) const;
@@ -268,7 +322,9 @@ class Peer {
   /// `needed` (SSP/BSP gate). Returns false if stopped while waiting.
   bool wait_for_rounds(std::uint64_t needed);
   /// Update budget (every update), wall budget and CPU-sliced voluntary
-  /// yield (every check_every updates; see rt::executors).
+  /// yield (every check_every updates; see rt::executors). A rank on a
+  /// simulated clock does not yield: it is a fiber sharing one OS thread
+  /// with the whole world, so its thread CPU time is the world's.
   void maybe_check();
   /// The stopping criterion on the private view, run at the end of every
   /// own sweep (and on every idle poll of a rank that owns no blocks):
@@ -277,8 +333,8 @@ class Peer {
   /// the whole view as the confirmation.
   void check_criterion();
   /// incorporate() / apply_final() plus the observability taps:
-  /// inversion events, the audit bridge's changed-block mask, the delta
-  /// layer's per-block receive epochs.
+  /// inversion events, the audit bridge's changed-block mask, the
+  /// block's receive epoch. The block must be kept (receive() checks).
   void incorporate_tracked(const la::Partition& partition,
                            OverwritePolicy policy, const Message& m);
   /// Ends this rank's run for a reason of its own (criterion or budget),
@@ -314,7 +370,8 @@ class Peer {
   std::uint64_t peers_stopped_ = 0;
   std::uint64_t frames_rejected_ = 0;
   std::vector<bool> stopped_ranks_;   ///< kStop seen, by rank
-  ThreadCpuTimer cpu_timer_;
+  /// Yield pacing; set in run() unless the run clock is simulated.
+  std::optional<ThreadCpuTimer> cpu_timer_;
   /// The blocks this rank owns, ascending: its launch share of the
   /// ownership rule (la::block_share), or its share of the live view
   /// when elastic.
@@ -356,7 +413,7 @@ class Peer {
     la::Vector last;
     bool valid = false;
     std::uint64_t sends_since_refresh = 0;
-    std::uint64_t rx_epoch = 0;  ///< block_rx_epoch_ when last refreshed
+    std::uint64_t rx_epoch = 0;  ///< BlockTags::rx_epoch when last refreshed
   };
   /// The baseline of each (destination, block) this rank has sent on,
   /// created by the first frame (invalid, so that frame is full):
@@ -367,10 +424,6 @@ class Peer {
   std::vector<std::uint64_t> delta_key_;
   std::vector<DeltaSlot> delta_;
   DeltaSlot& delta_slot(std::uint32_t dst, la::BlockId b);
-  /// Bumped whenever a remote value for the block is incorporated: our
-  /// delta baseline toward EVERY destination is stale the moment someone
-  /// else wrote the block (ownership churn), so the next send refreshes.
-  std::vector<std::uint64_t> block_rx_epoch_;
   la::Vector codec_scratch_;       ///< quantization roundtrip buffer
   std::uint64_t bytes_sent_raw_ = 0;
   std::uint64_t bytes_sent_wire_ = 0;

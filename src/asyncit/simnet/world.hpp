@@ -47,6 +47,7 @@ class SimClock final : public WallTimer {
  public:
   explicit SimClock(const SimEngine* engine) : engine_(engine) {}
   double seconds() const override { return engine_->now(); }
+  bool simulated() const override { return true; }
 
  private:
   const SimEngine* engine_;

@@ -29,6 +29,12 @@ class WallTimer {
 
   double millis() const { return seconds() * 1e3; }
 
+  /// Whether seconds() is simulated time, which moves only when the
+  /// caller yields to a scheduler (simnet::SimClock overrides this). The
+  /// ranks on such a clock are fibers of one OS thread, so that thread's
+  /// CPU time is every rank's, and no other thread waits for it.
+  virtual bool simulated() const { return false; }
+
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

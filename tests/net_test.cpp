@@ -4,6 +4,7 @@
 // against the shared-memory executors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "asyncit/problems/quadratic.hpp"
 #include "asyncit/runtime/executors.hpp"
 #include "asyncit/support/check.hpp"
+#include "asyncit/transport/inproc.hpp"
 #include "trace_counts.hpp"
 
 namespace asyncit::net {
@@ -184,8 +186,8 @@ TEST_F(IncorporateTest, LastArrivalWinsSuffersLabelInversions) {
               view_);
   // the stale tag-1 value clobbered the fresher tag-2 value
   EXPECT_DOUBLE_EQ(view_.x[0], 1.0);
-  EXPECT_EQ(view_.tags[0], 1u);
-  EXPECT_EQ(view_.max_tag[0], 2u);
+  EXPECT_EQ(view_.at(0).tag, 1u);
+  EXPECT_EQ(view_.at(0).max_tag, 2u);
   EXPECT_EQ(view_.inversions, 1u);
   EXPECT_EQ(view_.stale_filtered, 0u);
 }
@@ -197,7 +199,7 @@ TEST_F(IncorporateTest, NewestTagWinsFiltersStaleArrivals) {
               view_);
   // the inversion is OBSERVED but the stale value is refused
   EXPECT_DOUBLE_EQ(view_.x[0], 2.0);
-  EXPECT_EQ(view_.tags[0], 2u);
+  EXPECT_EQ(view_.at(0).tag, 2u);
   EXPECT_EQ(view_.inversions, 1u);
   EXPECT_EQ(view_.stale_filtered, 1u);
 }
@@ -210,7 +212,7 @@ TEST_F(IncorporateTest, FinalValueClosesTheBlockUnderEitherPolicy) {
     closing.kind = MsgKind::kStop;
     EXPECT_TRUE(apply_final(partition_, closing, view));
     EXPECT_DOUBLE_EQ(view.x[0], 3.0);
-    EXPECT_EQ(view.tags[0], 3u);
+    EXPECT_EQ(view.at(0).tag, 3u);
     // The owner's older frames, overtaken by its kStop, are dropped
     // under either policy — counted apart from stale_filtered.
     EXPECT_FALSE(incorporate(partition_, policy, block0(2, 2.0), view));
@@ -231,7 +233,112 @@ TEST_F(IncorporateTest, FinalNeverRollsBackANewerValue) {
   closing.kind = MsgKind::kStop;
   EXPECT_FALSE(apply_final(partition_, closing, view_));
   EXPECT_DOUBLE_EQ(view_.x[0], 5.0);
-  EXPECT_EQ(view_.final_tag[0], 4u);
+  EXPECT_EQ(view_.at(0).final_tag, 4u);
+}
+
+TEST(KeptBlocks, AViewRefusesFramesForABlockItDoesNotKeep) {
+  const la::Partition partition = la::Partition::from_sizes({2, 2, 2, 2, 2});
+  LocalView view(la::Vector(10, 0.0), 5, {1, 4});
+  EXPECT_EQ(view.find(2), nullptr);
+  Message m;
+  m.block = 2;
+  m.tag = 1;
+  m.value = {7.0, 7.0};
+  for (const OverwritePolicy policy : {OverwritePolicy::kLastArrivalWins,
+                                       OverwritePolicy::kNewestTagWins})
+    EXPECT_FALSE(incorporate(partition, policy, m, view));
+  m.kind = MsgKind::kStop;
+  EXPECT_FALSE(apply_final(partition, m, view));
+  EXPECT_EQ(view.x, la::Vector(10, 0.0));
+  EXPECT_EQ(view.inversions + view.stale_filtered + view.final_filtered, 0u);
+  // The kept blocks incorporate as in a view that keeps every block.
+  m.kind = MsgKind::kValue;
+  m.block = 4;
+  EXPECT_TRUE(incorporate(partition, OverwritePolicy::kNewestTagWins, m, view));
+  EXPECT_EQ(view.at(4).tag, 1u);
+  EXPECT_DOUBLE_EQ(view.x[8], 7.0);
+  EXPECT_EQ(view.at(1).tag, 0u);
+}
+
+TEST(KeptBlocks, AViewListingEveryBlockKeepsEveryBlock) {
+  const LocalView all(la::Vector(3, 0.0), 3, {0, 1, 2});
+  const LocalView dense(la::Vector(3, 0.0), 3);
+  for (la::BlockId b = 0; b < 3; ++b) {
+    EXPECT_NE(all.find(b), nullptr);
+    EXPECT_NE(dense.find(b), nullptr);
+  }
+  EXPECT_EQ(all.find(3), nullptr);
+  EXPECT_EQ(dense.find(3), nullptr);
+}
+
+/// The c14 world: one block per rank, three off-diagonals per row.
+class KeptBlocksWorld : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kWorld = 100;
+
+  KeptBlocksWorld()
+      : rng_(97),
+        sys_(problems::make_diagonally_dominant_system(kWorld, 3, 8.0, rng_)),
+        jacobi_(sys_.a, sys_.b, la::Partition::balanced(kWorld, kWorld)),
+        tx_(kWorld, DeliveryPolicy{}, 97) {
+    opt_.workers = kWorld;
+    opt_.solve.x_star = la::zeros(kWorld);
+  }
+
+  /// The blocks rank `r`'s view keeps under `opt`, ascending.
+  std::vector<la::BlockId> kept(const MpOptions& opt, std::uint32_t r,
+                                membership::SwimAgent* agent = nullptr) {
+    PeerContext ctx;
+    ctx.op = &jacobi_;
+    ctx.options = &opt;
+    ctx.clock = &clock_;
+    ctx.membership = agent;
+    const Peer peer(ctx, r, la::zeros(kWorld), tx_.endpoint(r));
+    std::vector<la::BlockId> blocks;
+    for (la::BlockId b = 0; b < kWorld; ++b)
+      if (peer.view().find(b) != nullptr) blocks.push_back(b);
+    return blocks;
+  }
+
+  Rng rng_;
+  problems::LinearSystem sys_;
+  op::JacobiOperator jacobi_;
+  transport::InprocTransport tx_;
+  WallTimer clock_;
+  MpOptions opt_;
+};
+
+TEST_F(KeptBlocksWorld, EachRankKeepsItsOwnedBlocksAndTheirReadSets) {
+  const la::Partition& partition = jacobi_.partition();
+  std::size_t total = 0;
+  for (std::uint32_t r = 0; r < kWorld; ++r) {
+    std::vector<la::BlockId> expect;
+    for (const la::BlockId b : la::block_share(kWorld, kWorld, r).blocks())
+      for (const la::BlockId c : partition.reads(b)) expect.push_back(c);
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    EXPECT_EQ(kept(opt_, r), expect) << "rank " << r;
+    total += expect.size();
+  }
+  // About four blocks per rank, not the world: the tags are O(read set).
+  EXPECT_LT(total, 5 * kWorld);
+}
+
+TEST_F(KeptBlocksWorld, GatedDisplacementAndElasticRanksKeepEveryBlock) {
+  MpOptions gated = opt_;
+  gated.solve.mode = Mode::kSsp;
+  EXPECT_EQ(kept(gated, 3).size(), kWorld);
+  MpOptions displacement = opt_;
+  displacement.solve.x_star.reset();
+  displacement.solve.displacement_tol = 1e-6;
+  EXPECT_EQ(kept(displacement, 3).size(), kWorld);
+  MpOptions elastic = opt_;
+  elastic.membership.enabled = true;
+  membership::SwimAgent agent(3, kWorld, elastic.membership, elastic.seed);
+  EXPECT_EQ(kept(elastic, 3, &agent).size(), kWorld);
+  // The same rank keeps only its neighbourhood when async with an
+  // oracle stop.
+  EXPECT_LT(kept(opt_, 3).size(), kWorld);
 }
 
 // ------------------------------------------------------------ end-to-end

@@ -1127,17 +1127,20 @@ TEST(PartialBlockFrames, IncorporateWritesOnlyTheCarriedRange) {
                    view);
   const la::Vector expect{0, 0, 5.0, 6.0, 7.0, 0, 0, 0};
   EXPECT_EQ(view.x, expect);
-  EXPECT_EQ(view.tags[0], 1u);
+  EXPECT_EQ(view.at(0).tag, 1u);
 }
 
 TEST(WireFuzz, SemanticallyInvalidFramesLandInFramesRejected) {
   // Wire-valid frames lying about the run's geometry (foreign block ids,
-  // out-of-range sub-ranges, short non-partial payloads) must be counted
-  // in MpResult::frames_rejected and never abort a rank. The frames are
-  // pre-seeded into the inproc transport before the peers start, so the
-  // count is exact.
+  // blocks the receiver does not keep, out-of-range sub-ranges, short
+  // non-partial payloads) must be counted in MpResult::frames_rejected
+  // and never abort a rank. The frames are pre-seeded into the inproc
+  // transport before the peers start, so the count is exact. The system
+  // is tridiagonal, so block b reads only blocks b-1..b+1: rank 1 owns
+  // blocks 2 and 3 and keeps blocks 1-3, and block 0 is in range yet not
+  // its to receive.
   Rng rng(31);
-  auto sys = problems::make_diagonally_dominant_system(32, 3, 2.0, rng);
+  auto sys = problems::make_tridiagonal_system(32, 1.0, rng);
   op::JacobiOperator jac(sys.a, sys.b, la::Partition::balanced(32, 4));
   op::Workspace ws;
   const la::Vector x_star =
@@ -1164,10 +1167,15 @@ TEST(WireFuzz, SemanticallyInvalidFramesLandInFramesRejected) {
   tx.endpoint(0).send(1, h, la::Vector(3, 0.5), 0.0, false);
   h.offset = 2;  // non-partial with a nonzero offset
   tx.endpoint(0).send(1, h, la::Vector(6, 0.5), 0.0, false);
+  h.offset = 0;
+  h.block = 0;  // a whole block that rank 1 does not keep
+  tx.endpoint(0).send(1, h, block, 0.0, false);
+  h.kind = net::MsgKind::kStop;  // and a final for it
+  tx.endpoint(0).send(1, h, block, 0.0, false);
 
   const auto r = net::run_message_passing(jac, la::zeros(32), opt, tx);
   EXPECT_TRUE(r.converged) << "error " << r.final_error;
-  EXPECT_EQ(r.frames_rejected, 4u);
+  EXPECT_EQ(r.frames_rejected, 6u);
   EXPECT_EQ(r.bad_frames, 0u);  // inproc carries no byte stream to corrupt
 }
 

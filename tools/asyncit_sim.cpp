@@ -28,9 +28,11 @@
 //   world, mode, runs, deterministic, ok, converged_ranks, events,
 //   events_per_sec, virtual_seconds, wall_seconds, final_residual,
 //   log_hash (hex), updates, sent/delivered/dropped/partition_dropped,
-//   wall_ok.
+//   wall_ok, peak_rss_mb (the process's peak resident set, ru_maxrss).
 // Exit 0 iff every rank converged (or sits in the 10x stopped-peer band
 // asyncit_node accepts), every run agreed, and --max-wall held.
+#include <sys/resource.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -142,6 +144,9 @@ int main(int argc, char** argv) {
                   "%.3f wall s, residual %.3e, hash %016" PRIx64 "\n",
                   run, r.events, r.virtual_seconds, r.wall_seconds,
                   r.final_residual, r.log_hash);
+    // The summary reads only the world-level fields: drop the per-rank
+    // results (world x dim doubles) before the next run executes.
+    r.ranks = {};
     last = std::move(r);
   }
   const double total_wall = wall.seconds();
@@ -156,6 +161,9 @@ int main(int argc, char** argv) {
       total_wall > 0.0
           ? double(last.events) * double(cfg.sim_runs) / total_wall
           : 0.0;
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   std::printf(
       "ASYNCIT_SIM_JSON {\"schema\":\"asyncit-sim/1\",\"world\":%zu,"
       "\"mode\":\"%s\",\"runs\":%zu,\"deterministic\":%s,\"ok\":%s,"
@@ -164,7 +172,8 @@ int main(int argc, char** argv) {
       "\"wall_seconds\":%.6f,\"final_residual\":%.17g,"
       "\"log_hash\":\"%016" PRIx64 "\",\"updates\":%" PRIu64
       ",\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64 ",\"dropped\":%" PRIu64
-      ",\"partition_dropped\":%" PRIu64 ",\"wall_ok\":%s}\n",
+      ",\"partition_dropped\":%" PRIu64 ",\"wall_ok\":%s,"
+      "\"peak_rss_mb\":%.1f}\n",
       cfg.world,
       cfg.mode == net::Mode::kAsync ? "async"
       : cfg.mode == net::Mode::kSsp ? "ssp"
@@ -173,6 +182,7 @@ int main(int argc, char** argv) {
       ok ? "true" : "false", converged_ranks, last.events, events_per_sec,
       last.virtual_seconds, total_wall, last.final_residual, last.log_hash,
       last.total_updates, last.messages_sent, last.messages_delivered,
-      last.messages_dropped, last.partition_dropped, wall_ok ? "true" : "false");
+      last.messages_dropped, last.partition_dropped, wall_ok ? "true" : "false",
+      peak_rss_mb);
   return ok ? 0 : 1;
 }
