@@ -4,7 +4,7 @@
 Picks one free loopback port per rank, writes the asyncit_node config
 file, spawns one asyncit_node process per rank, streams their output with
 a [rank k] prefix, and aggregates the per-rank results (the
-`ASYNCIT_NODE_JSON` asyncit-node/3 line each rank prints). Exit status 0
+`ASYNCIT_NODE_JSON` asyncit-node/4 line each rank prints). Exit status 0
 only when EVERY rank that was supposed to finish exits 0 (its local
 oracle error met the tolerance / the training target was reached).
 
@@ -250,7 +250,7 @@ def spawn(binary, cfg_path, rank, results, started, start_epochs, lock,
 
 
 def aggregate(results, counted_ranks, workload):
-    """Sums the counters of the uniform asyncit-node/3 schema over the
+    """Sums the counters of the uniform asyncit-node/4 schema over the
     ranks that finished (the killed rank never reports), and rolls up
     the observability additions: a cluster-wide delay summary (count
     sum, max of each per-rank quantile) and the online admissibility

@@ -47,9 +47,6 @@ void accumulate(MpResult& into, const MpResult& rank) {
                             rank.admissibility.begin(),
                             rank.admissibility.end());
   into.gate_stalls += rank.gate_stalls;
-  into.steering_decisions += rank.steering_decisions;
-  into.staleness_at_exit = std::max(into.staleness_at_exit,
-                                    rank.staleness_at_exit);
 }
 
 }  // namespace

@@ -42,7 +42,6 @@
 #include "asyncit/membership/membership.hpp"
 #include "asyncit/net/channel.hpp"
 #include "asyncit/obs/auditor.hpp"
-#include "asyncit/obs/steering.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/operator.hpp"
 
@@ -66,11 +65,6 @@ struct SolveOptions {
   Mode mode = Mode::kAsync;
   /// SSP clock-gap cap in rounds (ignored by kAsync; kBsp behaves as 0).
   std::uint64_t staleness = 1;
-  /// Auditor-fed adaptive staleness (kSsp only; obs/steering.hpp): the
-  /// gate slack tracks the OnlineAuditor's measured delay bound instead
-  /// of the static `staleness` value (which becomes the initial bound).
-  /// Enabling this implies the auditor — the measured signal must exist.
-  obs::SteeringOptions adaptive;
 
   std::size_t inner_steps = 1;
   /// Flexible communication (Definition 3): send partial iterates
@@ -271,14 +265,9 @@ struct MpResult {
   std::uint64_t obs_events_dropped = 0;
 
   /// SSP/BSP gate entries that actually blocked (the peer polled at
-  /// least once before its round gate opened), summed over local ranks —
-  /// the stall metric the adaptive bound is steered to reduce.
+  /// least once before its round gate opened), summed over local ranks:
+  /// the cost a tighter `staleness` bound pays under stragglers.
   std::uint64_t gate_stalls = 0;
-  /// Adaptive-staleness steering (SolveOptions::adaptive): decisions
-  /// taken (traced as kSteering) and the bound at exit. With steering
-  /// off, decisions is 0 and the exit bound is solve.staleness.
-  std::uint64_t steering_decisions = 0;
-  std::uint64_t staleness_at_exit = 0;
 };
 
 /// Runs P = options.workers ranks, one thread each, until every rank has

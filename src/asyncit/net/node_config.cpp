@@ -444,37 +444,6 @@ const KeyEntry kKeys[] = {
      [](NodeConfig& c, std::istringstream& ls, std::string& e) {
        return read_value(ls, c.stream_windows, e);
      }},
-    {{"adaptive", "bool01", "0",
-      "auditor-fed adaptive staleness: steer the SSP bound from the "
-      "measured delay (solve mode ssp / train discipline ssp; "
-      "staleness becomes the initial bound)"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_bool01(ls, c.adaptive.enabled, e);
-     }},
-    {{"adaptive_min", "int", "1", "adaptive staleness bound floor"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_value(ls, c.adaptive.min_bound, e);
-     }},
-    {{"adaptive_max", "int", "8", "adaptive staleness bound ceiling"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_value(ls, c.adaptive.max_bound, e);
-     }},
-    {{"adaptive_gain", "float", "1.0",
-      "measured-signal to bound scale factor"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_value(ls, c.adaptive.gain, e);
-     }},
-    {{"adaptive_hold", "int", "3",
-      "consecutive lower candidates before the bound drops (hysteresis)"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_value(ls, c.adaptive.hold, e);
-     }},
-    {{"adaptive_every", "int", "32",
-      "steering decision cadence: own steps (solve) or applied deltas "
-      "(train)"},
-     [](NodeConfig& c, std::istringstream& ls, std::string& e) {
-       return read_value(ls, c.adaptive.decide_every, e);
-     }},
 };
 // clang-format on
 
@@ -524,17 +493,6 @@ bool validate(NodeConfig& cfg, std::string& error) {
       if (std::find(cfg.late.begin(), cfg.late.end(), r) == cfg.late.end())
         cfg.membership.initial_alive.push_back(r);
   }
-  if (cfg.adaptive.enabled) {
-    if (cfg.adaptive.min_bound < 1 ||
-        cfg.adaptive.max_bound < cfg.adaptive.min_bound) {
-      error = "adaptive bounds need 1 <= adaptive_min <= adaptive_max";
-      return false;
-    }
-    if (cfg.adaptive.hold < 1 || cfg.adaptive.decide_every < 1) {
-      error = "adaptive_hold and adaptive_every must be >= 1";
-      return false;
-    }
-  }
   if (cfg.wire_quant_bits != 0 && cfg.wire_quant_bits != 8 &&
       cfg.wire_quant_bits != 16) {
     error = "wire_quant_bits must be 0, 8, or 16";
@@ -558,7 +516,6 @@ bool validate(NodeConfig& cfg, std::string& error) {
     // cannot disagree about what `staleness` or `max_seconds` mean.
     cfg.sgd.staleness = cfg.staleness;
     cfg.sgd.max_seconds = cfg.max_seconds;
-    cfg.sgd.adaptive = cfg.adaptive;
     if (cfg.dataset.ridge <= 0.0) {
       error = "train workload needs ridge > 0";
       return false;
@@ -652,7 +609,6 @@ MpOptions solve_options(const NodeConfig& cfg) {
   opt.seed = cfg.seed;
   opt.solve.mode = cfg.mode;
   opt.solve.staleness = cfg.staleness;
-  opt.solve.adaptive = cfg.adaptive;
   opt.solve.inner_steps = cfg.inner_steps;
   opt.solve.publish_partials = cfg.publish_partials;
   opt.solve.overwrite = cfg.overwrite;

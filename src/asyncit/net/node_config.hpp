@@ -106,10 +106,6 @@ struct NodeConfig {
   /// trace.json (the windows ARE the record; trace_merge.py stitches).
   double stream_interval = 0.0;
   std::size_t stream_windows = 8;
-  /// Auditor-fed adaptive staleness (obs/steering.hpp): steers the SSP
-  /// bound of whichever workload runs (solve mode ssp / train
-  /// discipline ssp); `staleness` becomes the initial bound.
-  obs::SteeringOptions adaptive;
 };
 
 /// One documented key. `type` is a human/launcher hint (int, float,

@@ -78,8 +78,6 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   result.wire_frames_heartbeat = peer.wire_frames_heartbeat();
   result.wire_frames_codec = peer.wire_frames_codec();
   result.gate_stalls = peer.gate_stalls();
-  result.steering_decisions = peer.steering_decisions();
-  result.staleness_at_exit = peer.staleness_bound();
   if (agent) {
     result.membership = agent->stats();
     result.live_at_exit = agent->table().live_ranks();

@@ -100,20 +100,13 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
                                                 : 0) {
   ASYNCIT_CHECK(endpoint_->rank() == id_);
   stopped_ranks_.assign(ctx_.options->workers, false);
-  // Adaptive staleness steers on the auditor's measured delay bound, so
-  // enabling it implies the auditor even when audit reporting is off.
-  const bool steer = ctx_.options->solve.adaptive.enabled &&
-                     ctx_.options->solve.mode == Mode::kSsp;
-  if (ctx_.options->obs.audit || steer) {
+  if (ctx_.options->obs.audit) {
     const std::size_t m = ctx_.op->partition().num_blocks();
     auditor_ = std::make_unique<obs::OnlineAuditor>(m);
     audit_last_changed_.assign(m, 0);
     audit_pending_.assign(m, 0);
     audit_updated_.reserve(m);
   }
-  if (steer)
-    steer_ = std::make_unique<obs::StalenessController>(
-        ctx_.options->solve.adaptive, ctx_.options->solve.staleness);
   const std::size_t num_blocks = ctx_.op->partition().num_blocks();
   if (ctx_.membership != nullptr) {
     // Elastic ranks only make sense in the totally asynchronous regime:
@@ -755,16 +748,6 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
       audit_last_changed_[i] = j;
     }
     auditor_->record_step(audit_updated_, l_min);
-    if (steer_ != nullptr &&
-        own_updates_ % ctx_.options->solve.adaptive.decide_every == 0) {
-      // Measured signal in ROUNDS: the auditor's delay bound counts own
-      // steps (one per block phase), the gate slack counts sweeps over
-      // the owned set — divide by the sweep length to convert.
-      const double owned_n =
-          static_cast<double>(std::max<std::size_t>(1, owned_.size()));
-      steer_->decide(static_cast<double>(auditor_->d_bound()) / owned_n,
-                     obs::SteeringDomain::kNetSsp);
-    }
   }
 }
 
@@ -793,7 +776,7 @@ bool Peer::wait_for_rounds(std::uint64_t needed) {
     if (satisfied) return true;
     if (first_pass) {
       // The gate actually blocks this sweep (not satisfied from what was
-      // already drained) — the stall the adaptive bound exists to avoid.
+      // already drained).
       first_pass = false;
       ++gate_stalls_;
     }
@@ -865,14 +848,11 @@ void Peer::run() {
   const MpOptions& opt = *ctx_.options;
   const bool elastic = ctx_.membership != nullptr;
   const bool bsp = opt.solve.mode == Mode::kBsp;
+  const std::uint64_t slack = bsp ? 0 : opt.solve.staleness;
   const std::size_t reps = rt::slowdown_repetitions(opt.worker_slowdown, id_);
 
   while (!stop_) {
     if (opt.solve.mode != Mode::kAsync && round_ > 0) {
-      // Re-read the slack every sweep: with adaptive staleness the
-      // controller moves it between sweeps (staleness_bound() is the
-      // static option when steering is off; kBsp is always 0).
-      const std::uint64_t slack = bsp ? 0 : staleness_bound();
       const std::uint64_t needed = round_ > slack ? round_ - slack : 0;
       if (!wait_for_rounds(needed)) break;
     }

@@ -241,19 +241,10 @@ class Peer {
   const std::vector<DelayHistogram>& link_delays() const {
     return link_delays_;
   }
-  /// Online admissibility auditor (null unless ObsOptions::audit or
-  /// adaptive staleness — steering needs the measured bound).
+  /// Online admissibility auditor (null unless ObsOptions::audit).
   const obs::OnlineAuditor* auditor() const { return auditor_.get(); }
   /// SSP/BSP gate entries that actually blocked before opening.
   std::uint64_t gate_stalls() const { return gate_stalls_; }
-  /// Adaptive staleness: steering decisions taken (0 when off) and the
-  /// gate bound at exit (== solve.staleness when off).
-  std::uint64_t steering_decisions() const {
-    return steer_ ? steer_->decisions() : 0;
-  }
-  std::uint64_t staleness_bound() const {
-    return steer_ ? steer_->bound() : ctx_.options->solve.staleness;
-  }
 
  private:
   double now() const { return ctx_.clock->seconds(); }
@@ -442,11 +433,6 @@ class Peer {
   // ---- observability (obs/) ----
   std::vector<DelayHistogram> link_delays_;  ///< by source rank
   std::unique_ptr<obs::OnlineAuditor> auditor_;
-  /// Adaptive-staleness controller (kSsp + solve.adaptive.enabled): the
-  /// round-gate slack run() reads is bound() instead of the static
-  /// staleness option. Fed from the auditor's measured delay bound in
-  /// update_block (signal in rounds: d_bound / owned blocks).
-  std::unique_ptr<obs::StalenessController> steer_;
   std::uint64_t gate_stalls_ = 0;
   /// Audit bridge (see update_block): step j = own completed phases;
   /// last_changed_[i] = audit step at which component i last changed,

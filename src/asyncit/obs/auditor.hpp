@@ -67,11 +67,6 @@ class OnlineAuditor {
   model::Step steps() const { return steps_; }
   std::size_t num_blocks() const { return occurrences_.size(); }
 
-  /// Condition d's running delay bound b_min = max_j (j - l(j)), O(1).
-  /// The live signal the adaptive-staleness controller steers on
-  /// (obs/steering.hpp) — no full report() needed on the hot path.
-  model::Step d_bound() const { return d_bound_; }
-
   /// Finite-horizon report over everything recorded so far. Cheap
   /// enough to call repeatedly; does not mutate state.
   AdmissibilityReport report() const;

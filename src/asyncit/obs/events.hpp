@@ -58,13 +58,6 @@
 //                          b=parameter version after apply, v=factorDelta
 //                    sub=2 server eval: a=server round (min worker
 //                          clock), b=deltas applied, v=train accuracy
-//   kSteering        adaptive-staleness decision (obs/steering.hpp):
-//                    sub = 2*domain + applied, where domain is 0 for the
-//                    net:: SSP round gate and 1 for the train:: SspClock,
-//                    and applied is 1 when the bound changed (0 = held by
-//                    clamping or hysteresis); a=bound after the decision,
-//                    b=clamped candidate bound, v=measured delay signal
-//                    the candidate was derived from
 #pragma once
 
 #include <cstdint>
@@ -86,9 +79,8 @@ enum class EventType : std::uint8_t {
   kRedial,
   kMarker,
   kTrainStep,
-  kSteering,
 };
-inline constexpr std::uint8_t kNumEventTypes = 15;
+inline constexpr std::uint8_t kNumEventTypes = 14;
 
 /// kStopDecision::a — why a rank (or the orchestrator) tripped the stop
 /// flag. Mirrors every stop->store site in net:: so a trace shows not

@@ -28,7 +28,6 @@ const char* to_string(EventType t) {
     case EventType::kRedial: return "redial";
     case EventType::kMarker: return "marker";
     case EventType::kTrainStep: return "train_step";
-    case EventType::kSteering: return "steering";
   }
   return "unknown";
 }

@@ -87,14 +87,10 @@ struct ComputeModel {
 struct SimConfig {
   TopologyConfig topology;
   ComputeModel compute;
-  /// Per-rank fiber stack (lazily committed mmap; sanitizer builds
-  /// enforce a larger floor — see simnet/fiber.cpp).
-  std::size_t stack_bytes = 256 * 1024;
   /// Record the full dispatch log (EventRecord stream) for byte-identical
   /// replay comparison. The rolling log hash is always maintained; the
   /// full log is opt-in because 10M-event runs would hold ~240 MB.
   bool record_log = false;
-  std::size_t log_capacity = 1 << 20;
 };
 
 }  // namespace asyncit::simnet

@@ -40,7 +40,7 @@ void SimEngine::spawn(std::uint32_t rank, std::function<void()> body) {
   const std::size_t idx = tasks_.size();
   rank_to_task_[rank] = idx;
   Task task;
-  task.fiber = std::make_unique<Fiber>(options_.stack_bytes, std::move(body));
+  task.fiber = std::make_unique<Fiber>(kStackBytes, std::move(body));
   task.rank = rank;
   task.earliest = kInf;
   tasks_.push_back(std::move(task));
@@ -94,7 +94,7 @@ void SimEngine::run() {
     }
     ++dispatched_;
     if (options_.record_log) {
-      if (log_.size() < options_.log_capacity) {
+      if (log_.size() < kLogCapacity) {
         log_.push_back(rec);
       } else {
         log_truncated_ = true;

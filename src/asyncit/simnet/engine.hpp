@@ -58,12 +58,14 @@ static_assert(sizeof(EventRecord) == 24, "log records must be packed");
 class SimEngine {
  public:
   struct Options {
-    /// Forwarded to each fiber (see simnet/fiber.cpp for the floors).
-    std::size_t stack_bytes = 256 * 1024;
     /// Keep the full EventRecord stream (hash is always kept).
     bool record_log = false;
-    std::size_t log_capacity = 1 << 20;
   };
+  /// Per-rank fiber stack (lazily committed mmap; sanitizer builds
+  /// enforce a larger floor, see simnet/fiber.cpp).
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+  /// Records log() keeps before it stops growing.
+  static constexpr std::size_t kLogCapacity = 1 << 20;
 
   SimEngine();  // default Options (= {} as a default arg trips gcc's
                 // nested-class NSDMI handling, so two constructors)
@@ -110,9 +112,9 @@ class SimEngine {
   /// Rolling FNV-1a over every dispatched EventRecord, always on.
   std::uint64_t log_hash() const { return hash_; }
   /// Full dispatch log; empty unless Options::record_log (capped at
-  /// log_capacity — a 10M-event run would otherwise hold ~240 MB).
+  /// kLogCapacity — a 10M-event run would otherwise hold ~240 MB).
   const std::vector<EventRecord>& log() const { return log_; }
-  /// True if record_log hit log_capacity (hash still covers everything).
+  /// True if record_log hit kLogCapacity (hash still covers everything).
   bool log_truncated() const { return log_truncated_; }
 
   /// The engine currently inside run() on this thread, else nullptr.

@@ -25,14 +25,6 @@ std::uint64_t sim_trace_clock() {
   return engine != nullptr ? engine->now_ns() : 0;
 }
 
-SimEngine::Options engine_options(const SimConfig& sim) {
-  SimEngine::Options eo;
-  eo.stack_bytes = sim.stack_bytes;
-  eo.record_log = sim.record_log;
-  eo.log_capacity = sim.log_capacity;
-  return eo;
-}
-
 }  // namespace
 
 WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
@@ -41,7 +33,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
   ASYNCIT_CHECK(world >= 2);
   WallTimer wall;
 
-  SimEngine engine(engine_options(options.sim));
+  SimEngine engine({options.sim.record_log});
   SimTransport fabric(world, options.sim, options.mp.seed, &engine);
   std::unique_ptr<transport::ChaosTransport> chaos;
   if (options.chaos)
@@ -101,7 +93,7 @@ TrainWorldResult run_train_world(const train::Dataset& data,
   ASYNCIT_CHECK(options.train.workers >= 1);
   WallTimer wall;
 
-  SimEngine engine(engine_options(options.sim));
+  SimEngine engine({options.sim.record_log});
   SimTransport fabric(world, options.sim, options.train.seed, &engine);
 
   train::TrainOptions per_rank = options.train;

@@ -53,10 +53,6 @@ PsgdServer::PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
   }
   worker_stopped_.assign(W, 0);
   reply_owed_.assign(W, 0);
-  if (ctx_.options->sgd.discipline == Discipline::kSsp &&
-      ctx_.options->sgd.adaptive.enabled)
-    steer_ = std::make_unique<obs::StalenessController>(
-        ctx_.options->sgd.adaptive, ctx_.options->sgd.staleness);
   inbox_.reserve(4 * W);
   // Cached registry handles: find-or-create once here so the hot path
   // never rebuilds the name strings (the zero-alloc discipline).
@@ -79,9 +75,6 @@ bool PsgdServer::send_params(std::uint32_t dst) {
   h.tag = version_;
   h.round = ctx_.options->sgd.discipline == Discipline::kBsp ? bsp_round_
                                                              : rounds_seen_;
-  // offset has no placement meaning on a full model frame; it carries
-  // the live adaptive bound to the workers' self-gate (0 = steering off).
-  if (steer_) h.offset = static_cast<std::uint32_t>(steer_->bound());
   const bool tap = ctx_.options->sgd.discipline == Discipline::kTap;
   return transport::send_traced(*endpoint_, dst, h, x_, now(),
                                 /*allow_drop=*/tap)
@@ -150,16 +143,10 @@ void PsgdServer::handle(const net::Message& m) {
     return;
   }
 
-  // The steering signal, measured BEFORE this arrival moves the clocks:
-  // how far ahead of the published min the sender's clock ran — exactly
-  // the staleness this delta needed admitted.
-  const std::uint64_t arrival_gap =
-      m.round > rounds_seen_ ? m.round - rounds_seen_ : 0;
   clock_.advance(w, m.round + 1);
   if (clock_.active() > 0)
     rounds_seen_ = std::max(rounds_seen_, clock_.min_active());
-  const SgdOptions& sgd = ctx_.options->sgd;
-  switch (sgd.discipline) {
+  switch (ctx_.options->sgd.discipline) {
     case Discipline::kBsp: {
       // Buffer until the barrier; applied in rank order by
       // apply_bsp_round_if_complete (factorDelta = 1/W averaging).
@@ -181,18 +168,6 @@ void PsgdServer::handle(const net::Message& m) {
     case Discipline::kSsp:
       // Fold immediately; publish() broadcasts after the drain.
       fold(m);
-      if (steer_) {
-        steer_gap_max_ = std::max(steer_gap_max_, arrival_gap);
-        if (++steer_window_ >= sgd.adaptive.decide_every) {
-          if (steer_->decide(static_cast<double>(steer_gap_max_),
-                             obs::SteeringDomain::kTrainSsp)) {
-            clock_.set_staleness(steer_->bound());
-            steered_ = true;
-          }
-          steer_window_ = 0;
-          steer_gap_max_ = 0;
-        }
-      }
       break;
   }
 }
@@ -215,13 +190,9 @@ void PsgdServer::publish(std::uint64_t prev_min) {
       break;
     case Discipline::kSsp:
       // The slowest active worker advanced, so gated workers can re-check
-      // clock <= round + staleness; a steered bound goes out even when
-      // the min has not moved (a raise must reach gated workers or it
-      // frees nobody).
-      if (steered_ ||
-          (clock_.active() > 0 && clock_.min_active() > prev_min))
+      // clock <= round + staleness.
+      if (clock_.active() > 0 && clock_.min_active() > prev_min)
         broadcast_params();
-      steered_ = false;
       break;
   }
 }
@@ -330,11 +301,8 @@ bool PsgdWorker::drain() {
       finished_ = true;
       continue;
     }
-    // offset on a full params frame is the adaptive-staleness bound, not
-    // a placement (psgd.hpp wire mapping) — it is excluded from the
-    // geometry validation and read as data below.
     if (m.kind != net::MsgKind::kValue || m.src != 0 || m.block != 0 ||
-        m.partial || m.value.size() != n) {
+        m.partial || m.offset != 0 || m.value.size() != n) {
       ++frames_rejected_;
       obs::record(obs::EventType::kFrameReject,
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
@@ -344,9 +312,6 @@ bool PsgdWorker::drain() {
     if (m.tag > param_version_) {
       param_version_ = m.tag;
       std::copy(m.value.begin(), m.value.end(), x_.begin());
-      // The bound rides the version, not the round: a steering raise is
-      // re-broadcast with a fresh version but an unchanged round.
-      steered_bound_ = m.offset;
     }
     if (m.round > server_round_) server_round_ = m.round;
   }
@@ -359,16 +324,9 @@ bool PsgdWorker::admissible() const {
     case Discipline::kBsp:
       // Step c needs the round-c parameters (== x after round c-1).
       return server_round_ >= steps_;
-    case Discipline::kSsp: {
-      // The bounded-staleness rule on the last published min clock. With
-      // steering the gate follows the newest published bound; until the
-      // first steered frame arrives the static option applies.
-      const SgdOptions& sgd = ctx_.options->sgd;
-      const std::uint64_t bound = sgd.adaptive.enabled && steered_bound_ > 0
-                                      ? steered_bound_
-                                      : sgd.staleness;
-      return steps_ <= server_round_ + bound;
-    }
+    case Discipline::kSsp:
+      // The bounded-staleness rule on the last published min clock.
+      return steps_ <= server_round_ + ctx_.options->sgd.staleness;
     case Discipline::kTap:
       // No clock gate; flow control only (kTapWindow).
       return unanswered_ < kTapWindow;

@@ -15,22 +15,20 @@
 //   server -> worker   params: kValue, partial=false, full model
 //                      payload, round = server round (min active worker
 //                      clock — the SSP gate value), tag = parameter
-//                      version (newest-wins at the worker), offset = the
-//                      live adaptive-staleness bound (0 when steering is
-//                      off — offset has no placement meaning on a full
-//                      model frame, so the field is free to carry it).
+//                      version (newest-wins at the worker), offset = 0
+//                      (a worker rejects any other offset).
 //                      Sent at the end of a server drain, never per
 //                      delta: kBsp to every live worker once a round
 //                      applies, kSsp to every live worker when the min
-//                      clock advanced or steering moved the bound, kTap
-//                      once to each live worker that had a delta folded
-//                      in the drain (the newest version, so a TAP worker
-//                      does not see every version). A kTap reply the
-//                      link dropped is sent again after the next drain:
-//                      a TAP worker stops at PsgdWorker::kTapWindow
-//                      deltas sent since its last params frame, and every
-//                      fabric reports a dropped frame in its SendReceipt,
-//                      so the deltas it counts all reach the server.
+//                      clock advanced, kTap once to each live worker
+//                      that had a delta folded in the drain (the newest
+//                      version, so a TAP worker does not see every
+//                      version). A kTap reply the link dropped is sent
+//                      again after the next drain: a TAP worker stops at
+//                      PsgdWorker::kTapWindow deltas sent since its last
+//                      params frame, and every fabric reports a dropped
+//                      frame in its SendReceipt, so the deltas it counts
+//                      all reach the server.
 //   either direction   kStop:  empty control frame; a worker announces
 //                      budget exhaustion, the server announces
 //                      target-accuracy / wall-budget termination.
@@ -42,11 +40,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "asyncit/obs/metrics.hpp"
-#include "asyncit/obs/steering.hpp"
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/train/sgd.hpp"
@@ -90,14 +86,6 @@ class PsgdServer {
   bool target_reached() const { return target_reached_; }
   double last_loss() const { return last_loss_; }
   double last_accuracy() const { return last_accuracy_; }
-  std::uint64_t steering_decisions() const {
-    return steer_ ? steer_->decisions() : 0;
-  }
-  /// Current SSP bound: the controller's when steering, the static
-  /// option otherwise (kBsp reports its effective 0).
-  std::uint64_t staleness_bound() const {
-    return steer_ ? steer_->bound() : clock_.staleness();
-  }
 
  private:
   double now() const { return ctx_.clock->seconds(); }
@@ -121,12 +109,6 @@ class PsgdServer {
   la::Vector x_;
   la::Vector margins_;  ///< eval scratch, one margin per dataset row
   SspClock clock_;  ///< per-worker completed-step clocks (all disciplines)
-  /// Adaptive staleness (kSsp + sgd.adaptive.enabled): decisions re-point
-  /// clock_ and are pushed to the workers via the params-frame offset.
-  std::unique_ptr<obs::StalenessController> steer_;
-  std::uint64_t steer_gap_max_ = 0;  ///< window max of arrival clock gaps
-  std::uint64_t steer_window_ = 0;   ///< deltas folded since last decision
-  bool steered_ = false;  ///< a decision moved the bound in this drain
 
   // BSP barrier: one buffered delta per worker per round, applied in
   // rank order with factorDelta = 1/W (bit-reproducible averaging).
@@ -186,9 +168,6 @@ class PsgdWorker {
   }
   std::uint64_t step_budget() const { return step_budget_; }
   std::uint64_t frames_rejected() const { return frames_rejected_; }
-  /// Newest adaptive-staleness bound a params frame carried (0 until the
-  /// server publishes one; stays 0 with steering off).
-  std::uint64_t steered_bound() const { return steered_bound_; }
   /// The server's stop frame (not a local budget) ended this worker.
   bool stopped_by_server() const { return stopped_by_server_; }
 
@@ -216,7 +195,6 @@ class PsgdWorker {
   std::uint64_t unanswered_ = 0;     ///< deltas that left since params
   std::uint64_t server_round_ = 0;   ///< newest published round seen
   std::uint64_t param_version_ = 0;  ///< newest published version seen
-  std::uint64_t steered_bound_ = 0;  ///< newest steered bound seen
   std::uint64_t frames_rejected_ = 0;
   obs::Counter* m_steps_ = nullptr;  ///< cached registry handle
 };

@@ -101,13 +101,6 @@ class SspClock {
     return clock <= min_active() + staleness_;
   }
 
-  std::uint64_t staleness() const { return staleness_; }
-
-  /// Adaptive steering (obs/steering.hpp): the server re-points the bound
-  /// at a StalenessController decision. Monotone per decision, not over
-  /// time — lowers are legal and gate future admissions only.
-  void set_staleness(std::uint64_t staleness) { staleness_ = staleness; }
-
  private:
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint8_t> active_;

@@ -134,8 +134,6 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
     result.examples_processed = server.examples_processed();
     result.peers_stopped = server.workers_stopped();
     result.frames_rejected = server.frames_rejected();
-    result.steering_decisions = server.steering_decisions();
-    result.staleness_at_exit = server.staleness_bound();
     // rounds() is the high-water min worker clock, so the threaded-run
     // epoch definition (slowest worker's completed passes) carries over.
     result.epochs = epochs_of(server.rounds(), options.sgd.batch_size,
@@ -156,7 +154,6 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
     result.steps_per_worker.push_back(worker.steps());
     result.examples_processed = worker.examples_processed();
     result.frames_rejected = worker.frames_rejected();
-    result.staleness_at_exit = worker.steered_bound();
     result.epochs = epochs_of(worker.steps(), options.sgd.batch_size,
                               data.shard(rank - 1, W).size());
   }

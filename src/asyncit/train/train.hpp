@@ -53,12 +53,6 @@ struct SgdOptions {
   std::size_t batch_size = 16;
   /// SSP clock-gap bound in steps (kSsp only; kBsp behaves as 0).
   std::uint64_t staleness = 2;
-  /// Auditor-fed adaptive staleness (kSsp only; obs/steering.hpp): the
-  /// server steers the SspClock bound from the measured clock gap of
-  /// arriving deltas; `staleness` becomes the initial bound, and
-  /// published params frames carry the live bound to the workers'
-  /// self-gate (wire mapping in train/psgd.hpp).
-  obs::SteeringOptions adaptive;
 
   /// Per-worker step budget in epochs: each worker runs
   /// ceil(max_epochs * shard_rows / batch_size) minibatch steps.
@@ -135,15 +129,6 @@ struct TrainResult {
 
   std::uint64_t obs_events_recorded = 0;
   std::uint64_t obs_events_dropped = 0;
-
-  /// Adaptive-staleness steering (SgdOptions::adaptive): decisions taken
-  /// by the server's controller (traced as kSteering) and the bound at
-  /// exit. The server rank and the merged run report the controller's
-  /// view; worker ranks report the newest bound a params frame carried
-  /// to them (0 until one arrives). With steering off, decisions is 0
-  /// and the server's exit bound is sgd.staleness.
-  std::uint64_t steering_decisions = 0;
-  std::uint64_t staleness_at_exit = 0;
 };
 
 /// Threaded training over the seeded in-process backend

@@ -57,10 +57,7 @@ TEST(NodeConfig, SolveOptionsCarryEverySolveKey) {
                         "tol 1e-6\nmax_seconds 9\nmax_updates 1234\n"
                         "check_every 4\nwire_delta 1\nwire_topk 12\n"
                         "wire_quant_bits 8\nwire_refresh_every 5\n"
-                        "trace full\naudit 1\nadaptive 1\nadaptive_min 2\n"
-                        "adaptive_max 6\nadaptive_gain 0.5\n"
-                        "adaptive_hold 4\nadaptive_every 16\n"
-                        "ping_period 0.07\n",
+                        "trace full\naudit 1\nping_period 0.07\n",
                     cfg, error))
       << error;
   const MpOptions opt = solve_options(cfg);
@@ -82,12 +79,6 @@ TEST(NodeConfig, SolveOptionsCarryEverySolveKey) {
   EXPECT_EQ(opt.wire.refresh_every, 5u);
   EXPECT_EQ(opt.obs.trace_level, obs::TraceLevel::kFull);
   EXPECT_TRUE(opt.obs.audit);
-  EXPECT_TRUE(opt.solve.adaptive.enabled);
-  EXPECT_EQ(opt.solve.adaptive.min_bound, 2u);
-  EXPECT_EQ(opt.solve.adaptive.max_bound, 6u);
-  EXPECT_DOUBLE_EQ(opt.solve.adaptive.gain, 0.5);
-  EXPECT_EQ(opt.solve.adaptive.hold, 4u);
-  EXPECT_EQ(opt.solve.adaptive.decide_every, 16u);
   EXPECT_DOUBLE_EQ(opt.membership.ping_period, 0.07);
   EXPECT_FALSE(opt.membership.enabled);
 
@@ -138,12 +129,6 @@ TEST(NodeConfig, EveryValidationRuleFailsWithItsMessage) {
       {kTcp + "membership 1\nmode ssp\n",
        "membership requires mode async (elastic ranks would deadlock a "
        "gated round structure)"},
-      {kTcp + "adaptive 1\nadaptive_min 0\n",
-       "adaptive bounds need 1 <= adaptive_min <= adaptive_max"},
-      {kTcp + "adaptive 1\nadaptive_min 4\nadaptive_max 2\n",
-       "adaptive bounds need 1 <= adaptive_min <= adaptive_max"},
-      {kTcp + "adaptive 1\nadaptive_hold 0\n",
-       "adaptive_hold and adaptive_every must be >= 1"},
       {kTcp + "wire_delta 1\nwire_quant_bits 4\n",
        "wire_quant_bits must be 0, 8, or 16"},
       {kTcp + "wire_refresh_every 0\n", "wire_refresh_every must be >= 1"},

@@ -447,7 +447,7 @@ TEST(TraceStreamer, WindowsStitchBitConsistentWithSingleExitDump) {
     for (std::uint64_t i = 0; i < 7; ++i) {
       obs::record(obs::EventType::kBlockUpdate, 0,
                   static_cast<std::uint32_t>(i), k * 7 + i, 0.001);
-      obs::record(obs::EventType::kSteering, 1,
+      obs::record(obs::EventType::kTrainStep, 1,
                   static_cast<std::uint32_t>(k), k * 7 + i, double(i));
     }
   };

@@ -4,10 +4,10 @@
 // delta-frame wire round trip, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
 // synthetic logistic set, the TAP server's per-drain publication and
-// evaluation, the TAP worker's window and the resent dropped reply, the
-// per-rank run_training_node entry, the
-// worker's batch-size check, and thread mode: its merge of the W + 1
-// rank results, and rethrowing a role's fault.
+// evaluation, the TAP worker's window and the resent dropped reply, its
+// rejection of a misplaced params frame, the per-rank run_training_node
+// entry, the worker's batch-size check, and thread mode: its merge of the
+// W + 1 rank results, and rethrowing a role's fault.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -543,6 +543,57 @@ TEST(TrainTap, WorkerWaitsAtItsWindowAndADroppedReplyIsResent) {
   server.pump();
   EXPECT_TRUE(worker.pump());
   EXPECT_EQ(worker.steps(), kWindow + 11);
+}
+
+TEST(TrainTap, WorkerRejectsAParamsFrameAtANonzeroOffset) {
+  // A params frame carries the full model at offset 0 (train/psgd.hpp
+  // wire mapping); at any other offset it is a misfit, rejected like any
+  // other, and no reply to the deltas in flight. The worker waits at its
+  // window and a hand-driven rank 0 sends the frames. A zero learning
+  // rate keeps the worker's own steps off its model, so the model shows
+  // exactly what the frames did.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.workers = 1;
+  options.sgd.learning_rate = 0.0;
+  options.sgd.max_epochs = 1000000;
+  options.sgd.max_seconds = 1e9;
+  options.sgd.target_accuracy = 0.0;
+  WallTimer timer;
+  train::PsgdContext ctx;
+  ctx.data = &data;
+  ctx.options = &options;
+  ctx.clock = &timer;
+  const la::Vector x0 = la::zeros(data.features());
+  constexpr std::uint64_t kWindow = train::PsgdWorker::kTapWindow;
+
+  transport::InprocTransport tx(2, net::DeliveryPolicy{}, options.seed);
+  train::PsgdWorker worker(ctx, 0, x0, tx.endpoint(1));
+  for (std::uint64_t i = 0; i < kWindow; ++i) worker.pump();
+  EXPECT_FALSE(worker.pump());
+  ASSERT_EQ(worker.steps(), kWindow);
+
+  la::Vector params(data.features());
+  for (std::size_t i = 0; i < params.size(); ++i) params[i] = 1.0 + i;
+  transport::MessageHeader h;
+  h.block = 0;
+  h.tag = 1;
+  h.offset = 3;
+  tx.endpoint(0).send(1, h, params, timer.seconds(), /*allow_drop=*/false);
+  EXPECT_TRUE(worker.pump());
+  EXPECT_EQ(worker.frames_rejected(), 1u);
+  EXPECT_EQ(worker.steps(), kWindow);  // still waiting for a reply
+  EXPECT_EQ(worker.model(), x0);
+
+  // The same frame at offset 0 is applied: version 1 is still new to
+  // the worker, and the reply frees it for one more step.
+  h.offset = 0;
+  tx.endpoint(0).send(1, h, params, timer.seconds(), /*allow_drop=*/false);
+  EXPECT_TRUE(worker.pump());
+  EXPECT_EQ(worker.frames_rejected(), 1u);
+  EXPECT_EQ(worker.steps(), kWindow + 1);
+  EXPECT_EQ(worker.model(), params);
 }
 
 TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {

@@ -33,12 +33,13 @@
 //           worker ranks report -1 for both.
 //
 // Output: one `ASYNCIT_NODE_JSON {...}` line per rank (schema
-// asyncit-node/3), the machine-readable contract launch_cluster.py
-// aggregates and asserts on. /3 adds to the /2 fields:
+// asyncit-node/4), the machine-readable contract launch_cluster.py
+// aggregates and asserts on. /3 added to the /2 fields:
 //   workload  "solve" | "train"
 //   train     {epoch, examples_per_sec, loss, accuracy, steps,
 //             deltas_applied, examples} — null for solve-only ranks;
 //             loss and accuracy are -1 on worker ranks
+// and /4 drops /3's `steering` object.
 // Solve-specific fields (error, inversions, membership, links, ...)
 // keep their /2 meaning and are simply absent from train-workload
 // lines. The ASYNCIT_NODE_START marker carries
@@ -231,7 +232,7 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
     audit_json = ab;
   }
   std::printf(
-      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/3\","
+      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/4\","
       "\"workload\":\"solve\",\"rank\":%u,"
       "\"ok\":%s,\"converged\":%s,\"error\":%.17g,\"tol\":%.17g,"
       "\"wall_seconds\":%.6f,\"updates\":%llu,\"rounds\":%llu,"
@@ -251,9 +252,7 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
       "\"frames_heartbeat\":%llu,\"frames_codec\":%llu},"
       "\"delay_quantiles\":%s,\"links\":%s,"
       "\"admissibility\":%s,\"obs\":{\"recorded\":%llu,"
-      "\"dropped\":%llu},\"gate_stalls\":%llu,"
-      "\"steering\":{\"decisions\":%llu,\"staleness_at_exit\":%llu},"
-      "\"train\":null}\n",
+      "\"dropped\":%llu},\"gate_stalls\":%llu,\"train\":null}\n",
       rank, ok ? "true" : "false", result.converged ? "true" : "false",
       result.final_error, cfg.tol, result.wall_seconds,
       static_cast<unsigned long long>(result.total_updates),
@@ -292,9 +291,7 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
       audit_json.c_str(),
       static_cast<unsigned long long>(result.obs_events_recorded),
       static_cast<unsigned long long>(result.obs_events_dropped),
-      static_cast<unsigned long long>(result.gate_stalls),
-      static_cast<unsigned long long>(result.steering_decisions),
-      static_cast<unsigned long long>(result.staleness_at_exit));
+      static_cast<unsigned long long>(result.gate_stalls));
   return ok ? 0 : 1;
 }
 
@@ -345,13 +342,12 @@ int run_train_workload(const net::NodeConfig& cfg, std::uint32_t rank,
         static_cast<unsigned long long>(result.messages_delivered),
         static_cast<unsigned long long>(result.messages_dropped));
   std::printf(
-      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/3\","
+      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/4\","
       "\"workload\":\"train\",\"rank\":%u,\"ok\":%s,\"converged\":%s,"
       "\"wall_seconds\":%.6f,\"updates\":%llu,\"rounds\":%llu,"
       "\"sent\":%llu,\"delivered\":%llu,\"dropped\":%llu,"
       "\"peers_stopped\":%llu,\"frames_rejected\":%llu,"
       "\"bad_frames\":%llu,\"obs\":{\"recorded\":%llu,\"dropped\":%llu},"
-      "\"steering\":{\"decisions\":%llu,\"staleness_at_exit\":%llu},"
       "\"train\":{\"epoch\":%llu,\"examples_per_sec\":%.9g,"
       "\"loss\":%.9g,\"accuracy\":%.9g,\"steps\":%llu,"
       "\"deltas_applied\":%llu,\"examples\":%llu}}\n",
@@ -366,8 +362,6 @@ int run_train_workload(const net::NodeConfig& cfg, std::uint32_t rank,
       static_cast<unsigned long long>(fabric.bad_frames()),
       static_cast<unsigned long long>(result.obs_events_recorded),
       static_cast<unsigned long long>(result.obs_events_dropped),
-      static_cast<unsigned long long>(result.steering_decisions),
-      static_cast<unsigned long long>(result.staleness_at_exit),
       static_cast<unsigned long long>(result.epochs),
       result.examples_per_sec, result.final_loss, result.final_accuracy,
       static_cast<unsigned long long>(steps),

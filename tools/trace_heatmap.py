@@ -3,7 +3,7 @@
 
 Input is the asyncit-cluster JSON scripts/launch_cluster.py aggregates
 (--json-out): every reporting rank's `links` array carries one delay
-histogram per (src, dst) peer link (schema asyncit-node/3, measured at
+histogram per (src, dst) peer link (schema asyncit-node/4, measured at
 the receiver from the sender's send stamp). This tool folds those into
 one world-size matrix per chosen quantile and renders it twice:
 
