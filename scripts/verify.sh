@@ -23,8 +23,8 @@
 # step (e.g. -DCMAKE_CXX_COMPILER_LAUNCHER=ccache).
 #
 # --simd-sweep re-runs the suite once per SIMD dispatch level this host
-# can execute (ASYNCIT_SIMD=scalar always; avx2/avx512 per /proc/cpuinfo
-# on x86-64, neon on aarch64) — the CI ISA-sweep leg, runnable locally.
+# can execute (ASYNCIT_SIMD=scalar always; avx2 per /proc/cpuinfo on
+# x86-64) — the CI ISA-sweep leg, runnable locally.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

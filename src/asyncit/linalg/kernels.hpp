@@ -7,13 +7,11 @@
 // live in one backend per instruction set —
 //
 //   kernels_scalar.hpp   4-way unrolled portable floor (always built)
-//   kernels_avx2.hpp     4-wide AVX2+FMA; CSR indirection via
+//   kernels_avx2.cpp     4-wide AVX2+FMA; CSR indirection via
 //                        broadcast+blend, deliberately NO vgatherdpd
-//   kernels_avx512.hpp   8-wide AVX-512 with masked remainders
-//   kernels_neon.hpp     2-wide aarch64 AdvSIMD
 //
-// — and simd_dispatch.hpp installs exactly one of them at startup
-// (cpuid / getauxval detection, ASYNCIT_SIMD env override). Each wrapper
+// — and simd_dispatch.hpp installs exactly one of them at startup (cpuid
+// detection, ASYNCIT_SIMD env override). Each wrapper
 // below is a single indirect call through the installed table: no per-call
 // branching, no allocation, no re-resolution (pinned by
 // tests/alloc_test.cpp).

@@ -1,12 +1,25 @@
-// The AVX2 backend's definitions — the ONLY object compiled with
-// -mavx2 -mfma (see the per-source properties in CMakeLists.txt), so the
-// vector code cannot leak into TUs that must run on pre-AVX2 hardware.
-// The AVX-512 table also points at the sparse kernels defined here (short
-// CSR rows gain nothing from 512-bit accumulators); keeping these
-// definitions out-of-line in this one ISA-clean TU is what guarantees the
-// avx2 dispatch level never executes an EVEX-encoded instruction — see
-// the header for the COMDAT hazard this avoids.
-#include "asyncit/linalg/kernels_avx2.hpp"
+// AVX2 + FMA dispatch backend: 256-bit (4-wide) double kernels — the
+// ONLY object compiled with -mavx2 -mfma (see the per-source properties in
+// CMakeLists.txt), so the vector code cannot leak into TUs that must run
+// on pre-AVX2 hardware. The object builds on any x86-64 host; the runtime
+// (simd_dispatch.cpp) installs its table only when cpuid reports
+// AVX2+FMA.
+//
+// Implementation shape: multiple independent vector accumulators to break
+// the FP add dependency chain, scalar remainder loops (AVX2 has no cheap
+// lane masking for doubles), and the horizontal reduction at the end is
+// one more summation order, covered by the parity tolerance
+// (kernels_ref.hpp is the oracle).
+//
+// The sparse column indirection deliberately does NOT use vgatherdpd:
+// on the wide installed base of Downfall-mitigated parts (Skylake through
+// Ice Lake server cores, most cloud VMs) the microcoded gather is several
+// times SLOWER than scalar loads. Instead each x lane is fetched with
+// vbroadcastsd (a pure load uop) and lanes are combined with vblendpd
+// (any-port). That construction is never pathological: it ties the scalar
+// backend on narrow cores and wins on wide ones, whatever the microcode.
+#include <cstddef>
+#include <cstdint>
 
 #include "asyncit/linalg/simd_dispatch.hpp"
 
@@ -31,7 +44,7 @@ namespace asyncit::la::simd::avx2 {
 namespace {
 
 /// Four x lanes fetched through the column indices with broadcast loads
-/// and blends — see the header comment for why this beats vgatherdpd.
+/// and blends — see the file comment for why this beats vgatherdpd.
 inline __m256d gather4(const double* x, const std::uint32_t* c) {
   const __m256d v0 = _mm256_broadcast_sd(x + c[0]);
   const __m256d v1 = _mm256_broadcast_sd(x + c[1]);
@@ -48,8 +61,6 @@ inline double hsum(__m256d v) {
   lo = _mm_add_pd(lo, hi);
   return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
 }
-
-}  // namespace
 
 double dot(const double* a, const double* b, std::size_t n) {
   __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
@@ -171,6 +182,7 @@ void jacobi_rows(const std::size_t* row_ptr, const std::uint32_t* cols,
   }
 }
 
+}  // namespace
 }  // namespace asyncit::la::simd::avx2
 
 #if defined(__GNUC__) && !defined(__clang__)

@@ -4,8 +4,8 @@
 //
 // They exist for two reasons:
 //  * tests/kernels_test.cpp pins EVERY dispatch level of the kernel façade
-//    (linalg/simd_dispatch.hpp: scalar/AVX2/AVX-512/NEON) against them on
-//    random inputs — these loops are the semantics ORACLE of the
+//    (linalg/simd_dispatch.hpp: scalar/AVX2) against them on random
+//    inputs — these loops are the semantics ORACLE of the
 //    FP-reassociation contract, and the parity tolerance is the spec; and
 //  * bench/micro_kernels.cpp measures the optimized-vs-naive gap and
 //    records it in BENCH_kernels.json, which scripts/check_bench.py tracks

@@ -92,10 +92,11 @@ class Partition {
   std::shared_ptr<const ReadSets> reads_;
 };
 
-/// Block ownership, shared by the threaded executors (rt::) and the
-/// message-passing runtime (net::), is a rule rather than a table: the
-/// `num_blocks` blocks go to the `workers` owners in order, in near-even
-/// contiguous shares, and earlier workers take the remainder. With
+/// Block ownership, shared by the threaded executors (rt::), the
+/// message-passing runtime (net::) and the discrete-event simulator
+/// (sim/), is a rule rather than a table: the `num_blocks` blocks go to
+/// the `workers` owners in order, in near-even contiguous shares, and
+/// earlier workers take the remainder. With
 /// base = num_blocks / workers and extra = num_blocks % workers, worker w
 /// owns base + 1 blocks if w < extra and base otherwise, starting at
 /// block w * base + min(w, extra). Both directions cost O(1), so no rank

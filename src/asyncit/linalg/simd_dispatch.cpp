@@ -7,13 +7,6 @@
 
 #include "asyncit/linalg/kernels_scalar.hpp"
 
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_ASIMD
-#define HWCAP_ASIMD (1 << 1)
-#endif
-#endif
-
 namespace asyncit::la::simd {
 
 namespace detail {
@@ -31,8 +24,6 @@ const KernelTable* table_for(Level level) {
   switch (level) {
     case Level::kScalar: return scalar_table();
     case Level::kAvx2: return avx2_table();
-    case Level::kAvx512: return avx512_table();
-    case Level::kNeon: return neon_table();
   }
   return nullptr;
 }
@@ -44,26 +35,8 @@ bool cpu_supports(Level level) {
     case Level::kScalar:
       return true;
     case Level::kAvx2:
-    case Level::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
-      if (level == Level::kAvx2)
-        return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-      // F alone is not enough: the backend uses VL mask operations and a
-      // 256-bit FMA sparse path. Every non-Phi AVX-512 part has all of
-      // these.
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Level::kNeon:
-#if defined(__aarch64__)
-#if defined(__linux__)
-      return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
-#else
-      return true;  // AdvSIMD is baseline aarch64
-#endif
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
       return false;
 #endif
@@ -90,8 +63,6 @@ const char* to_string(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
     case Level::kAvx2: return "avx2";
-    case Level::kAvx512: return "avx512";
-    case Level::kNeon: return "neon";
   }
   return "?";
 }
@@ -114,9 +85,7 @@ bool supported(Level level) {
 }
 
 Level best_supported() {
-  for (const Level level : {Level::kAvx512, Level::kAvx2, Level::kNeon})
-    if (supported(level)) return level;
-  return Level::kScalar;
+  return supported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 std::vector<Level> supported_levels() {
@@ -132,8 +101,8 @@ Level dispatch() {
   if (const char* env = std::getenv("ASYNCIT_SIMD")) {
     Level requested;
     // Unknown names and unsupported levels both fall back to the detected
-    // best: a CI matrix can export ASYNCIT_SIMD=avx512 on every runner
-    // and the ones without AVX-512 still run, just at their own best.
+    // best: a CI matrix can export ASYNCIT_SIMD=avx2 on every runner and
+    // the ones without AVX2 still run, just at their own best.
     if (parse_level(env, requested) && supported(requested))
       level = requested;
   }

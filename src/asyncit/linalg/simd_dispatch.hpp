@@ -1,29 +1,28 @@
 // Runtime SIMD dispatch for the hot-path kernels.
 //
 // The level-1 primitives and the fused CSR row kernels exist in one
-// implementation per instruction set (kernels_scalar.hpp, kernels_avx2.hpp,
-// kernels_avx512.hpp, kernels_neon.hpp). This layer picks ONE of them at
-// startup and installs its function pointers in a single global table; the
-// façade in kernels.hpp reads that table with a relaxed atomic pointer
-// load, so the steady state pays one indirect call per kernel — no per-call
-// branching, no allocation, and no re-resolution (pinned by
-// tests/alloc_test.cpp via the resolutions() hook).
+// implementation per instruction set (kernels_scalar.hpp,
+// kernels_avx2.cpp). This layer picks ONE of them at startup and installs
+// its function pointers in a single global table; the façade in
+// kernels.hpp reads that table with a relaxed atomic pointer load, so the
+// steady state pays one indirect call per kernel — no per-call branching,
+// no allocation, and no re-resolution (pinned by tests/alloc_test.cpp via
+// the resolutions() hook).
 //
 // Selection order (dispatch()):
-//   1. The ASYNCIT_SIMD environment variable, when set to
-//      scalar|avx2|avx512|neon AND that level is supported on this host.
-//      An unknown value or an unsupported level falls back cleanly to the
-//      auto-detected best — a test matrix can force every level on every
-//      runner without per-ISA job conditions.
-//   2. Otherwise the best supported level: avx512 > avx2 > scalar on
-//      x86-64 (cpuid via __builtin_cpu_supports; avx512 requires F+VL,
-//      avx2 requires AVX2+FMA), neon > scalar on aarch64
-//      (getauxval(AT_HWCAP) & HWCAP_ASIMD), scalar everywhere else.
+//   1. The ASYNCIT_SIMD environment variable, when set to scalar|avx2 AND
+//      that level is supported on this host. An unknown value or an
+//      unsupported level falls back cleanly to the auto-detected best — a
+//      test matrix can force every level on every runner without per-ISA
+//      job conditions.
+//   2. Otherwise the best supported level: avx2 > scalar on x86-64 (cpuid
+//      via __builtin_cpu_supports; avx2 requires AVX2+FMA), scalar
+//      everywhere else.
 //
-// Per-ISA objects are compiled with per-TU flags (see CMakeLists.txt), so
-// the AVX-512 backend BUILDS on any x86-64 host and only RUNS when cpuid
-// says it may; a backend that is not compiled in reports a null table and
-// is simply not supported at runtime.
+// The AVX2 object is compiled with per-TU flags (see CMakeLists.txt), so
+// it BUILDS on any x86-64 host and only RUNS when cpuid says it may; a
+// backend that is not compiled in reports a null table and is simply not
+// supported at runtime.
 //
 // FP-reassociation contract: every backend is a valid summation order for
 // the same mathematical expression. kernels_ref.hpp remains the semantics
@@ -38,8 +37,8 @@
 
 namespace asyncit::la::simd {
 
-enum class Level : std::uint8_t { kScalar = 0, kAvx2, kAvx512, kNeon };
-inline constexpr std::size_t kNumLevels = 4;
+enum class Level : std::uint8_t { kScalar = 0, kAvx2 };
+inline constexpr std::size_t kNumLevels = 2;
 
 /// Stable lowercase names, also the ASYNCIT_SIMD vocabulary.
 const char* to_string(Level level);
@@ -77,13 +76,11 @@ struct KernelTable {
                       std::size_t end, const double* x, double* out);
 };
 
-/// Backend tables. scalar_table() is always non-null; the others are null
-/// when their TU was compiled on a foreign architecture (the runtime
-/// additionally gates on cpuid/hwcaps before installing them).
+/// Backend tables. scalar_table() is always non-null; avx2_table() is null
+/// when its TU was compiled on a foreign architecture (the runtime
+/// additionally gates on cpuid before installing it).
 const KernelTable* scalar_table();
 const KernelTable* avx2_table();
-const KernelTable* avx512_table();
-const KernelTable* neon_table();
 
 /// Compiled in AND executable on this host.
 bool supported(Level level);

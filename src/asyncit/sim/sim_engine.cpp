@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "asyncit/linalg/partition.hpp"
 #include "asyncit/support/check.hpp"
 
 namespace asyncit::sim {
@@ -108,24 +109,12 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
 
   // --- ownership: contiguous, near-even block split ---
   std::vector<ProcessorState> ps(procs);
-  std::vector<std::uint32_t> owner(m);
-  {
-    const std::size_t base = m / procs, extra = m % procs;
-    la::BlockId b = 0;
-    for (std::size_t p = 0; p < procs; ++p) {
-      const std::size_t count = base + (p < extra ? 1 : 0);
-      for (std::size_t k = 0; k < count; ++k) {
-        ps[p].owned.push_back(b);
-        owner[b] = static_cast<std::uint32_t>(p);
-        ++b;
-      }
-    }
-  }
-  for (auto& p : ps) {
-    p.view = x0;
-    p.view_tag.assign(m, 0);
-    p.phase_labels.assign(m, 0);
-    p.rng = master.split();
+  for (std::size_t p = 0; p < procs; ++p) {
+    ps[p].owned = la::block_share(m, procs, p).blocks();
+    ps[p].view = x0;
+    ps[p].view_tag.assign(m, 0);
+    ps[p].phase_labels.assign(m, 0);
+    ps[p].rng = master.split();
   }
 
   // --- global (true) iterate: latest completed update per block ---
@@ -457,9 +446,8 @@ SyncSimResult run_sync_sim(const op::BlockOperator& op, const la::Vector& x0,
     // processor updates all its blocks once per round; its round work is
     // the sum of owned-phase durations.
     double slowest = 0.0;
-    const std::size_t base = m / procs, extra = m % procs;
     for (std::size_t p = 0; p < procs; ++p) {
-      const std::size_t owned = base + (p < extra ? 1 : 0);
+      const std::size_t owned = la::block_share(m, procs, p).count;
       double work = 0.0;
       for (std::size_t k = 0; k < owned; ++k)
         work += compute[p]->phase_duration((round - 1) * owned + k + 1, rng);

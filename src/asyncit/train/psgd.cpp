@@ -38,10 +38,7 @@ PsgdServer::PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
       endpoint_(&endpoint),
       x_(x0),
       margins_(ctx.data->samples()),
-      clock_(ctx.options->workers,
-             ctx.options->sgd.discipline == Discipline::kBsp
-                 ? 0
-                 : ctx.options->sgd.staleness) {
+      clock_(ctx.options->workers) {
   ASYNCIT_CHECK(endpoint.rank() == 0);
   const std::size_t W = workers();
   const std::size_t n = ctx_.data->features();

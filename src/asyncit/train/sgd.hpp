@@ -1,4 +1,4 @@
-// Minibatch SGD math + the SSP admission clock.
+// Minibatch SGD math + the server's per-worker step clock.
 //
 // Everything here is allocation-free in steady state: the minibatch
 // gradient accumulates into caller-owned scratch (sized once per run),
@@ -56,19 +56,20 @@ struct Eval {
 Eval dataset_eval(const Dataset& data, std::span<const double> x,
                   std::span<double> margins);
 
-/// The SSP bounded-staleness rule on per-worker clocks (yxtj/PSGD's
-/// deltaIter table; the Feyzmahdavian–Johansson bounded-delay setting).
-/// A worker's clock counts COMPLETED steps; the server admits a worker
-/// into step `c` iff c ≤ min_active() + staleness, and broadcasts a new
-/// parameter round exactly when the minimum advances. Workers that leave
-/// (stop frames, crash eviction) are deactivated so they cannot pin the
-/// minimum forever. BSP is the staleness = 0 special case plus the
-/// all-deltas barrier; TAP ignores the rule entirely (Theorem 1 licenses
-/// unbounded delays).
+/// The server's per-worker step clocks (yxtj/PSGD's deltaIter table). A
+/// worker's clock counts COMPLETED steps; the server publishes a new
+/// parameter round exactly when min_active() advances. The server admits
+/// nothing: an SSP worker gates itself on the newest round it received,
+/// taking step `c` only while c ≤ round + staleness
+/// (PsgdWorker::admissible; the Feyzmahdavian–Johansson bounded-delay
+/// setting). Workers that leave (stop frames, crash eviction) are
+/// deactivated so they cannot pin the minimum forever. BSP is the
+/// staleness = 0 special case plus the all-deltas barrier; TAP workers
+/// ignore the rule entirely (Theorem 1 licenses unbounded delays).
 class SspClock {
  public:
-  SspClock(std::size_t workers, std::uint64_t staleness)
-      : completed_(workers, 0), active_(workers, 1), staleness_(staleness) {}
+  explicit SspClock(std::size_t workers)
+      : completed_(workers, 0), active_(workers, 1) {}
 
   /// Monotone: records that worker `w` has completed `completed` steps.
   void advance(std::size_t w, std::uint64_t completed) {
@@ -96,15 +97,9 @@ class SspClock {
     return any ? m : 0;
   }
 
-  /// May a worker whose clock is `clock` start its next step?
-  bool admissible(std::uint64_t clock) const {
-    return clock <= min_active() + staleness_;
-  }
-
  private:
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint8_t> active_;
-  std::uint64_t staleness_;
 };
 
 }  // namespace asyncit::train

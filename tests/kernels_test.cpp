@@ -362,7 +362,7 @@ double abs_sparse_dot(const double* vals, const std::uint32_t* cols,
 class IsaParity : public ::testing::TestWithParam<la::simd::Level> {};
 
 // Sizes below / at / straddling every backend's unroll width (scalar 4,
-// NEON 2x4, AVX2 4x2, AVX-512 8x4) plus non-multiples deep in the loop.
+// AVX2 4x2 and 4x4) plus non-multiples deep in the loop.
 const std::size_t kSweepSizes[] = {0,  1,  2,  3,  4,  5,   7,   8,   9,
                                    15, 16, 17, 31, 32, 33,  63,  64,  65,
                                    100, 127, 128, 129, 1000, 1001};
@@ -623,26 +623,37 @@ TEST_F(DispatchEnv, HonorsOverrideForEverySupportedLevel) {
 }
 
 TEST_F(DispatchEnv, FallsBackCleanlyOnUnsupportedOrGarbage) {
-  // Find a level this host does NOT support (x86 hosts lack neon, arm
-  // hosts lack avx2/avx512; a host supporting all four cannot exist).
-  bool checked = false;
+  // Every level this host lacks, the retired level names and garbage all
+  // land on the detected best.
   for (std::size_t i = 0; i < la::simd::kNumLevels; ++i) {
     const auto level = static_cast<la::simd::Level>(i);
     if (la::simd::supported(level)) continue;
     setenv("ASYNCIT_SIMD", la::simd::to_string(level), 1);
     EXPECT_EQ(la::simd::dispatch(), la::simd::best_supported())
         << "requested unsupported " << la::simd::to_string(level);
-    checked = true;
   }
-  EXPECT_TRUE(checked);
-  setenv("ASYNCIT_SIMD", "pentium-mmx", 1);
-  EXPECT_EQ(la::simd::dispatch(), la::simd::best_supported());
+  for (const char* name : {"avx512", "neon", "pentium-mmx"}) {
+    la::simd::Level parsed = la::simd::Level::kScalar;
+    EXPECT_FALSE(la::simd::parse_level(name, parsed)) << name;
+    la::simd::force(la::simd::Level::kScalar);
+    setenv("ASYNCIT_SIMD", name, 1);
+    EXPECT_EQ(la::simd::dispatch(), la::simd::best_supported()) << name;
+    EXPECT_EQ(la::simd::active_level(), la::simd::best_supported()) << name;
+  }
   unsetenv("ASYNCIT_SIMD");
   EXPECT_EQ(la::simd::dispatch(), la::simd::best_supported());
 }
 
 TEST_F(DispatchEnv, ForceRejectsUnsupportedAndKeepsActiveTable) {
+  // A Level value past the ladder names no table: force() refuses it on
+  // every host, whichever levels the host supports.
   const la::simd::Level before = la::simd::active_level();
+  const auto past_end = static_cast<la::simd::Level>(la::simd::kNumLevels);
+  const std::uint64_t installs = la::simd::resolutions();
+  EXPECT_FALSE(la::simd::supported(past_end));
+  EXPECT_FALSE(la::simd::force(past_end));
+  EXPECT_EQ(la::simd::active_level(), before);
+  EXPECT_EQ(la::simd::resolutions(), installs);
   for (std::size_t i = 0; i < la::simd::kNumLevels; ++i) {
     const auto level = static_cast<la::simd::Level>(i);
     if (la::simd::supported(level)) continue;
@@ -683,9 +694,8 @@ TEST_F(DispatchEnv, RequiredLevelMustBeSupportedNotFallenBackFrom) {
   // loudly. A compiled-in backend the dispatcher refuses on a host whose
   // cpu advertises it IS a regression and fails.
   using Provider = const la::simd::KernelTable* (*)();
-  constexpr Provider kProviders[] = {
-      &la::simd::scalar_table, &la::simd::avx2_table,
-      &la::simd::avx512_table, &la::simd::neon_table};
+  constexpr Provider kProviders[] = {&la::simd::scalar_table,
+                                     &la::simd::avx2_table};
   if (kProviders[static_cast<std::size_t>(level)]() == nullptr)
     GTEST_SKIP() << required
                  << " backend not compiled into this build (toolchain "
@@ -701,11 +711,9 @@ TEST_F(DispatchEnv, RequiredLevelMustBeSupportedNotFallenBackFrom) {
 
 TEST_F(DispatchEnv, EveryRegisteredTableAgreesWithItsLevel) {
   using Table = const la::simd::KernelTable* (*)();
-  const Table providers[] = {&la::simd::scalar_table, &la::simd::avx2_table,
-                             &la::simd::avx512_table, &la::simd::neon_table};
-  const la::simd::Level levels[] = {
-      la::simd::Level::kScalar, la::simd::Level::kAvx2,
-      la::simd::Level::kAvx512, la::simd::Level::kNeon};
+  const Table providers[] = {&la::simd::scalar_table, &la::simd::avx2_table};
+  const la::simd::Level levels[] = {la::simd::Level::kScalar,
+                                    la::simd::Level::kAvx2};
   for (std::size_t i = 0; i < la::simd::kNumLevels; ++i) {
     const la::simd::KernelTable* table = providers[i]();
     if (table == nullptr) {

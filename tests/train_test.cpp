@@ -152,32 +152,26 @@ class FailingTransport final : public transport::Transport {
   FailingEndpoint failing_;
 };
 
-TEST(SspClock, AdmissionBoundOnVirtualSchedule) {
-  train::SspClock clock(/*workers=*/3, /*staleness=*/2);
-  // All clocks at 0: everyone may run steps 0, 1, 2 but not 3.
-  EXPECT_TRUE(clock.admissible(0));
-  EXPECT_TRUE(clock.admissible(2));
-  EXPECT_FALSE(clock.admissible(3));
+TEST(SspClock, MinActiveClockOnVirtualSchedule) {
+  train::SspClock clock(/*workers=*/3);
+  EXPECT_EQ(clock.active(), 3u);
+  EXPECT_EQ(clock.min_active(), 0u);
 
   // Workers 0 and 1 sprint to 5; worker 2 lags at 1 and pins the min.
   clock.advance(0, 5);
   clock.advance(1, 5);
   clock.advance(2, 1);
   EXPECT_EQ(clock.min_active(), 1u);
-  EXPECT_TRUE(clock.admissible(3));
-  EXPECT_FALSE(clock.admissible(4));
 
   // advance() is monotone: a stale report cannot move a clock backward.
   clock.advance(0, 2);
+  clock.advance(2, 0);
   EXPECT_EQ(clock.min_active(), 1u);
 
-  // The straggler leaves: the min jumps to the survivors and previously
-  // gated clocks become admissible.
+  // The straggler leaves: the min jumps to the survivors.
   clock.deactivate(2);
   EXPECT_EQ(clock.active(), 2u);
   EXPECT_EQ(clock.min_active(), 5u);
-  EXPECT_TRUE(clock.admissible(7));
-  EXPECT_FALSE(clock.admissible(8));
 
   // No active workers: min degenerates to 0 (callers keep a high-water
   // mark; see PsgdServer::rounds()).
@@ -594,6 +588,56 @@ TEST(TrainTap, WorkerRejectsAParamsFrameAtANonzeroOffset) {
   EXPECT_EQ(worker.frames_rejected(), 1u);
   EXPECT_EQ(worker.steps(), kWindow + 1);
   EXPECT_EQ(worker.model(), params);
+}
+
+TEST(TrainSsp, WorkerGatesItselfOnThePublishedRound) {
+  // The SSP gate is the worker's own: it takes step c only while
+  // c <= round + staleness, on the newest round a params frame carried.
+  // A hand-driven rank 0 sends those frames, on the harness of
+  // TrainTap.WorkerRejectsAParamsFrameAtANonzeroOffset. Each frame's
+  // version runs ahead of its round, as the server's does, so a gate
+  // that read the version would admit more steps.
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  train::TrainOptions options = base_options(train::Discipline::kSsp);
+  options.workers = 1;
+  options.sgd.staleness = 2;
+  options.sgd.max_epochs = 1000000;
+  options.sgd.max_seconds = 1e9;
+  options.sgd.target_accuracy = 0.0;
+  WallTimer timer;
+  train::PsgdContext ctx;
+  ctx.data = &data;
+  ctx.options = &options;
+  ctx.clock = &timer;
+  const la::Vector x0 = la::zeros(data.features());
+
+  transport::InprocTransport tx(2, net::DeliveryPolicy{}, options.seed);
+  train::PsgdWorker worker(ctx, 0, x0, tx.endpoint(1));
+  // No params frame: round 0 admits steps 0, 1 and 2, and no more.
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(worker.pump());
+  EXPECT_FALSE(worker.pump());
+  EXPECT_EQ(worker.steps(), 3u);
+
+  // Round 1 admits exactly one more step.
+  transport::MessageHeader h;
+  h.block = 0;
+  h.tag = 7;
+  h.round = 1;
+  tx.endpoint(0).send(1, h, x0, timer.seconds(), /*allow_drop=*/false);
+  EXPECT_TRUE(worker.pump());
+  EXPECT_EQ(worker.steps(), 4u);
+  EXPECT_FALSE(worker.pump());
+  EXPECT_EQ(worker.steps(), 4u);
+
+  // A newer version at the same round is applied but admits none.
+  h.tag = 8;
+  tx.endpoint(0).send(1, h, x0, timer.seconds(), /*allow_drop=*/false);
+  EXPECT_TRUE(worker.pump());  // the frame arrived
+  EXPECT_FALSE(worker.pump());
+  EXPECT_EQ(worker.steps(), 4u);
+  EXPECT_EQ(worker.model(), x0);
+  EXPECT_EQ(worker.frames_rejected(), 0u);
 }
 
 TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {
