@@ -24,11 +24,11 @@
 // recorded as deterministic fields and gated with `equals`. After each
 // sweep the process peak RSS (ru_maxrss) is recorded as a measured
 // field; the baseline holds the 1,000- and 10,000-rank ones to a hard
-// max. Memory still grows with world^2 through one array: each rank's
-// dense private iterate x, 8 B per block. Its per-block tags are kept
-// only for the blocks it owns or reads (about four here). A sweep keeps
-// only the first run's witnesses, not its per-rank views, while the
-// second run executes.
+// max. Each rank's private view holds values and tags only for the
+// blocks it owns or reads (about four here), and the whole world shares
+// one dense compute buffer, so memory grows with the world, not its
+// square. A sweep keeps only the first run's witnesses, not its
+// per-rank views, while the second run executes.
 //
 // BENCH_simnet.json via the shared harness; gated by CI perf-smoke
 // against bench/baselines/simnet.json.
@@ -81,9 +81,8 @@ SweepResult sweep(std::size_t world) {
   SweepResult r;
   WallTimer wall;
   r.first = simnet::run_world(jacobi, la::zeros(world), o);
-  // Nothing below reads the per-rank results, and their private views
-  // are world x dim doubles (800 MB at 10,000 ranks): free them before
-  // the second run.
+  // Nothing below reads the per-rank results (a 776 B MpResult plus the
+  // blocks its view kept, per rank): free them before the second run.
   r.first.ranks = {};
   const simnet::WorldResult again =
       simnet::run_world(jacobi, la::zeros(world), o);

@@ -23,7 +23,9 @@
 // parity of both builds hard-gated. picard_reference times the reference
 // solve (op::picard_solve, whose sweep runs on several threads) against
 // the serial loop it replaced, with its sweep count and the bits of its
-// iterate hard-gated.
+// iterate hard-gated. gather_probe sweeps that system's rows with their
+// columns as generated, folded into 256 KB of x, and sequential, to tell
+// a latency bound on x from a bandwidth bound.
 //
 // The *_levels scenarios additionally walk the SIMD dispatch ladder
 // (linalg/simd_dispatch.hpp): each supported level is forced in turn and
@@ -554,6 +556,50 @@ int main() {
                 "picard_reference", t_ref.median_s * 1e3,
                 t_opt.median_s * 1e3, traced.threads(),
                 t_ref.median_s / t_opt.median_s, traced.sweeps());
+
+    // ---------------- gather probe: where jacobi_rows waits ------------
+    // The same rows and values swept by the active kernel level on one
+    // thread, three ways: as generated (off-diagonal columns spread over
+    // x's 2 MB), with every off-diagonal column folded into x's low
+    // 32,768 coordinates (256 KB, which L2 holds), and with sequential
+    // columns (row r reads r+1, r+2, ...). Only where x is read changes,
+    // so the spread between the three says whether the sweep waits on
+    // misses on x or on bandwidth. Timings carry no floor.
+    const auto row_ptr = sys.a.row_ptr();
+    const auto cols = sys.a.col_idx();
+    std::vector<std::uint32_t> folded(cols.begin(), cols.end());
+    std::vector<std::uint32_t> sequential(cols.begin(), cols.end());
+    for (std::size_t r = 0; r < n; ++r) {
+      std::size_t j = 0;
+      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        if (cols[k] == r) continue;  // the diagonal stays where it is
+        folded[k] = cols[k] % 32768;
+        sequential[k] = static_cast<std::uint32_t>((r + 1 + j++) % n);
+      }
+    }
+    const la::Vector xg = seeded_vector(n, 92);
+    const la::Vector diag = sys.a.diagonal();
+    la::Vector inv_diag(n), out(n);
+    for (std::size_t i = 0; i < n; ++i) inv_diag[i] = 1.0 / diag[i];
+    auto ns_per_nnz = [&](const char* name, std::span<const std::uint32_t> c,
+                          bench::Scenario& scenario) {
+      const auto t = bench::measure(2, 11, 1, [&] {
+        la::kern::jacobi_rows(row_ptr.data(), c.data(), sys.a.values().data(),
+                              sys.b.data(), inv_diag.data(), 0, n, xg.data(),
+                              out.data());
+      });
+      const double ns = t.median_s * 1e9 / double(sys.a.nnz());
+      scenario.timing(name, t).metric(std::string("ns_per_nnz_") + name, ns);
+      return ns;
+    };
+    bench::Scenario& gather = report.scenario("gather_probe");
+    gather.det("n", n).det("nnz", sys.a.nnz());
+    const double ns_generated = ns_per_nnz("generated", cols, gather);
+    const double ns_folded = ns_per_nnz("folded", folded, gather);
+    const double ns_sequential = ns_per_nnz("sequential", sequential, gather);
+    std::printf("%-16s jacobi_rows ns/nnz: generated %.2f  folded to 256 KB "
+                "%.2f  sequential %.2f\n",
+                "gather_probe", ns_generated, ns_folded, ns_sequential);
   }
 
   // ---------------- the SIMD dispatch ladder ---------------------------

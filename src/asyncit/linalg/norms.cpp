@@ -10,10 +10,14 @@ namespace asyncit::la {
 double block_distance(const Partition& partition, std::span<const double> x,
                       std::span<const double> y, BlockId b) {
   ASYNCIT_CHECK(x.size() == y.size());
-  const BlockRange r = partition.range(b);
+  return block_distance(partition.block_span(x, b), partition.block_span(y, b));
+}
+
+double block_distance(std::span<const double> xb, std::span<const double> yb) {
+  ASYNCIT_CHECK(xb.size() == yb.size());
   double s = 0.0;
-  for (std::size_t c = r.begin; c < r.end; ++c) {
-    const double d = x[c] - y[c];
+  for (std::size_t c = 0; c < xb.size(); ++c) {
+    const double d = xb[c] - yb[c];
     s += d * d;
   }
   return std::sqrt(s);

@@ -21,6 +21,9 @@ namespace asyncit::la {
 /// unit-weight block distance, which WeightedMaxNorm divides by u_b.
 double block_distance(const Partition& partition, std::span<const double> x,
                       std::span<const double> y, BlockId b);
+/// The same distance between two equal-length blocks given as spans,
+/// summed in the same order (so the same bits).
+double block_distance(std::span<const double> xb, std::span<const double> yb);
 
 class WeightedMaxNorm {
  public:

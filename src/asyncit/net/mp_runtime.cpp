@@ -51,6 +51,21 @@ void accumulate(MpResult& into, const MpResult& rank) {
 
 }  // namespace
 
+std::span<const double> block_of(const MpResult& result,
+                                 const la::Partition& partition,
+                                 la::BlockId b) {
+  if (result.x_blocks.empty())
+    return partition.block_span(std::span<const double>(result.x), b);
+  const auto it =
+      std::lower_bound(result.x_blocks.begin(), result.x_blocks.end(), b);
+  ASYNCIT_CHECK(it != result.x_blocks.end() && *it == b);
+  std::size_t offset = 0;
+  for (auto c = result.x_blocks.begin(); c != it; ++c)
+    offset += partition.range(*c).size();
+  return std::span<const double>(result.x).subspan(offset,
+                                                   partition.range(b).size());
+}
+
 MpResult run_message_passing(const op::BlockOperator& op,
                              const la::Vector& x0,
                              const MpOptions& options) {
@@ -107,16 +122,24 @@ MpResult run_message_passing(const op::BlockOperator& op,
 
   // The iterate: every block from the private view of the rank that
   // owned it at exit. Ranks are taken in stop order on top of the first
-  // leaver's view, so a block an elastic rank adopted from an earlier
-  // leaver comes from its adopter.
+  // leaver's view, or of x0 where that view is compact, so a block an
+  // elastic rank adopted from an earlier leaver comes from its adopter.
+  // (Under static membership every block has an owner at exit, so no
+  // block of x0 survives.)
   std::vector<std::size_t> order(peers_n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return ranks[a].wall_seconds < ranks[b].wall_seconds;
                    });
-  result.x = std::move(ranks[order.front()].x);
-  for (const std::size_t p : std::span(order).subspan(1)) {
+  // An if, not `?:`: with the const x0 as one operand, `?:` yields a
+  // const copy of the moved view, which the assignment copies again.
+  const bool whole = ranks[order.front()].x_blocks.empty();
+  if (whole)
+    result.x = std::move(ranks[order.front()].x);
+  else
+    result.x = x0;
+  for (const std::size_t p : std::span(order).subspan(whole ? 1 : 0)) {
     const auto rank = static_cast<std::uint32_t>(p);
     const std::vector<la::BlockId> exit_owned =
         options.membership.enabled
@@ -124,8 +147,7 @@ MpResult run_message_passing(const op::BlockOperator& op,
                             static_cast<std::uint32_t>(peers_n))
             : la::block_share(m, peers_n, p).blocks();
     for (const la::BlockId b : exit_owned) {
-      const auto src =
-          partition.block_span(std::span<const double>(ranks[p].x), b);
+      const std::span<const double> src = block_of(ranks[p], partition, b);
       std::copy(src.begin(), src.end(),
                 partition.block_span(std::span<double>(result.x), b).begin());
     }

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "asyncit/linalg/norms.hpp"
@@ -180,7 +181,15 @@ struct MpOptions {
 };
 
 struct MpResult {
+  /// The iterate. run_message_passing: the whole iterate, each block from
+  /// the rank that owned it at exit. run_node: what the rank's view held
+  /// at exit, the whole iterate or, where the view is compact, only the
+  /// blocks in x_blocks, concatenated in ascending block order. Read one
+  /// block of either through block_of().
   la::Vector x;
+  /// The blocks x holds, ascending, when it holds only some; empty when x
+  /// is the whole iterate.
+  std::vector<la::BlockId> x_blocks;
   double wall_seconds = 0.0;
   bool converged = false;
   double final_error = -1.0;  ///< oracle error (when x_star given)
@@ -269,6 +278,11 @@ struct MpResult {
   /// the cost a tighter `staleness` bound pays under stragglers.
   std::uint64_t gate_stalls = 0;
 };
+
+/// Block b of a result's iterate, which must hold it.
+std::span<const double> block_of(const MpResult& result,
+                                 const la::Partition& partition,
+                                 la::BlockId b);
 
 /// Runs P = options.workers ranks, one thread each, until every rank has
 /// stopped (its criterion, its budget, or a peer's stop in the gated

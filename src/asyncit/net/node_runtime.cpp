@@ -101,6 +101,8 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
     result.final_error = peer.oracle_error();
     result.converged = result.final_error < options.solve.tol;
   }
+  const std::span<const la::BlockId> kept = peer.view().compact_blocks();
+  result.x_blocks.assign(kept.begin(), kept.end());
   result.x = peer.release_iterate();  // current for owned and read blocks
   return result;
 }

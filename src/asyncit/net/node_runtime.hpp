@@ -54,7 +54,8 @@ namespace asyncit::net {
 /// Runs the endpoint's rank of a world of options.workers ranks until
 /// its own stopping criterion, a received stop, or budget exhaustion.
 /// MpResult.x is the rank's private iterate, current only for the blocks
-/// it owns or reads (see net/peer.hpp); final_error and converged cover
+/// it owns or reads, and holding only those where its view is compact
+/// (MpResult::x_blocks; see net/peer.hpp); final_error and converged cover
 /// the blocks its stop rule checks. Message statistics cover this rank's
 /// endpoint only.
 MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,

@@ -32,15 +32,45 @@ bool fits_view(const la::Partition& partition, const LocalView& view,
   return m.partial || (m.offset == 0 && m.value.size() == size);
 }
 
+/// This OS thread's dense compute buffer, at least `dim` long: the
+/// operator's input for a rank whose view is compact. Every such rank on
+/// the thread shares it (a simnet world runs all its ranks on one), so a
+/// rank fills what its update reads right before each application. The
+/// read-set contract makes the rest of the buffer, left by other ranks
+/// or other worlds, irrelevant: block b's rows read only reads(b).
+std::span<double> compute_buffer(std::size_t dim) {
+  thread_local la::Vector buffer;
+  if (buffer.size() < dim) buffer.resize(dim);
+  return std::span<double>(buffer).first(dim);
+}
+
 }  // namespace
 
-LocalView::LocalView(const la::Vector& x0, std::size_t num_blocks,
-                     std::vector<la::BlockId> kept)
-    : x(x0) {
+LocalView::LocalView(const la::Partition& partition, const la::Vector& x0,
+                     std::vector<la::BlockId> kept) {
+  const std::size_t num_blocks = partition.num_blocks();
+  ASYNCIT_CHECK(x0.size() == partition.dim());
   for (std::size_t i = 0; i < kept.size(); ++i)
     ASYNCIT_CHECK(kept[i] < num_blocks && (i == 0 || kept[i - 1] < kept[i]));
   if (kept.size() == num_blocks) kept.clear();
-  blocks_.resize(kept.empty() ? num_blocks : kept.size());
+  if (kept.empty()) {
+    x = x0;
+    blocks_.resize(num_blocks);
+    for (la::BlockId b = 0; b < num_blocks; ++b)
+      blocks_[b].offset = partition.range(b).begin;
+  } else {
+    blocks_.resize(kept.size());
+    std::size_t size = 0;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      blocks_[i].offset = size;
+      size += partition.range(kept[i]).size();
+    }
+    x.reserve(size);
+    for (const la::BlockId b : kept) {
+      const auto src = partition.block_span(std::span<const double>(x0), b);
+      x.insert(x.end(), src.begin(), src.end());
+    }
+  }
   ids_ = std::move(kept);
 }
 
@@ -48,8 +78,8 @@ bool incorporate(const la::Partition& partition, OverwritePolicy policy,
                  const Message& m, LocalView& view) {
   BlockTags* const tags = view.find(m.block);
   if (tags == nullptr) return false;
-  auto dst = partition.block_span(std::span<double>(view.x), m.block);
-  ASYNCIT_CHECK(m.offset + m.value.size() <= dst.size());
+  const std::span<double> dst = view.block(m.block);
+  ASYNCIT_CHECK(m.offset + m.value.size() <= partition.range(m.block).size());
   if (m.tag < tags->max_tag) ++view.inversions;
   tags->max_tag = std::max(tags->max_tag, m.tag);
   if (m.tag <= tags->final_tag) {
@@ -69,8 +99,9 @@ bool apply_final(const la::Partition& partition, const Message& m,
                  LocalView& view) {
   BlockTags* const tags = view.find(m.block);
   if (tags == nullptr) return false;
-  auto dst = partition.block_span(std::span<double>(view.x), m.block);
-  ASYNCIT_CHECK(m.offset == 0 && m.value.size() == dst.size());
+  const std::span<double> dst = view.block(m.block);
+  ASYNCIT_CHECK(m.offset == 0 &&
+                m.value.size() == partition.range(m.block).size());
   tags->final_tag = std::max(tags->final_tag, m.tag);
   tags->max_tag = std::max(tags->max_tag, m.tag);
   if (m.tag < tags->tag) return false;
@@ -107,17 +138,29 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
     audit_pending_.assign(m, 0);
     audit_updated_.reserve(m);
   }
-  const std::size_t num_blocks = ctx_.op->partition().num_blocks();
+  const la::Partition& partition = ctx_.op->partition();
   if (ctx_.membership != nullptr) {
     // Elastic ranks only make sense in the totally asynchronous regime:
     // SSP/BSP round gates would wait forever for a rank that left.
     ASYNCIT_CHECK(ctx_.options->solve.mode == Mode::kAsync);
     owned_epoch_ = ctx_.membership->table().epoch();
     recompute_owned();
-    view_ = LocalView(x0, num_blocks);  // any rank may adopt any block
-  } else {
-    owned_ = la::block_share(num_blocks, ctx_.options->workers, id_).blocks();
-    view_ = LocalView(x0, num_blocks, plan_publication());
+    view_ = LocalView(partition, x0);  // any rank may adopt any block
+    return;
+  }
+  owned_ = la::block_share(partition.num_blocks(), ctx_.options->workers, id_)
+               .blocks();
+  view_ = LocalView(partition, x0, plan_publication());
+  if (view_.compact_blocks().empty()) return;
+  // Where each owned block's reads sit in the compact view and in the
+  // compute buffer.
+  for (const la::BlockId b : owned_) {
+    const std::size_t first = gathers_.size();
+    for (const la::BlockId c : partition.reads(b)) {
+      const la::BlockRange r = partition.range(c);
+      gathers_.push_back({view_.at(c).offset, r.begin, r.size()});
+    }
+    gather_range_.emplace_back(first, gathers_.size());
   }
 }
 
@@ -338,7 +381,6 @@ Peer::DeltaSlot& Peer::delta_slot(std::uint32_t dst, la::BlockId b) {
 }
 
 void Peer::send_block(la::BlockId b, bool partial) {
-  const la::Partition& partition = ctx_.op->partition();
   // The next tag beats everything we have SEEN for the block, our own
   // sends included (max_tag only grows): after an elastic re-assignment
   // the new owner continues the previous owner's sequence, so
@@ -347,8 +389,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
   const model::Step tag = tags.max_tag + 1;
   tags.tag = tag;
   tags.max_tag = tag;
-  const auto value =
-      partition.block_span(std::span<const double>(view_.x), b);
+  const std::span<const double> value = view_.block(b);
   const double t = now();
   const bool allow_drop = ctx_.options->solve.mode == Mode::kAsync;
   const WireOptions& wire = ctx_.options->wire;
@@ -518,14 +559,30 @@ std::vector<la::BlockId> Peer::plan_publication() {
   return kept;
 }
 
+std::size_t Peer::owned_index(la::BlockId b) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(owned_.begin(), owned_.end(), b) - owned_.begin());
+}
+
 std::span<const std::uint32_t> Peer::readers_of(la::BlockId b) const {
   // Elastic: the LIVE view (suspects included — they are still presumed
   // members until the grace period expires), since any of them may
   // adopt any block.
   if (ctx_.membership != nullptr) return ctx_.membership->table().live_ranks();
-  const auto [first, last] = reader_range_[static_cast<std::size_t>(
-      std::lower_bound(owned_.begin(), owned_.end(), b) - owned_.begin())];
+  const auto [first, last] = reader_range_[owned_index(b)];
   return std::span<const std::uint32_t>(readers_).subspan(first, last - first);
+}
+
+std::span<const double> Peer::gather_reads(la::BlockId b) {
+  const std::span<double> buffer =
+      compute_buffer(ctx_.op->partition().dim());
+  const auto [first, last] = gather_range_[owned_index(b)];
+  for (std::size_t i = first; i < last; ++i) {
+    const Gather& g = gathers_[i];
+    std::copy_n(view_.x.begin() + static_cast<std::ptrdiff_t>(g.from), g.size,
+                buffer.begin() + static_cast<std::ptrdiff_t>(g.to));
+  }
+  return buffer;
 }
 
 std::span<const std::uint32_t> Peer::leave_notices() const {
@@ -558,8 +615,7 @@ void Peer::send_stop(std::uint32_t dst, la::BlockId b, bool final,
   if (final) {
     header.block = b;
     header.tag = view_.at(b).tag;
-    value = ctx_.op->partition().block_span(std::span<const double>(view_.x),
-                                            b);
+    value = view_.block(b);
   }
   if (!transport::send_traced(*endpoint_, dst, header, value, t,
                               /*allow_drop=*/false)
@@ -634,8 +690,7 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
     // ship the value we hold at the tag it arrived (or was sent) under.
     header.tag = view_.at(b).tag;
     header.round = round_;
-    const auto value =
-        partition.block_span(std::span<const double>(view_.x), b);
+    const std::span<const double> value = view_.block(b);
     if (transport::send_traced(*endpoint_, dst, header, value, t,
                                /*allow_drop=*/false)
             .sent)
@@ -694,9 +749,8 @@ void Peer::service_membership() {
 void Peer::update_block(la::BlockId b, std::size_t reps,
                         std::span<const double> compute_view) {
   const MpOptions& opt = *ctx_.options;
-  const la::Partition& partition = ctx_.op->partition();
-  const la::BlockRange r = partition.range(b);
-  phase_out_.resize(r.size());
+  const std::span<double> block = view_.block(b);
+  phase_out_.resize(block.size());
   const double t_start = now();
 
   const bool flexible =
@@ -706,16 +760,17 @@ void Peer::update_block(la::BlockId b, std::size_t reps,
   // Displacement of this phase = movement of the block across the phase
   // (only the displacement rule reads it).
   const bool displacement = opt.solve.displacement_tol > 0.0;
-  if (displacement)
-    phase_prev_.assign(
-        view_.x.begin() + static_cast<std::ptrdiff_t>(r.begin),
-        view_.x.begin() + static_cast<std::ptrdiff_t>(r.end));
+  if (displacement) phase_prev_.assign(block.begin(), block.end());
 
+  const bool compact = !view_.compact_blocks().empty();
   for (std::size_t t = 0; t < inner; ++t) {
+    // A compact view gathers before every application: the receive()
+    // below yields to the other ranks of a simnet world, which fill the
+    // same buffer.
+    const std::span<const double> in = compact ? gather_reads(b) : compute_view;
     for (std::size_t rep = 0; rep < reps; ++rep)
-      ctx_.op->apply_block(b, compute_view, phase_out_, ws_);
-    std::copy(phase_out_.begin(), phase_out_.end(),
-              view_.x.begin() + static_cast<std::ptrdiff_t>(r.begin));
+      ctx_.op->apply_block(b, in, phase_out_, ws_);
+    std::copy(phase_out_.begin(), phase_out_.end(), block.begin());
     if (flexible && t + 1 < inner) {
       send_block(b, /*partial=*/true);
       obs::record(obs::EventType::kBlockUpdate, 1,
@@ -815,7 +870,9 @@ double Peer::oracle_error() const {
   const la::Vector& x_star = *ctx_.options->solve.x_star;
   double worst = 0.0;
   auto add = [&](la::BlockId b) {
-    worst = std::max(worst, la::block_distance(partition, view_.x, x_star, b));
+    worst = std::max(
+        worst, la::block_distance(view_.block(b),
+                                  partition.block_span(x_star, b)));
   };
   if (ctx_.options->solve.mode != Mode::kAsync || ctx_.membership != nullptr) {
     for (la::BlockId b = 0; b < partition.num_blocks(); ++b) add(b);

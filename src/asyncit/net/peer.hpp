@@ -2,14 +2,14 @@
 //
 // Each peer is one rank run by net::run_node — on a thread of its own,
 // a simnet fiber, or a whole process — owns a contiguous range of
-// blocks, and holds a PRIVATE copy of the full iterate: the only way
-// another peer's update reaches it is as a Message received through its
-// transport::Endpoint (contrast rt::, where workers share the iterate in
-// memory). The peer shares no memory with the other ranks and never
-// touches the communication medium directly — inproc mailboxes, TCP
-// sockets, and the chaos decorator all hide behind the endpoint (see
-// transport/transport.hpp). The loop is the receive -> incorporate ->
-// update -> send cycle of the paper's distributed model:
+// blocks, and holds a PRIVATE copy of the iterate blocks it reads: the
+// only way another peer's update reaches it is as a Message received
+// through its transport::Endpoint (contrast rt::, where workers share
+// the iterate in memory). The peer shares no memory with the other ranks
+// and never touches the communication medium directly — inproc
+// mailboxes, TCP sockets, and the chaos decorator all hide behind the
+// endpoint (see transport/transport.hpp). The loop is the receive ->
+// incorporate -> update -> send cycle of the paper's distributed model:
 //
 //   receive      drain every delivered message, incorporate it under the
 //                configured OverwritePolicy (kLastArrivalWins reproduces
@@ -30,12 +30,14 @@
 // rank reads every block and each publish goes to every other rank; an
 // async rank with an oracle stop reads only its owned blocks and their
 // read sets, so its publishes go to its graph neighbours. The private
-// view therefore holds current values only for the blocks the rank owns
-// or reads, and keeps per-block tags for those alone: its iterate is
-// dense, but its kept-block table (LocalView) holds one record per owned
-// or read block where publication is neighbour-only, and one per block
-// elsewhere. A value frame or final for a block the rank does not keep
-// describes another run's geometry and is rejected like any other.
+// view (LocalView) therefore keeps the blocks the rank owns or reads:
+// where publication is neighbour-only it is compact, one record and the
+// values of each owned or read block and nothing else; elsewhere it holds
+// the whole iterate and one record per block. The operator still reads a
+// dense span: a compact view copies what an update reads into one dense
+// buffer per OS thread just before each application. A value frame or
+// final for a block the rank does not keep describes another run's
+// geometry and is rejected like any other.
 //
 // Coordination gates (Mode) before each sweep:
 //   kAsync  never wait — the paper's Section II totally asynchronous
@@ -75,7 +77,7 @@
 
 namespace asyncit::net {
 
-/// The receive-side tags of one block a view keeps.
+/// The receive-side record of one block a view keeps.
 struct BlockTags {
   model::Step tag = 0;      ///< tag of the value currently held
   model::Step max_tag = 0;  ///< newest tag ever seen
@@ -85,13 +87,17 @@ struct BlockTags {
   /// Remote values incorporated into the block: a delta baseline
   /// anchored at an older count is stale (Peer::send_block).
   std::uint64_t rx_epoch = 0;
+  std::size_t offset = 0;  ///< where the block starts in LocalView::x
 };
 
 /// A peer's private copy of the iterate plus the receive-side bookkeeping:
 /// a BlockTags record for each block the view keeps, and the
-/// inversion/staleness counters. `x` is dense whatever the view keeps, so
-/// the operator reads it unchanged. Kept as a standalone struct so
-/// incorporation is unit-testable without threads.
+/// inversion/staleness counters. A view that keeps every block holds the
+/// whole iterate in `x`; one that keeps only some (a compact view) holds
+/// only their coordinates, concatenated in ascending block order, so its
+/// size follows the read set rather than the world. Either way block(b)
+/// is block b's values. Kept as a standalone struct so incorporation is
+/// unit-testable without threads.
 struct LocalView {
   la::Vector x;
   std::uint64_t inversions = 0;      ///< arrivals with tag < newest seen
@@ -99,10 +105,24 @@ struct LocalView {
   std::uint64_t final_filtered = 0;  ///< arrivals discarded by a final
 
   LocalView() = default;  ///< keeps no block
-  /// Keeps the blocks in `kept` (ascending, each below num_blocks), or
-  /// every block when `kept` is empty or lists them all.
-  LocalView(const la::Vector& x0, std::size_t num_blocks,
+  /// Keeps the blocks of `partition` listed in `kept` (ascending), or
+  /// every block when `kept` is empty or lists them all, each starting
+  /// from its value in x0. A compact view copies only its blocks of x0.
+  LocalView(const la::Partition& partition, const la::Vector& x0,
             std::vector<la::BlockId> kept = {});
+
+  /// The blocks `x` holds, ascending, when the view is compact; empty when
+  /// `x` is the whole iterate.
+  std::span<const la::BlockId> compact_blocks() const { return ids_; }
+  /// Block b's values; b must be kept.
+  std::span<double> block(la::BlockId b) {
+    const auto [offset, size] = extent(b);
+    return std::span<double>(x).subspan(offset, size);
+  }
+  std::span<const double> block(la::BlockId b) const {
+    const auto [offset, size] = extent(b);
+    return std::span<const double>(x).subspan(offset, size);
+  }
 
   /// Block b's record, or null when the view does not keep b.
   const BlockTags* find(la::BlockId b) const {
@@ -130,6 +150,16 @@ struct LocalView {
     return it != ids_.end() && *it == b
                ? static_cast<std::size_t>(it - ids_.begin())
                : blocks_.size();
+  }
+  /// Block b's offset and size in x; b must be kept. The kept blocks lie
+  /// back to back in ascending order, so a block ends where the next
+  /// record's begins.
+  std::pair<std::size_t, std::size_t> extent(la::BlockId b) const {
+    const std::size_t i = slot(b);
+    ASYNCIT_CHECK(i < blocks_.size());
+    const std::size_t end =
+        i + 1 < blocks_.size() ? blocks_[i + 1].offset : x.size();
+    return {blocks_[i].offset, end - blocks_[i].offset};
   }
 
   /// The kept blocks, ascending, when the view keeps only some; empty
@@ -205,7 +235,8 @@ class Peer {
   /// rule reads: the owned blocks of an async rank without membership,
   /// the whole view otherwise.
   double oracle_error() const;
-  /// Moves the private iterate out (the view is unusable afterwards).
+  /// Moves the private iterate out (the view is unusable afterwards): the
+  /// whole iterate, or the kept blocks of a compact view.
   la::Vector release_iterate() { return std::move(view_.x); }
   std::uint64_t updates() const { return own_updates_; }
   std::uint64_t rounds() const { return round_; }
@@ -266,8 +297,15 @@ class Peer {
   bool all_others_inactive() const;
   /// Computes one updating phase of block b (inner_steps applications;
   /// flexible communication when configured) and publishes the result.
+  /// The operator reads `compute_view` (the whole view, or the BSP
+  /// snapshot), or, for a compact view, gather_reads(b).
   void update_block(la::BlockId b, std::size_t reps,
                     std::span<const double> compute_view);
+  /// Compact view: copies the blocks owned block b reads into this OS
+  /// thread's dense compute buffer and returns the buffer.
+  std::span<const double> gather_reads(la::BlockId b);
+  /// Where launch-owned block b sits in owned_.
+  std::size_t owned_index(la::BlockId b) const;
   /// Sends the current value of owned block b to the ranks that read it.
   void send_block(la::BlockId b, bool partial);
   /// Computes the readers of each launch-owned block and the leave-notice
@@ -374,6 +412,15 @@ class Peer {
   std::vector<std::uint32_t> readers_;
   std::vector<std::pair<std::size_t, std::size_t>> reader_range_;
   std::vector<std::uint32_t> notices_;  ///< see leave_notices()
+  /// Compact view only: owned block i reads the blocks copied by
+  /// gathers_[gather_range_[i].first .. gather_range_[i].second), each
+  /// `size` coordinates from view_.x at `from` to the compute buffer at
+  /// `to` (the block's place in the iterate).
+  struct Gather {
+    std::size_t from, to, size;
+  };
+  std::vector<Gather> gathers_;
+  std::vector<std::pair<std::size_t, std::size_t>> gather_range_;
   /// kStops whose send receipt said they did not leave (resend_stops).
   struct UnsentStop {
     std::uint32_t dst;

@@ -182,8 +182,7 @@ std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
 }
 
 void SimEndpoint::recycle(std::vector<net::Message>& consumed) {
-  for (net::Message& m : consumed) pool_.recycle(std::move(m));
-  consumed.clear();
+  pool_.recycle(consumed);
 }
 
 void SimEndpoint::wait_for_activity(std::uint64_t seen,

@@ -69,9 +69,7 @@ std::size_t InprocEndpoint::receive(double now,
 }
 
 void InprocEndpoint::recycle(std::vector<net::Message>& consumed) {
-  MessagePool& pool = owner_->stations_[rank_]->pool;
-  for (net::Message& m : consumed) pool.recycle(std::move(m));
-  consumed.clear();
+  owner_->stations_[rank_]->pool.recycle(consumed);
 }
 
 std::uint64_t InprocEndpoint::activity() const {

@@ -28,10 +28,11 @@ namespace asyncit::transport {
 
 /// Pool of net::Message shells. acquire() hands back a message whose
 /// value vector retains the capacity of its previous trip (fill with
-/// assign(); no allocation once capacity suffices).
+/// assign(); no allocation once capacity suffices). The pool starts empty
+/// and grows to its traffic's high-water mark during warm-up.
 class MessagePool {
  public:
-  MessagePool() { pool_.reserve(kReserve); }
+  MessagePool() = default;
 
   MessagePool(const MessagePool&) = delete;
   MessagePool& operator=(const MessagePool&) = delete;
@@ -53,22 +54,33 @@ class MessagePool {
     pool_.push_back(std::move(m));
   }
 
+  /// Recycles a drained batch under one lock (shells dropped as above)
+  /// and leaves `batch` empty.
+  void recycle(std::vector<net::Message>& batch) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (net::Message& m : batch)
+        if (m.value.capacity() != 0) pool_.push_back(std::move(m));
+    }
+    batch.clear();
+  }
+
   std::size_t pooled() const {
     std::lock_guard<std::mutex> lock(mu_);
     return pool_.size();
   }
 
  private:
-  static constexpr std::size_t kReserve = 64;
   mutable std::mutex mu_;
   std::vector<net::Message> pool_;
 };
 
 /// Pool of byte buffers (wire frames). Senders encode into a borrowed
-/// frame; the writer thread recycles it after the socket write.
+/// frame; the writer thread recycles it after the socket write. Starts
+/// empty, like MessagePool.
 class BytePool {
  public:
-  BytePool() { pool_.reserve(kReserve); }
+  BytePool() = default;
 
   BytePool(const BytePool&) = delete;
   BytePool& operator=(const BytePool&) = delete;
@@ -94,7 +106,6 @@ class BytePool {
   }
 
  private:
-  static constexpr std::size_t kReserve = 64;
   mutable std::mutex mu_;
   std::vector<std::vector<std::uint8_t>> pool_;
 };

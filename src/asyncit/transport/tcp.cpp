@@ -759,8 +759,7 @@ std::size_t TcpEndpoint::receive(double now,
 }
 
 void TcpEndpoint::recycle(std::vector<net::Message>& consumed) {
-  for (net::Message& m : consumed) rx_pool_.recycle(std::move(m));
-  consumed.clear();
+  rx_pool_.recycle(consumed);
 }
 
 std::uint64_t TcpEndpoint::activity() const {

@@ -242,7 +242,7 @@ TEST(AllocationRegression, InprocMessagingRoundTripAllocatesNothing) {
   transport::InprocTransport tx(2, net::DeliveryPolicy{}, 3);
   transport::Endpoint& e0 = tx.endpoint(0);
   transport::Endpoint& e1 = tx.endpoint(1);
-  net::LocalView view(la::Vector(12, 0.0), 2);
+  net::LocalView view(partition, la::Vector(12, 0.0));
   la::Vector payload(6, 1.25);
   std::vector<net::Message> inbox;
   transport::MessageHeader header;
@@ -286,7 +286,7 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
   transport::InprocTransport tx(2, net::DeliveryPolicy{}, 3);
   transport::Endpoint& e0 = tx.endpoint(0);
   transport::Endpoint& e1 = tx.endpoint(1);
-  net::LocalView view(la::Vector(12, 0.0), 2);
+  net::LocalView view(partition, la::Vector(12, 0.0));
   la::Vector payload(6, 1.25);
   std::vector<net::Message> inbox;
   transport::MessageHeader header;

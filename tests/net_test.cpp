@@ -165,7 +165,7 @@ class IncorporateTest : public ::testing::Test {
  protected:
   IncorporateTest()
       : partition_(la::Partition::from_sizes({2, 2})),
-        view_(la::Vector{0, 0, 0, 0}, 2) {}
+        view_(partition_, la::Vector{0, 0, 0, 0}) {}
 
   Message block0(model::Step tag, double v) {
     Message m;
@@ -207,7 +207,7 @@ TEST_F(IncorporateTest, NewestTagWinsFiltersStaleArrivals) {
 TEST_F(IncorporateTest, FinalValueClosesTheBlockUnderEitherPolicy) {
   for (const OverwritePolicy policy : {OverwritePolicy::kLastArrivalWins,
                                        OverwritePolicy::kNewestTagWins}) {
-    LocalView view(la::Vector{0, 0, 0, 0}, 2);
+    LocalView view(partition_, la::Vector{0, 0, 0, 0});
     Message closing = block0(3, 3.0);
     closing.kind = MsgKind::kStop;
     EXPECT_TRUE(apply_final(partition_, closing, view));
@@ -238,7 +238,7 @@ TEST_F(IncorporateTest, FinalNeverRollsBackANewerValue) {
 
 TEST(KeptBlocks, AViewRefusesFramesForABlockItDoesNotKeep) {
   const la::Partition partition = la::Partition::from_sizes({2, 2, 2, 2, 2});
-  LocalView view(la::Vector(10, 0.0), 5, {1, 4});
+  LocalView view(partition, la::Vector(10, 0.0), {1, 4});
   EXPECT_EQ(view.find(2), nullptr);
   Message m;
   m.block = 2;
@@ -249,20 +249,53 @@ TEST(KeptBlocks, AViewRefusesFramesForABlockItDoesNotKeep) {
     EXPECT_FALSE(incorporate(partition, policy, m, view));
   m.kind = MsgKind::kStop;
   EXPECT_FALSE(apply_final(partition, m, view));
-  EXPECT_EQ(view.x, la::Vector(10, 0.0));
+  EXPECT_EQ(view.x, la::Vector(4, 0.0));  // blocks 1 and 4 only
   EXPECT_EQ(view.inversions + view.stale_filtered + view.final_filtered, 0u);
   // The kept blocks incorporate as in a view that keeps every block.
   m.kind = MsgKind::kValue;
   m.block = 4;
   EXPECT_TRUE(incorporate(partition, OverwritePolicy::kNewestTagWins, m, view));
   EXPECT_EQ(view.at(4).tag, 1u);
-  EXPECT_DOUBLE_EQ(view.x[8], 7.0);
+  EXPECT_EQ(view.x, (la::Vector{0.0, 0.0, 7.0, 7.0}));
+  EXPECT_DOUBLE_EQ(view.block(4)[0], 7.0);
   EXPECT_EQ(view.at(1).tag, 0u);
 }
 
+TEST(KeptBlocks, ACompactViewHoldsOnlyItsBlocksInBlockOrder) {
+  const la::Partition partition = la::Partition::from_sizes({2, 1, 3, 2});
+  const la::Vector x0{0, 1, 2, 3, 4, 5, 6, 7};
+  LocalView compact(partition, x0, {1, 3});
+  EXPECT_EQ(compact.x, (la::Vector{2, 6, 7}));
+  EXPECT_EQ(la::Vector(compact.block(3).begin(), compact.block(3).end()),
+            (la::Vector{6, 7}));
+  Message m;
+  m.block = 3;
+  m.tag = 1;
+  m.offset = 1;
+  m.partial = true;
+  m.value = {9.0};
+  EXPECT_TRUE(incorporate(partition, OverwritePolicy::kNewestTagWins, m,
+                          compact));
+  EXPECT_EQ(compact.x, (la::Vector{2, 6, 9}));
+  const LocalView dense(partition, x0);
+  EXPECT_EQ(dense.x, x0);
+  EXPECT_TRUE(dense.compact_blocks().empty());
+  EXPECT_EQ(dense.block(2).data(), dense.x.data() + 3);
+  // A result reads back the same way, compact or whole.
+  MpResult r;
+  r.x = compact.x;
+  r.x_blocks = {1, 3};
+  EXPECT_EQ(block_of(r, partition, 3).data(), r.x.data() + 1);
+  EXPECT_EQ(block_of(r, partition, 1)[0], 2.0);
+  r.x = x0;
+  r.x_blocks.clear();
+  EXPECT_EQ(block_of(r, partition, 3).data(), r.x.data() + 6);
+}
+
 TEST(KeptBlocks, AViewListingEveryBlockKeepsEveryBlock) {
-  const LocalView all(la::Vector(3, 0.0), 3, {0, 1, 2});
-  const LocalView dense(la::Vector(3, 0.0), 3);
+  const la::Partition partition = la::Partition::scalar(3);
+  const LocalView all(partition, la::Vector(3, 0.0), {0, 1, 2});
+  const LocalView dense(partition, la::Vector(3, 0.0));
   for (la::BlockId b = 0; b < 3; ++b) {
     EXPECT_NE(all.find(b), nullptr);
     EXPECT_NE(dense.find(b), nullptr);

@@ -917,7 +917,7 @@ struct SparseWorld {
     const la::Partition& p = jacobi->partition();
     la::Vector x(p.dim());
     for (la::BlockId b = 0; b < p.num_blocks(); ++b) {
-      const auto src = p.block_span(std::span<const double>(r.ranks[b].x), b);
+      const auto src = net::block_of(r.ranks[b], p, b);
       std::copy(src.begin(), src.end(),
                 p.block_span(std::span<double>(x), b).begin());
     }
@@ -956,13 +956,12 @@ TEST(SimPublication, SparseJacobiSendsValueFramesOnlyToReaders) {
               (rank.total_updates + 1) * (readers.size() - 1) + notices)
         << "rank " << q;
     sent += rank.messages_sent;
-    // No frame of a block q does not read ever reached q: its view of
-    // that block is still x0.
-    for (la::BlockId c = 0; c < 100; ++c) {
-      if (!std::binary_search(reads.begin(), reads.end(), c)) {
-        EXPECT_EQ(rank.x[c], 0.0) << "rank " << q << " block " << c;
-      }
-    }
+    // The result keeps exactly reads(q): a value of every block q's
+    // update reads, and nothing of the rest of the world.
+    EXPECT_EQ(rank.x_blocks,
+              std::vector<la::BlockId>(reads.begin(), reads.end()))
+        << "rank " << q;
+    EXPECT_EQ(rank.x.size(), reads.size()) << "rank " << q;
   }
   EXPECT_LT(sent, r.total_updates * 10);  // a dense world sends 99 each
   const WorldResult again = run_world(*w.jacobi, la::zeros(100), w.o);
@@ -1034,6 +1033,20 @@ TEST(SimReplay, StragglerSspWorldReplaysItsPinnedValues) {
   std::uint64_t stalls = 0;
   for (const net::MpResult& rank : r.ranks) stalls += rank.gate_stalls;
   EXPECT_EQ(stalls, 99u);
+}
+
+TEST(SimReplay, FlexibleSparseWorldReplaysItsPinnedValues) {
+  // Flexible communication on compact views: each phase publishes a
+  // partial and receives in mid-phase, which yields to the other ranks of
+  // the world, so every inner step must gather its reads afresh.
+  const RestoreLevel restore;
+  ASSERT_TRUE(la::simd::force(la::simd::Level::kScalar));
+  SparseWorld w(40);
+  w.o.mp.solve.publish_partials = true;
+  w.o.mp.solve.inner_steps = 2;
+  expect_pinned(run_world(*w.jacobi, la::zeros(40), w.o),
+                {0x8790c40700f05fbdull, 307, 604, 89,
+                 0x3eae131395d50000ull});
 }
 
 TEST(SimStopFinals, FinalsLostToAPartitionAreResentToTheirReaders) {

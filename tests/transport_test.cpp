@@ -702,6 +702,15 @@ TEST(Pools, MessagePoolRetainsCapacityAndDropsShells) {
   net::Message shell;  // moved-from value: capacity 0
   pool.recycle(std::move(shell));
   EXPECT_EQ(pool.pooled(), 0u);  // shells must not poison the pool
+
+  // A drained batch goes back in one call: the shell is dropped here too,
+  // and the batch is left empty.
+  std::vector<net::Message> batch(3);
+  batch[0].value.assign(8, 1.0);
+  batch[2].value.assign(8, 2.0);
+  pool.recycle(batch);
+  EXPECT_EQ(pool.pooled(), 2u);
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(Pools, BytePoolRecyclesCleared) {
@@ -1117,7 +1126,7 @@ TEST(ChaosDecorator, LossModelSparesControlFramesUnlessOptedIn) {
 
 TEST(PartialBlockFrames, IncorporateWritesOnlyTheCarriedRange) {
   const la::Partition partition = la::Partition::from_sizes({8});
-  net::LocalView view(la::Vector(8, 0.0), 1);
+  net::LocalView view(partition, la::Vector(8, 0.0));
   net::Message m;
   m.block = 0;
   m.tag = 1;
